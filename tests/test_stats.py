@@ -14,6 +14,7 @@ from crashsev.stats import (
     stratified_folds,
 )
 from crashsev.stats import _inbag_auc_matrix  # internal, checked against pair counting
+from crashsev.synth import planted_generator
 
 
 def brute_force_auc(scores, labels):
@@ -139,6 +140,41 @@ class TestLrt:
         conditional = lrt_ci_test(x, y, z)
         assert marginal.value < 1e-6
         assert conditional.value > 0.01
+
+
+# (candidate columns, conditioning columns, statistic, p-value), recorded from
+# the einsum Newton kernel with scipy.stats.chi2.sf on planted_data()
+RECORDED_LRT = [
+    ((0,), (), 62.31113743299136, 2.9326186547677915e-15),
+    ((3,), (), 0.3407516086982696, 0.5593957001183518),
+    ((1,), (0,), 44.391806770940434, 2.6880975472205888e-11),
+    ((4,), (0, 2), 0.9080242813257087, 0.3406391790172661),
+    ((3, 5), (1,), 1.752170896569396, 0.416409782998459),
+    ((1, 2), (), 70.4239324887227, 5.100789050479811e-16),
+    ((5,), (0, 1, 2), 2.6755620360002013, 0.10189934628080716),
+    ((2,), (1,), 30.635775543408727, 3.113004581955771e-08),
+]
+LRT_GATE = 1e-10
+
+
+def planted_data():
+    gen = planted_generator(n_features=6, n_informative=3, effect=0.8, prevalence=0.2)
+    m = gen.matrix(500, seed=3)
+    return m.X, m.y
+
+
+def _block(X, cols):
+    return X[:, list(cols)] if cols else None
+
+
+class TestLrtRecorded:
+    def test_matches_recorded_values(self):
+        X, y = planted_data()
+        for xc, zc, stat, p in RECORDED_LRT:
+            res = lrt_ci_test(_block(X, xc), y, _block(X, zc))
+            assert res.converged and res.dof == len(xc)
+            assert res.statistic == pytest.approx(stat, rel=LRT_GATE, abs=LRT_GATE)
+            assert res.value == pytest.approx(p, abs=LRT_GATE)
 
 
 def brute_force_bh(pvalues, alpha):
