@@ -236,7 +236,9 @@ def cmd_run(args) -> int:
     matrix = load_matrix(cfg.matrix_path)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    progress_fh = open(cfg.out_dir / "progress.jsonl", "a", encoding="utf-8")
+    # a fresh run starts the log over; a resumed run continues it
+    mode = "a" if args.resume else "w"
+    progress_fh = open(cfg.out_dir / "progress.jsonl", mode, encoding="utf-8")
 
     def progress(record: dict) -> None:
         progress_fh.write(json.dumps(record, sort_keys=True) + "\n")

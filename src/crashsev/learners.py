@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import chi2
+from scipy.special import chdtrc, expit
 
 from .rng import substream
 
@@ -246,7 +245,7 @@ def _chi2_split_pvalue(y_left: np.ndarray, y_right: np.ndarray) -> float:
     if margins == 0:
         return 1.0
     stat = n * (a * d - b * c) ** 2 / margins
-    return float(chi2.sf(stat, 1))
+    return float(chdtrc(1, stat))
 
 
 def _best_split(
@@ -422,7 +421,9 @@ def fit_random_forest(
             # degenerate bootstrap: single-class resample becomes one leaf
             root = TreeNode(prob=float(yb[0]), n_samples=n)
         else:
-            sampler = lambda: np.sort(rng.choice(p, size=mtry, replace=False))  # noqa: E731
+            # with no columns there is nothing to sample: the tree is a single
+            # leaf, as fit_decision_tree grows on zero columns
+            sampler = (lambda: np.sort(rng.choice(p, size=mtry, replace=False))) if p else None
             root = _grow_tree(Xb, yb, wb, min_leaf, None, feature_sampler=sampler)
         trees.append(
             TreeModel(root=root, min_leaf=min_leaf, alpha_prune=None,

@@ -5,13 +5,16 @@ with all of its encoded columns), matching how the final signature is
 reported. SES runs the forward/backward conditional-independence search,
 LASSO the coordinate-descent L1 path point, and the univariate method a
 BH-corrected screen. A per-dataset cache shares LRT results across
-hyperparameter settings.
+hyperparameter settings and takes its requests as lists of (candidate group,
+conditioning groups) pairs: each SES forward step asks every pair at once,
+the backward phase one subset size at a time, and the missing tests are
+fitted as batched likelihood-ratio tests.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -34,6 +37,9 @@ __all__ = [
 ]
 
 COEF_NONZERO_TOL = 1e-10
+# Largest design array (candidates x rows x columns) of one batched LRT solve;
+# the solve holds about three arrays of this size at once.
+LRT_BATCH_ELEMENTS = 1 << 21
 
 
 @dataclass
@@ -44,7 +50,6 @@ class Signature:
     method: str
     hyperparameters: dict
     converged: bool = True
-    equivalents: list[list[str]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(set(self.selected)) != len(self.selected):
@@ -82,26 +87,33 @@ class CITestCache:
         cols = np.concatenate([self._cols[g] for g in sorted(z_groups)])
         return self.matrix.X[:, cols]
 
-    def pvalues(self, candidates: Sequence[str], z_groups: frozenset) -> dict[str, PValue]:
-        missing = [g for g in candidates if (g, z_groups) not in self._cache]
-        if missing:
-            z = self._z_columns(z_groups)
-            null = self._nulls.get(z_groups)
-            if null is None:
-                null = fit_null_logistic(self.matrix.y, z)
-                self._nulls[z_groups] = null
-            by_width: dict[int, list[str]] = {}
-            for g in missing:
-                by_width.setdefault(self.width(g), []).append(g)
-            for _, names in sorted(by_width.items()):
-                xs = [self.matrix.X[:, self._cols[g]] for g in names]
-                results = lrt_ci_test_many(xs, self.matrix.y, z, null=null)
-                for g, res in zip(names, results):
-                    self._cache[(g, z_groups)] = res
-        return {g: self._cache[(g, z_groups)] for g in candidates}
+    def pvalues(self, requests: Sequence[tuple[str, frozenset]]) -> list[PValue]:
+        """p-values of the (candidate group, conditioning groups) pairs, in order.
 
-    def pvalue(self, candidate: str, z_groups: frozenset) -> PValue:
-        return self.pvalues([candidate], z_groups)[candidate]
+        Each missing null is fitted once; the missing tests are fitted in one
+        batch per (conditioning width, candidate width), split so that no
+        batch's design array exceeds LRT_BATCH_ELEMENTS.
+        """
+        missing = [r for r in dict.fromkeys(requests) if r not in self._cache]
+        X, y = self.matrix.X, self.matrix.y
+        batches: dict[tuple[int, int], list[tuple[str, frozenset]]] = {}
+        for g, z in missing:
+            if z not in self._nulls:
+                self._nulls[z] = fit_null_logistic(y, self._z_columns(z))
+            z_width = sum(self.width(h) for h in z)
+            batches.setdefault((z_width, self.width(g)), []).append((g, z))
+        for (z_width, width), pairs in sorted(batches.items()):
+            step = max(1, LRT_BATCH_ELEMENTS // (X.shape[0] * (1 + z_width + width)))
+            for start in range(0, len(pairs), step):
+                chunk = pairs[start:start + step]
+                zs = {z: self._z_columns(z) for _, z in chunk}
+                results = lrt_ci_test_many(
+                    [X[:, self._cols[g]] for g, _ in chunk], y,
+                    [zs[z] for _, z in chunk],
+                    null=[self._nulls[z] for _, z in chunk],
+                )
+                self._cache.update(zip(chunk, results))
+        return [self._cache[r] for r in requests]
 
 
 def ses_select(
@@ -109,16 +121,16 @@ def ses_select(
     kmax: int,
     alpha: float,
     cache: Optional[CITestCache] = None,
-    equivalence_ratio: float = 0.95,
 ) -> Signature:
     """Forward/backward selection driven by conditional-independence tests.
 
     Forward: repeatedly add the candidate with the smallest worst-case
     (max over conditioning subsets of the selected set, sizes <= kmax)
-    p-value, dropping candidates whose worst case exceeds alpha for good.
-    Backward: remove any selected group rendered conditionally independent
-    (p > alpha) by some subset of the others. Returns the single surviving
-    signature; near-ties at each forward step are reported as equivalents.
+    p-value, dropping candidates whose worst case exceeds alpha for good;
+    each step asks every (conditioning set, alive candidate) pair as one
+    batch. Backward: remove any selected group rendered conditionally
+    independent (p > alpha) by some subset of the others, one batch per
+    subset size, smallest first. Returns the single surviving signature.
     """
     if not 1 <= kmax <= 5:
         raise ValueError("kmax must be in 1..5")
@@ -128,51 +140,39 @@ def ses_select(
     groups = list(cache.groups)
     hyper = {"kmax": kmax, "alpha": alpha}
 
-    res = cache.pvalues(groups, frozenset())
-    pmax = {g: res[g].value for g in groups}
+    res = cache.pvalues([(g, frozenset()) for g in groups])
+    pmax = {g: r.value for g, r in zip(groups, res)}
     alive = [g for g in groups if pmax[g] <= alpha]
     selected: list[str] = []
-    equivalents: list[list[str]] = []
 
     while alive:
         best = min(alive, key=lambda g: (pmax[g], g))
-        near = [
-            g
-            for g in alive
-            if g != best and pmax[g] > 0 and pmax[best] / pmax[g] >= equivalence_ratio
-        ]
-        equivalents.append(sorted(near))
         selected.append(best)
         alive.remove(best)
         if not alive:
             break
-        older = [g for g in selected if g != best]
-        for size in range(0, kmax):
-            for combo in combinations(older, size):
-                z = frozenset(combo) | {best}
-                res = cache.pvalues(alive, z)
-                for g in alive:
-                    if res[g].value > pmax[g]:
-                        pmax[g] = res[g].value
+        older = selected[:-1]
+        requests = [
+            (g, frozenset(combo) | {best})
+            for size in range(0, kmax)
+            for combo in combinations(older, size)
+            for g in alive
+        ]
+        for (g, _), r in zip(requests, cache.pvalues(requests)):
+            pmax[g] = max(pmax[g], r.value)
         alive = [g for g in alive if pmax[g] <= alpha]
 
     # backward: drop groups made redundant by later additions
     retained = list(selected)
-    for g in list(selected):
+    for g in selected:
         others = [h for h in retained if h != g]
-        independent = False
         for size in range(0, min(kmax, len(others)) + 1):
-            for combo in combinations(others, size):
-                if cache.pvalue(g, frozenset(combo)).value > alpha:
-                    independent = True
-                    break
-            if independent:
+            requests = [(g, frozenset(combo)) for combo in combinations(others, size)]
+            if any(r.value > alpha for r in cache.pvalues(requests)):
+                retained.remove(g)
                 break
-        if independent:
-            retained.remove(g)
 
-    return Signature(selected=retained, method="SES", hyperparameters=hyper,
-                     equivalents=equivalents)
+    return Signature(selected=retained, method="SES", hyperparameters=hyper)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +275,9 @@ def univariate_select(
     groups = list(cache.groups)
     if not groups:
         return Signature(selected=[], method="Univariate", hyperparameters={"alpha": alpha})
-    res = cache.pvalues(groups, frozenset())
-    pvals = np.array([res[g].value for g in groups])
-    rejected = bh_select(pvals, alpha)
-    chosen = [groups[i] for i in rejected]
-    chosen.sort(key=lambda g: (res[g].value, g))
-    return Signature(selected=chosen, method="Univariate", hyperparameters={"alpha": alpha})
+    pvals = np.array([r.value for r in cache.pvalues([(g, frozenset()) for g in groups])])
+    rejected = sorted(bh_select(pvals, alpha), key=lambda i: (pvals[i], groups[i]))
+    return Signature(selected=[groups[i] for i in rejected], method="Univariate", hyperparameters={"alpha": alpha})
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """Statistical kernels shared by feature selection and tuning.
 
 AUC-ROC with midrank tie correction, the nested-logistic likelihood-ratio
-conditional-independence test (single and batched over candidate columns),
-Benjamini-Hochberg step-up selection, stratified fold assignment, and the
-bootstrap bias correction of the winning configuration's score.
+conditional-independence test, Benjamini-Hochberg step-up selection,
+stratified fold assignment, and the bootstrap bias correction of the winning
+configuration's score.
+
+The likelihood-ratio tests run in batches of (candidate, conditioning-set)
+pairs: every pair brings its own conditioning columns and null fit, and the
+whole batch is one Newton solve on stacked design arrays with batched matmul.
+A pair's result does not depend on the batch it is fitted in.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import chi2
+from scipy.special import chdtrc, expit
 
 __all__ = [
     "PValue",
@@ -145,17 +149,45 @@ def roc_curve(scores, labels) -> RocCurve:
 # Logistic likelihood-ratio test
 
 
-def _nll_many(A: np.ndarray, beta: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted negative log-likelihood per candidate; stable for large |eta|."""
-    eta = np.einsum("cnm,cm->cn", A, beta)
+def _eta_many(A: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Linear predictor per candidate: (C, n, m) @ (C, m) -> (C, n)."""
+    return (A @ beta[:, :, None])[:, :, 0]
+
+
+def _nll_many(eta: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted negative log-likelihood per candidate; stable for large |eta|.
+
+    einsum sums each row on its own; a BLAS matrix-vector product over the
+    stack would make a row's last bits depend on the batch size.
+    """
     return np.einsum("cn,n->c", np.logaddexp(0.0, eta) - y * eta, w)
+
+
+def _solve_rows(
+    hess: np.ndarray, grad: np.ndarray, skip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps for a batch, and the rows whose Hessian is singular.
+
+    One singular Hessian makes the batched solve raise, so the batch is then
+    solved row by row (rows in ``skip`` left at zero) and only that row fails.
+    """
+    singular = np.zeros(grad.shape[0], dtype=bool)
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(grad)
+        for i in np.flatnonzero(~skip):
+            try:
+                step[i] = np.linalg.solve(hess[i], grad[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
 
 
 def _newton_logistic_many(
     A: np.ndarray,
     y: np.ndarray,
     w: np.ndarray,
-    l2: np.ndarray | None = None,
     beta0: np.ndarray | None = None,
     max_iter: int = LOGISTIC_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,60 +195,50 @@ def _newton_logistic_many(
 
     Returns (beta (C, m), loglik (C,), converged (C,) bool). Convergence is
     gradient norm < 1e-8 or objective change < 1e-10 relative; iteration
-    exhaustion or numerical breakdown leaves converged False.
+    exhaustion or numerical breakdown leaves converged False. Each row's fit
+    depends on that row alone, so a test gives the same bits in any batch.
     """
     C, n, m = A.shape
     yf = np.asarray(y, dtype=np.float64)
     beta = np.zeros((C, m)) if beta0 is None else np.array(beta0, dtype=np.float64)
-    pen = np.zeros(m) if l2 is None else np.asarray(l2, dtype=np.float64)
+    At = A.transpose(0, 2, 1)
+    ridge = 1e-12 * np.eye(m)
 
-    def objective(b: np.ndarray) -> np.ndarray:
-        return _nll_many(A, b, yf, w) + 0.5 * (pen * b * b).sum(axis=1)
-
-    obj = objective(beta)
+    eta = _eta_many(A, beta)
+    obj = _nll_many(eta, yf, w)
     done = np.zeros(C, dtype=bool)
     failed = np.zeros(C, dtype=bool)
-    eye = np.eye(m)
 
     for _ in range(max_iter):
-        eta = np.einsum("cnm,cm->cn", A, beta)
         mu = expit(eta)
-        grad = np.einsum("cnm,cn->cm", A, w * (yf - mu)) - pen * beta
-        gnorm = np.abs(grad).max(axis=1)
-        done |= gnorm < LOGISTIC_GRAD_TOL
+        grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
+        done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
         if bool(np.all(done | failed)):
             break
-        wgt = w * mu * (1.0 - mu)
-        hess = np.einsum("cnm,cn,cnl->cml", A, wgt, A) + pen * eye + 1e-12 * eye
-        try:
-            step = np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            failed |= ~done
-            break
+        hess = (At * (w * mu * (1.0 - mu))[:, None, :]) @ A + ridge
+        step, singular = _solve_rows(hess, grad, done | failed)
+        failed |= singular
         active = ~(done | failed)
-        new_beta = np.where(active[:, None], beta + step, beta)
-        new_obj = objective(new_beta)
-        bad = ~np.isfinite(new_obj)
-        # step halving where the Newton step overshoots
+        # the full step, then up to 30 halvings where it overshoots
         t = np.ones(C)
-        worse = active & ((new_obj > obj + 1e-12) | bad)
-        for _half in range(30):
+        for halvings in range(31):
+            if halvings:
+                t = np.where(worse, t * 0.5, t)
+            new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
+            new_eta = _eta_many(A, new_beta)
+            new_obj = _nll_many(new_eta, yf, w)
+            worse = active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
             if not worse.any():
                 break
-            t = np.where(worse, t * 0.5, t)
-            new_beta = np.where(
-                active[:, None], beta + t[:, None] * step, beta
-            )
-            new_obj = objective(new_beta)
-            worse = active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
         failed |= worse
         delta = np.abs(obj - new_obj)
-        beta = np.where((active & ~worse)[:, None], new_beta, beta)
-        obj = np.where(active & ~worse, new_obj, obj)
+        accept = active & ~worse
+        beta = np.where(accept[:, None], new_beta, beta)
+        eta = np.where(accept[:, None], new_eta, eta)
+        obj = np.where(accept, new_obj, obj)
         done |= (~failed) & (delta < LOGISTIC_DEV_TOL * (1.0 + np.abs(obj)))
 
-    loglik = -_nll_many(A, beta, yf, w)
-    return beta, loglik, done & ~failed
+    return beta, -obj, done & ~failed
 
 
 def _as_columns(x) -> np.ndarray:
@@ -224,6 +246,10 @@ def _as_columns(x) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr[:, None]
     return arr
+
+
+def _z_block(z, n: int) -> np.ndarray:
+    return np.empty((n, 0)) if z is None else _as_columns(z)
 
 
 @dataclass(frozen=True)
@@ -240,8 +266,7 @@ def fit_null_logistic(y, z=None, *, sample_weight=None, max_iter: int = LOGISTIC
     yf = np.asarray(y, dtype=np.float64)
     n = yf.size
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    zc = np.empty((n, 0)) if z is None else _as_columns(z)
-    base = np.column_stack([np.ones(n), zc])
+    base = np.column_stack([np.ones(n), _z_block(z, n)])
     beta, ll, conv = _newton_logistic_many(base[None, :, :], yf, w, max_iter=max_iter)
     return NullFit(beta=beta[0], loglik=float(ll[0]), converged=bool(conv[0]))
 
@@ -252,50 +277,55 @@ def lrt_ci_test_many(
     z=None,
     *,
     sample_weight=None,
-    null: NullFit | None = None,
+    null: NullFit | list[NullFit] | None = None,
     max_iter: int = LOGISTIC_MAX_ITER,
 ) -> list[PValue]:
     """Likelihood-ratio tests of y ~ Z vs y ~ Z + x for each candidate x.
 
-    All candidates must add the same number of columns (they are fitted as one
-    batched Newton solve, warm-started from the null fit). Non-convergence is
-    conservative: p = 1.0, flagged.
+    ``z`` is either one conditioning block shared by every candidate or a
+    list with one block (or None) per candidate; ``null`` is likewise one
+    NullFit or a list of them, fitted here when omitted. All candidates must
+    add the same number of columns to conditioning blocks of equal width:
+    they are fitted as one batched Newton solve, each warm-started from its
+    own null fit. Non-convergence is conservative: p = 1.0, flagged.
     """
     cols = [_as_columns(x) for x in xs]
     if not cols:
         return []
-    width = cols[0].shape[1]
-    if any(c.shape[1] != width for c in cols):
-        raise ValueError("all candidates in one batch must have equal width")
+    C = len(cols)
     yf = np.asarray(y, dtype=np.float64)
     n = yf.size
     w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    zc = np.empty((n, 0)) if z is None else _as_columns(z)
-
-    base = np.column_stack([np.ones(n), zc])
-    kz = base.shape[1]
+    per_row = isinstance(z, list)
+    zcs = [_z_block(zi, n) for zi in z] if per_row else [_z_block(z, n)] * C
     if null is None:
-        null = fit_null_logistic(y, zc, sample_weight=sample_weight, max_iter=max_iter)
+        def fit(zc: np.ndarray) -> NullFit:
+            return fit_null_logistic(y, zc, sample_weight=sample_weight, max_iter=max_iter)
 
-    C = len(cols)
+        null = [fit(zc) for zc in zcs] if per_row else fit(zcs[0])
+    nulls = null if isinstance(null, list) else [null] * C
+    if len(zcs) != C or len(nulls) != C:
+        raise ValueError("need one conditioning block and one null fit per candidate")
+
+    width = cols[0].shape[1]
+    kz = 1 + zcs[0].shape[1]
+    if any(c.shape[1] != width for c in cols) or any(zc.shape[1] != kz - 1 for zc in zcs):
+        raise ValueError("all candidates in one batch must have equal width")
     A = np.empty((C, n, kz + width))
-    A[:, :, :kz] = base
-    for i, c in enumerate(cols):
-        A[i, :, kz:] = c
+    A[:, :, 0] = 1.0
     beta0 = np.zeros((C, kz + width))
-    beta0[:, :kz] = null.beta
+    for i in range(C):
+        A[i, :, 1:kz] = zcs[i]
+        A[i, :, kz:] = cols[i]
+        beta0[i, :kz] = nulls[i].beta
     _, ll_alt, conv_alt = _newton_logistic_many(A, yf, w, beta0=beta0, max_iter=max_iter)
 
-    out = []
-    for i in range(C):
-        stat = max(2.0 * (float(ll_alt[i]) - null.loglik), 0.0)
-        ok = null.converged and bool(conv_alt[i])
-        if ok:
-            p = float(chi2.sf(stat, width))
-        else:
-            p = 1.0
-        out.append(PValue(value=p, statistic=stat, dof=width, converged=ok))
-    return out
+    ll_null = np.array([nf.loglik for nf in nulls])
+    ok = conv_alt & np.array([nf.converged for nf in nulls])
+    stat = np.maximum(2.0 * (ll_alt - ll_null), 0.0)
+    p = np.where(ok, chdtrc(width, stat), 1.0)
+    return [PValue(value=float(p[i]), statistic=float(stat[i]), dof=width, converged=bool(ok[i]))
+            for i in range(C)]
 
 
 def lrt_ci_test(x, y, z=None, *, sample_weight=None, max_iter: int = LOGISTIC_MAX_ITER) -> PValue:

@@ -182,6 +182,18 @@ class TestRunCommand:
         assert (out_a / "report.json").read_bytes() == (out_b / "report.json").read_bytes()
         assert (out_a / "summary_plot.svg").read_bytes() == (out_b / "summary_plot.svg").read_bytes()
 
+    def test_rerun_does_not_duplicate_progress(self, synth_matrix_file, tmp_path):
+        out_dir = tmp_path / "out"
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        log = out_dir / "progress.jsonl"
+        assert main(["--config", str(cfg), "run"]) == 0
+        first = log.read_text().splitlines()
+        assert first
+        assert main(["--config", str(cfg), "run"]) == 0
+        assert log.read_text().splitlines() == first
+        assert main(["--config", str(cfg), "--resume", "run"]) == 0
+        assert log.read_text().splitlines()[:len(first)] == first
+
     def test_missing_matrix_exits_2(self, tmp_path):
         cfg = run_config_ini(tmp_path, tmp_path / "nope.csfm", tmp_path / "out")
         assert main(["--config", str(cfg), "run"]) == 2

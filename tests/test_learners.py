@@ -138,6 +138,13 @@ class TestForest:
         b = fit_random_forest(X, y, n_trees=5, min_leaf=2, seed=123)
         assert np.array_equal(a.predict(X), b.predict(X))
 
+    def test_zero_columns_single_leaf_trees(self, planted):
+        _, y = planted
+        forest = fit_random_forest(np.empty((y.size, 0)), y, n_trees=4, min_leaf=3, seed=1)
+        assert all(len(tree.leaves()) == 1 for tree in forest.trees)
+        scores = forest.predict(np.empty((5, 0)))
+        assert np.all(scores == scores[0]) and 0.0 < scores[0] < 1.0
+
     def test_forest_beats_single_tree_on_nonlinear_data(self):
         rng = np.random.default_rng(21)
         n = 1500

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crashsev import selection
 from crashsev.preprocess import FeatureMatrix
 from crashsev.selection import (
     CITestCache,
@@ -57,8 +58,9 @@ class TestSes:
         m, _ = planted_matrix(seed=7, n=1500, p=20, k=3)
         cache = CITestCache(m)
         alpha = 0.05
-        uncond = cache.pvalues(m.group_names(), frozenset())
-        weak = {g for g, res in uncond.items() if res.value > alpha}
+        groups = m.group_names()
+        uncond = cache.pvalues([(g, frozenset()) for g in groups])
+        weak = {g for g, res in zip(groups, uncond) if res.value > alpha}
         sig = ses_select(m, kmax=2, alpha=alpha, cache=cache)
         assert not weak & set(sig.selected)
 
@@ -80,6 +82,15 @@ class TestSes:
         ses_select(m, kmax=2, alpha=0.01, cache=cache)
         # the stricter run reuses the looser run's tests almost entirely
         assert len(cache._cache) <= tests_after_first * 1.2
+
+    def test_split_batches_give_same_pvalues(self, monkeypatch):
+        m, _ = planted_matrix(seed=5, n=600, p=8, k=3)
+        g = m.group_names()
+        requests = [(c, frozenset(z)) for c in g for z in ((), g[:1], g[1:3])]
+        whole = CITestCache(m).pvalues(requests)
+        monkeypatch.setattr(selection, "LRT_BATCH_ELEMENTS", 1)  # one test per solve
+        split = CITestCache(m).pvalues(requests)
+        assert [r.value for r in split] == [r.value for r in whole]
 
     def test_empty_when_nothing_passes(self):
         sig = ses_select(noise_matrix(999, n=200, p=8), kmax=2, alpha=0.0001)

@@ -176,6 +176,30 @@ class TestLrtRecorded:
             assert res.statistic == pytest.approx(stat, rel=LRT_GATE, abs=LRT_GATE)
             assert res.value == pytest.approx(p, abs=LRT_GATE)
 
+    def test_mixed_conditioning_batch_matches_single_calls(self):
+        X, y = planted_data()
+        pairs = [(xc, zc) for xc, zc, _, _ in RECORDED_LRT if len(xc) == 1 and len(zc) == 1]
+        pairs += [((4,), (3,)), ((0,), (5,))]
+        batch = lrt_ci_test_many([_block(X, xc) for xc, _ in pairs], y,
+                                 [_block(X, zc) for _, zc in pairs])
+        for (xc, zc), got in zip(pairs, batch):
+            want = lrt_ci_test(_block(X, xc), y, _block(X, zc))
+            assert got.converged == want.converged
+            assert got.statistic == pytest.approx(want.statistic, rel=LRT_GATE, abs=LRT_GATE)
+            assert got.value == pytest.approx(want.value, abs=LRT_GATE)
+
+    def test_singular_row_fails_alone(self):
+        X, y = planted_data()
+        # two identical large columns: the Hessian is exactly singular
+        dup = np.column_stack([1e4 * X[:, 3], 1e4 * X[:, 3]])
+        xs = [X[:, [3, 5]], dup, X[:, [1, 2]]]
+        batch = lrt_ci_test_many(xs, y)
+        assert not batch[1].converged and batch[1].value == 1.0
+        for i in (0, 2):
+            want = lrt_ci_test(xs[i], y)
+            assert batch[i].converged
+            assert batch[i].value == pytest.approx(want.value, abs=LRT_GATE)
+
 
 def brute_force_bh(pvalues, alpha):
     p = list(pvalues)

@@ -10,6 +10,7 @@ from crashsev.tune import (
     CVResult,
     EpilogiSelector,
     ForestLearner,
+    LassoSelector,
     ModelConfig,
     NaiveLearner,
     NoSelector,
@@ -187,6 +188,15 @@ class TestRunRnkCv:
         plan = CVPlan(k=4, seed=1, drop_margin=None, stop_epsilon=None)
         result = run_rnk_cv(matrix, configs, plan)
         assert result.folds_completed == 4  # no crash; constant scores pool fine
+
+    def test_empty_signature_forest_and_tree(self):
+        matrix = planted_matrix(n=300)
+        configs = [ModelConfig(0, LassoSelector(2.0), ForestLearner(3, 2)),
+                   ModelConfig(1, LassoSelector(2.0), TreeLearner(2, 0.05))]
+        plan = CVPlan(k=3, seed=2, drop_margin=None, stop_epsilon=None)
+        result = run_rnk_cv(matrix, configs, plan)
+        assert result.folds_completed == 3
+        assert all(n == 0 for counts in result.n_selected.values() for n in counts)
 
     def test_worker_count_does_not_change_results(self):
         matrix = planted_matrix(n=400)
