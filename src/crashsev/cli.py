@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .explain import (
 from .ingest import (
     ColumnSchema,
     DisabledDecoder,
+    InputFileError,
     SchemaError,
     StubDecoder,
     curate,
@@ -46,6 +48,7 @@ from .preprocess import (
     save_matrix,
 )
 from .rng import spawn_seed
+from .selection import StabilityTable
 from .tune import enumerate_search_space
 
 log = logging.getLogger(__name__)
@@ -189,16 +192,7 @@ def cmd_run(args) -> int:
         raise _UsageError("run requires --config")
     cfg = RunConfig.load(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.subset_plan = type(cfg.subset_plan)(
-            n_subsets=cfg.subset_plan.n_subsets,
-            subset_size=cfg.subset_plan.subset_size,
-            seed=spawn_seed(cfg.seed, "subsets"),
-            disjoint=cfg.subset_plan.disjoint,
-        )
-        cfg.cv_plan = type(cfg.cv_plan)(
-            **{**cfg.cv_plan.__dict__, "seed": spawn_seed(cfg.seed, "cv")}
-        )
+        cfg = cfg.with_seed(args.seed)
     if args.max_workers is not None:
         cfg.max_workers = args.max_workers
     overrides = {
@@ -209,7 +203,7 @@ def cmd_run(args) -> int:
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
-        cfg.cv_plan = type(cfg.cv_plan)(**{**cfg.cv_plan.__dict__, **overrides})
+        cfg.cv_plan = replace(cfg.cv_plan, **overrides)
     if args.matrix:
         cfg.matrix_path = args.matrix
     if args.out_dir:
@@ -355,8 +349,11 @@ def cmd_report(args) -> int:
     if not report_path.exists():
         print(f"no report.json under {args.run_dir}", file=sys.stderr)
         return EXIT_INPUT
-    with open(report_path, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
+    try:
+        with open(report_path, "r", encoding="utf-8") as fh:
+            report = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"unreadable run report {report_path}: {exc}") from exc
 
     print("== configuration search ==")
     ss = report["search_space"]
@@ -377,13 +374,8 @@ def cmd_report(args) -> int:
         )
     print()
     print("== stability ==")
-    stab = report["stability"]
-    run_sets = [set(r) for r in stab["runs"]]
-    counts = stab["counts"]
-    for f in sorted(counts, key=lambda f: (-counts[f], f)):
-        marks = " ".join("x" if f in rs else "." for rs in run_sets)
-        stable = "*" if f in set(report["stable_features"]) else " "
-        print(f"  {stable} {f:<36} {marks}  {counts[f]}/{stab['n_runs']}")
+    for line in StabilityTable(**report["stability"]).matrix_lines():
+        print(line)
     print()
     final = report["final"]
     print("== final model ==")
@@ -420,7 +412,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ConfigError, FileNotFoundError) as exc:
+    except (SchemaError, ConfigError, FileNotFoundError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (HoldoutViolation,) as exc:

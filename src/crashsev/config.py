@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -93,13 +93,10 @@ class RunConfig:
             cfg.subset_plan = SubsetPlan(
                 n_subsets=s.getint("n_subsets", 4),
                 subset_size=s.getint("subset_size", 55_000),
-                seed=spawn_seed(cfg.seed, "subsets"),
                 disjoint=s.getboolean("disjoint", True),
             )
-        else:
-            cfg.subset_plan = SubsetPlan(seed=spawn_seed(cfg.seed, "subsets"))
 
-        cv_kwargs: dict = {"seed": spawn_seed(cfg.seed, "cv")}
+        cv_kwargs: dict = {}
         if parser.has_section("cv"):
             c = parser["cv"]
             cv_kwargs["k"] = c.getint("folds", 10)
@@ -145,7 +142,17 @@ class RunConfig:
             for key in ("lambda", "min_leaf", "alpha", "n_trees"):
                 if f.get(key):
                     cfg.final_learner_spec[key] = float(f[key])
-        return cfg
+        return cfg.with_seed(cfg.seed)
+
+    def with_seed(self, seed: int) -> "RunConfig":
+        """This configuration under root seed ``seed``: the subset and CV
+        plans take their seeds from its named substreams."""
+        return replace(
+            self,
+            seed=seed,
+            subset_plan=replace(self.subset_plan, seed=spawn_seed(seed, "subsets")),
+            cv_plan=replace(self.cv_plan, seed=spawn_seed(seed, "cv")),
+        )
 
     def final_learner(self):
         spec = self.final_learner_spec

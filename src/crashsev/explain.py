@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .learners import LinearModel, predict_scores
+from .learners import LinearModel, _check_columns, predict_scores
 from .preprocess import ColumnInfo
 from .rng import substream
 from .stats import auc_roc
@@ -66,28 +66,29 @@ class ImportanceTable:
         }
 
 
-def _check_alignment(model: LinearModel, columns: Sequence[ColumnInfo]) -> None:
-    names = [c.name for c in columns]
-    if names != model.column_names:
-        for a, b in zip(model.column_names, names):
-            if a != b:
-                raise ValueError(f"column mismatch: model expects {a!r}, matrix has {b!r}")
-        raise ValueError(
-            f"column count mismatch: model has {len(model.column_names)}, matrix has {len(names)}"
-        )
-
-
 def linear_shap(model: LinearModel, X: np.ndarray, columns: Sequence[ColumnInfo]) -> ShapMatrix:
     """Exact additive attributions of the linear model on the log-odds scale.
 
     The baseline population is the explanation rows themselves.
     """
-    _check_alignment(model, columns)
+    _check_columns(model.column_names, [c.name for c in columns])
     Xs = model.standardized(np.asarray(X, dtype=np.float64))
     col_means = Xs.mean(axis=0)
     values = model.weights * (Xs - col_means)
     baseline = float(model.intercept + model.weights @ col_means)
     return ShapMatrix(values=values, baseline=baseline, columns=list(columns))
+
+
+def _group_importance(
+    columns: Sequence[ColumnInfo], vi: np.ndarray
+) -> tuple[dict[str, float], list[tuple[str, float]]]:
+    """Source-feature importance (maximum over its encoded columns) and the
+    sources ranked by it, descending, ties by name."""
+    group_vi: dict[str, float] = {}
+    for info, v in zip(columns, vi):
+        group_vi[info.source] = max(group_vi.get(info.source, 0.0), float(v))
+    ranking = sorted(group_vi.items(), key=lambda kv: (-kv[1], kv[0]))
+    return group_vi, ranking
 
 
 def variable_importance(shap: ShapMatrix) -> ImportanceTable:
@@ -96,10 +97,7 @@ def variable_importance(shap: ShapMatrix) -> ImportanceTable:
     if shap.values.shape[0] < 1:
         raise ValueError("need at least one explained row")
     vi = np.abs(shap.values).mean(axis=0)
-    group_vi: dict[str, float] = {}
-    for info, v in zip(shap.columns, vi):
-        group_vi[info.source] = max(group_vi.get(info.source, 0.0), float(v))
-    ranking = sorted(group_vi.items(), key=lambda kv: (-kv[1], kv[0]))
+    group_vi, ranking = _group_importance(shap.columns, vi)
     return ImportanceTable(
         column_names=[c.name for c in shap.columns],
         column_vi=vi,
@@ -131,10 +129,7 @@ def permutation_importance(
             Xp[:, j] = Xp[rng.permutation(X.shape[0]), j]
             drops.append(base - auc_roc(predict_scores(model, Xp, column_names=names), labels))
         vi[j] = max(0.0, float(np.mean(drops)))
-    group_vi: dict[str, float] = {}
-    for info, v in zip(columns, vi):
-        group_vi[info.source] = max(group_vi.get(info.source, 0.0), float(v))
-    ranking = sorted(group_vi.items(), key=lambda kv: (-kv[1], kv[0]))
+    group_vi, ranking = _group_importance(columns, vi)
     return ImportanceTable(
         column_names=names, column_vi=vi, group_vi=group_vi, ranking=ranking,
         method="permutation",
@@ -180,7 +175,7 @@ def _displayed_columns(
             f"unknown feature(s) {', '.join(map(repr, unknown))}; "
             f"available: {', '.join(sorted(by_source))}"
         )
-    group_vi = {src: max(float(vi[i]) for i in idx) for src, idx in by_source.items()}
+    group_vi, _ = _group_importance(shap.columns, vi)
     ordered = sorted(features, key=lambda f: (-group_vi[f], f))
     chosen: list[int] = []
     for src in ordered:

@@ -32,6 +32,7 @@ __all__ = [
     "DisabledDecoder",
     "ColumnSchema",
     "SchemaError",
+    "InputFileError",
     "ParseError",
     "ParseResult",
     "CurationAudit",
@@ -43,6 +44,7 @@ __all__ = [
     "compute_age",
     "reconcile_unit_persons",
     "curate",
+    "group_units",
     "summarize_dataset",
     "write_curated_csv",
 ]
@@ -65,12 +67,6 @@ _SEVERITY_RANK = {
     SeverityClass.SUSPECTED_SERIOUS_INJURY: 3,
     SeverityClass.FATAL: 4,
 }
-
-
-def severity_rank(s: SeverityClass) -> int:
-    if s is SeverityClass.UNKNOWN:
-        raise ValueError("Unknown severity has no rank")
-    return _SEVERITY_RANK[s]
 
 
 def max_severity(values: Iterable[SeverityClass]) -> Optional[SeverityClass]:
@@ -265,6 +261,10 @@ def validate_vin(vin: str, crash_year: Optional[int], decoder: DecoderClient) ->
 
 class SchemaError(Exception):
     """A required column is missing or the schema file is malformed."""
+
+
+class InputFileError(ValueError):
+    """An input file exists but is corrupt, truncated or of the wrong format."""
 
 
 REQUIRED_COLUMNS = ("crash_id", "unit_vin", "person_type", "seating_position", "severity")
@@ -623,7 +623,8 @@ class CurationResult:
     removed_units: dict[tuple[str, str], str]
 
 
-def _group_units(rows: Iterable[PersonRow]) -> dict[tuple[str, str], list[PersonRow]]:
+def group_units(rows: Iterable[PersonRow]) -> dict[tuple[str, str], list[PersonRow]]:
+    """Rows grouped by unit key, in first-appearance order."""
     units: dict[tuple[str, str], list[PersonRow]] = {}
     for row in rows:
         units.setdefault(row.unit_key, []).append(row)
@@ -682,7 +683,7 @@ def curate(rows: list[PersonRow], decoder: DecoderClient) -> CurationResult:
         else:
             motorists.append(row)
 
-    units = _group_units(motorists)
+    units = group_units(motorists)
     verdicts: dict[tuple[str, str], VinVerdict] = {}
     removed_units: dict[tuple[str, str], str] = {}
     for key in sorted(units):
@@ -756,7 +757,7 @@ def summarize_dataset(rows: list[PersonRow]) -> SummaryReport:
     if not rows:
         return SummaryReport(0, 0, 0, {}, {}, None, None, None)
 
-    units = _group_units(rows)
+    units = group_units(rows)
     crashes: dict[str, list[SeverityClass]] = {}
     for row in rows:
         crashes.setdefault(row.crash_id, []).append(row.severity)

@@ -66,7 +66,6 @@ class LinearModel:
     lam: float
     class_weights: Optional[tuple[float, float]]
     converged: bool = True
-    objective_trace: list[float] = field(default_factory=list)
 
     def standardized(self, X: np.ndarray) -> np.ndarray:
         return (X - self.means) / self.scales
@@ -117,7 +116,7 @@ def fit_ridge_logistic(
         return nll + 0.5 * float(pen @ (beta * beta))
 
     beta = np.zeros(p + 1)
-    trace = [objective(beta)]
+    obj = objective(beta)
     converged = False
     for _ in range(max_iter):
         eta = A @ beta
@@ -135,18 +134,17 @@ def fit_ridge_logistic(
         t = 1.0
         new_obj = objective(beta + t * step)
         for _half in range(30):
-            if math.isfinite(new_obj) and new_obj <= trace[-1] + 1e-12:
+            if math.isfinite(new_obj) and new_obj <= obj + 1e-12:
                 break
             t *= 0.5
             new_obj = objective(beta + t * step)
         else:
             break
         beta = beta + t * step
-        if abs(trace[-1] - new_obj) < 1e-12 * (1.0 + abs(new_obj)):
-            trace.append(new_obj)
+        if abs(obj - new_obj) < 1e-12 * (1.0 + abs(new_obj)):
             converged = True
             break
-        trace.append(new_obj)
+        obj = new_obj
 
     if not converged:
         log.warning("ridge logistic did not converge (lam=%g): flagged", lam)
@@ -160,7 +158,6 @@ def fit_ridge_logistic(
         lam=float(lam),
         class_weights=class_weights,
         converged=converged,
-        objective_trace=trace,
     )
 
 

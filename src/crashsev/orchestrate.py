@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import learners as L
+from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import Signature, StabilityTable, stability_select
@@ -136,8 +137,13 @@ class SubsetResult:
         return dict(self.__dict__)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "SubsetResult":
-        return cls(**raw)
+    def load(cls, path) -> "SubsetResult":
+        """Read a subset checkpoint; a corrupt one raises InputFileError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return cls(**json.load(fh))
+        except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
+            raise InputFileError(f"unreadable subset checkpoint {path}: {exc}") from exc
 
 
 @dataclass
@@ -189,10 +195,7 @@ def _bootstrap_auc_ci(
 
 def _refit_winner_signature(winner: ModelConfig, subset_matrix: FeatureMatrix) -> Signature:
     """The winner's selector re-fitted on the whole subset, for stability."""
-    ctx = SelectionContext(subset_matrix)
-    if winner.selector is None:
-        return Signature(selected=subset_matrix.group_names(), method="None", hyperparameters={})
-    return winner.selector.select(ctx)
+    return winner.selector.select(SelectionContext(subset_matrix))
 
 
 class _AccessTracker:
@@ -246,8 +249,7 @@ def run_protocol(
         for s, subset_idx in enumerate(subsets):
             result_path = subset_dir / f"subset_{s:02d}.json" if subset_dir else None
             if resume and result_path is not None and result_path.exists():
-                with open(result_path, "r", encoding="utf-8") as fh:
-                    sub = SubsetResult.from_dict(json.load(fh))
+                sub = SubsetResult.load(result_path)
                 subset_results.append(sub)
                 signatures.append(
                     Signature(
@@ -344,23 +346,8 @@ def run_protocol(
     report = {
         "report_version": 1,
         "search_space": space.summary(),
-        "subset_plan": {
-            "n_subsets": subset_plan.n_subsets,
-            "subset_size": subset_plan.subset_size,
-            "seed": subset_plan.seed,
-            "disjoint": subset_plan.disjoint,
-        },
-        "cv_plan": {
-            "k": cv_plan.k,
-            "repeats": cv_plan.repeats,
-            "n_complete": cv_plan.n_complete,
-            "seed": cv_plan.seed,
-            "drop_margin": cv_plan.drop_margin,
-            "drop_min_folds": cv_plan.drop_min_folds,
-            "stop_epsilon": cv_plan.stop_epsilon,
-            "bbc_boot": cv_plan.bbc_boot,
-            "bbc_ci": cv_plan.bbc_ci,
-        },
+        "subset_plan": asdict(subset_plan),
+        "cv_plan": asdict(cv_plan),
         "stability_threshold": stability_threshold,
         "subsets": [s.to_dict() for s in subset_results],
         "stability": stability.to_dict(),

@@ -12,13 +12,21 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .ingest import PersonRow, PersonType, SeverityClass, max_severity
+from .ingest import (
+    InputFileError,
+    PersonRow,
+    PersonType,
+    SeverityClass,
+    group_units,
+    max_severity,
+)
 
 log = logging.getLogger(__name__)
 
@@ -166,9 +174,7 @@ def build_vehicle_samples(
     Units whose severities are all Unknown are excluded.
     """
     cfg = config or AggregationConfig()
-    units: dict[tuple[str, str], list[PersonRow]] = {}
-    for row in rows:
-        units.setdefault(row.unit_key, []).append(row)
+    units = group_units(rows)
     crash_units: dict[str, list[tuple[str, str]]] = {}
     for key in units:
         crash_units.setdefault(key[0], []).append(key)
@@ -397,6 +403,13 @@ class FeatureMatrix:
         self.y = y
         self.columns = list(columns)
         self._row_hook = None  # set by the orchestrator to track row access
+        # source feature -> its read-only column indices, in first-appearance order
+        groups: dict[str, list[int]] = {}
+        for i, c in enumerate(self.columns):
+            groups.setdefault(c.source, []).append(i)
+        self.groups = {s: np.array(idx, dtype=np.intp) for s, idx in groups.items()}
+        for idx in self.groups.values():
+            idx.flags.writeable = False
 
     @classmethod
     def from_arrays(cls, X, y, names: Optional[Sequence[str]] = None) -> "FeatureMatrix":
@@ -416,16 +429,13 @@ class FeatureMatrix:
         return self.X.shape[1]
 
     def group_names(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for c in self.columns:
-            seen.setdefault(c.source, None)
-        return list(seen)
+        return list(self.groups)
 
     def group_columns(self, source: str) -> np.ndarray:
-        idx = np.array([i for i, c in enumerate(self.columns) if c.source == source], dtype=np.intp)
-        if idx.size == 0:
-            raise KeyError(f"no columns for source feature {source!r}")
-        return idx
+        try:
+            return self.groups[source]
+        except KeyError:
+            raise KeyError(f"no columns for source feature {source!r}") from None
 
     def take_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx, dtype=np.intp)
@@ -434,9 +444,8 @@ class FeatureMatrix:
         return FeatureMatrix(self.X[idx], self.y[idx], self.columns)
 
     def take_groups(self, sources: Sequence[str]) -> "FeatureMatrix":
-        cols: list[int] = []
-        for s in sources:
-            cols.extend(self.group_columns(s).tolist())
+        idx = [self.group_columns(s) for s in sources]
+        cols = np.concatenate(idx) if idx else np.empty(0, dtype=np.intp)
         return FeatureMatrix(self.X[:, cols], self.y, [self.columns[i] for i in cols])
 
 
@@ -529,18 +538,32 @@ def save_matrix(matrix: FeatureMatrix, path) -> None:
 
 
 def load_matrix(path) -> FeatureMatrix:
+    """Read a matrix written by save_matrix; a file that is not one, is cut
+    short, or has an unreadable descriptor raises InputFileError."""
     path = str(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MATRIX_MAGIC))
         if magic != MATRIX_MAGIC:
-            raise ValueError(f"not a feature-matrix file: bad magic {magic!r}")
-        n_cols, n_rows = struct.unpack("<QQ", fh.read(16))
+            raise InputFileError(f"not a feature-matrix file: bad magic {magic!r}")
+        header = fh.read(16)
+        if len(header) < 16:
+            raise InputFileError(f"feature-matrix file {path} is truncated")
+        n_cols, n_rows = struct.unpack("<QQ", header)
+        size = os.fstat(fh.fileno()).st_size
+        expected = len(MATRIX_MAGIC) + 16 + 8 * n_rows * (n_cols + 1)
+        if size != expected:
+            raise InputFileError(
+                f"feature-matrix file {path} has {size} bytes; its header implies {expected}"
+            )
         X = np.frombuffer(fh.read(8 * n_rows * n_cols), dtype="<f8").reshape(n_rows, n_cols)
         y = np.frombuffer(fh.read(8 * n_rows), dtype="<f8").astype(np.int8)
-    with open(path + ".desc.json", "r", encoding="utf-8") as fh:
-        desc = json.load(fh)
-    columns = [
-        ColumnInfo(name=c["name"], kind=c["kind"], source=c["source"], level=c.get("level", ""))
-        for c in desc["columns"]
-    ]
-    return FeatureMatrix(X.copy(), y, columns)
+    try:
+        with open(path + ".desc.json", "r", encoding="utf-8") as fh:
+            desc = json.load(fh)
+        columns = [
+            ColumnInfo(name=c["name"], kind=c["kind"], source=c["source"], level=c.get("level", ""))
+            for c in desc["columns"]
+        ]
+        return FeatureMatrix(X.copy(), y, columns)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputFileError(f"unreadable matrix descriptor {path}.desc.json: {exc!r}") from exc

@@ -74,17 +74,16 @@ class CITestCache:
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
         self.groups = matrix.group_names()
-        self._cols = {g: matrix.group_columns(g) for g in self.groups}
         self._cache: dict[tuple[str, frozenset], PValue] = {}
         self._nulls: dict[frozenset, NullFit] = {}
 
     def width(self, group: str) -> int:
-        return int(self._cols[group].size)
+        return int(self.matrix.groups[group].size)
 
     def _z_columns(self, z_groups: frozenset) -> Optional[np.ndarray]:
         if not z_groups:
             return None
-        cols = np.concatenate([self._cols[g] for g in sorted(z_groups)])
+        cols = np.concatenate([self.matrix.groups[g] for g in sorted(z_groups)])
         return self.matrix.X[:, cols]
 
     def pvalues(self, requests: Sequence[tuple[str, frozenset]]) -> list[PValue]:
@@ -108,7 +107,7 @@ class CITestCache:
                 chunk = pairs[start:start + step]
                 zs = {z: self._z_columns(z) for _, z in chunk}
                 results = lrt_ci_test_many(
-                    [X[:, self._cols[g]] for g, _ in chunk], y,
+                    [X[:, self.matrix.groups[g]] for g, _ in chunk], y,
                     [zs[z] for _, z in chunk],
                     null=[self._nulls[z] for _, z in chunk],
                 )
@@ -258,8 +257,8 @@ def lasso_select(matrix: FeatureMatrix, penalty: float) -> Signature:
         log.warning("lasso_select(penalty=%g) hit the iteration budget; flagged", penalty)
 
     selected = [
-        g for g in matrix.group_names()
-        if np.any(np.abs(beta[matrix.group_columns(g)]) > COEF_NONZERO_TOL)
+        g for g, cols in matrix.groups.items()
+        if np.any(np.abs(beta[cols]) > COEF_NONZERO_TOL)
     ]
     return Signature(selected=selected, method="Lasso",
                      hyperparameters={"penalty": penalty}, converged=converged)
@@ -307,13 +306,16 @@ class StabilityTable:
         }
 
     def matrix_lines(self) -> list[str]:
-        """feature x run presence grid for terminal display."""
+        """feature x run presence grid for terminal display; a stable feature
+        ends in " *"."""
         header = "feature".ljust(36) + " ".join(f"run{i+1}" for i in range(self.n_runs)) + "  count"
         lines = [header]
         run_sets = [set(r) for r in self.runs]
+        stable = set(self.stable_features())
         for f in sorted(self.counts, key=lambda f: (-self.counts[f], f)):
             marks = " ".join(("  x " if f in rs else "  . ") for rs in run_sets)
-            lines.append(f.ljust(36) + marks + f"  {self.counts[f]}/{self.n_runs}")
+            star = " *" if f in stable else ""
+            lines.append(f.ljust(36) + marks + f"  {self.counts[f]}/{self.n_runs}{star}")
         return lines
 
 

@@ -62,9 +62,6 @@ class RocCurve:
     tpr: np.ndarray
     auc: float
 
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist()))
-
 
 @dataclass(frozen=True)
 class PerformanceEstimate:

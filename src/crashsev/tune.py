@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import logging
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,6 +17,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import learners as L
+from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import CITestCache, Signature, lasso_select, ses_select, univariate_select
@@ -105,6 +107,8 @@ class EpilogiSelector:
 
 @dataclass(frozen=True)
 class NoSelector:
+    """Every feature group; the naive baseline's selector too."""
+
     def label(self) -> str:
         return "None"
 
@@ -175,7 +179,7 @@ class ModelConfig:
     """One point of the search space: a selector paired with a learner."""
 
     config_id: int
-    selector: Optional[Selector]
+    selector: Selector
     learner: Learner
 
     @property
@@ -188,13 +192,12 @@ class ModelConfig:
         return not isinstance(self.learner, NaiveLearner)
 
     def label(self) -> str:
-        sel = self.selector.label() if self.selector is not None else "-"
-        return f"#{self.config_id} {sel} + {self.learner.label()}"
+        return f"#{self.config_id} {self.selector.label()} + {self.learner.label()}"
 
     def to_dict(self) -> dict:
         return {
             "config_id": self.config_id,
-            "selector": self.selector.label() if self.selector is not None else None,
+            "selector": self.selector.label(),
             "learner": self.learner.label(),
             "supported": self.supported,
         }
@@ -288,7 +291,7 @@ def enumerate_search_space(grid: SearchGrid) -> SearchSpace:
     for selector in selectors:
         for learner in learner_list:
             configs.append(ModelConfig(config_id=len(configs), selector=selector, learner=learner))
-    configs.append(ModelConfig(config_id=len(configs), selector=None, learner=NaiveLearner()))
+    configs.append(ModelConfig(config_id=len(configs), selector=NoSelector(), learner=NaiveLearner()))
 
     space = SearchSpace(configs=configs, declared_total=grid.declared_total)
     summary = space.summary()
@@ -354,21 +357,6 @@ class CVResult:
     def pooled_auc(self, config_id: int) -> float:
         mask = self.evaluated_mask & ~np.isnan(self.pooled[config_id])
         return auc_roc(self.pooled[config_id][mask], self.labels[mask])
-
-    def to_summary(self) -> dict:
-        return {
-            "folds_completed": self.folds_completed,
-            "fitted_models": self.fitted_models,
-            "stopped_early": self.stopped_early,
-            "dropped": {str(k): v for k, v in sorted(self.dropped.items())},
-            "unsupported": list(self.unsupported),
-        }
-
-
-def _signature_for(config: ModelConfig, ctx: SelectionContext) -> Signature:
-    if config.selector is None:
-        return Signature(selected=ctx.train.group_names(), method="None", hyperparameters={})
-    return config.selector.select(ctx)
 
 
 def _fit_and_score(
@@ -457,7 +445,7 @@ def run_rnk_cv(
         ctx = SelectionContext(train)
 
         surviving = [c for c in configs if c.supported and c.config_id not in dropped]
-        signatures = {c.config_id: _signature_for(c, ctx) for c in surviving}
+        signatures = {c.config_id: c.selector.select(ctx) for c in surviving}
 
         def evaluate(config: ModelConfig) -> tuple[int, np.ndarray]:
             seed = spawn_seed(plan.seed, "learner", config.config_id, r, j)
@@ -570,19 +558,22 @@ def _save_checkpoint(path, **state) -> None:
 
 
 def _load_checkpoint(path) -> dict:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-        return {
-            "pooled": data["pooled"].copy(),
-            "evaluated_mask": data["evaluated_mask"].copy(),
-            "fold_aucs": {int(k): v for k, v in meta["fold_aucs"].items()},
-            "n_selected": {int(k): v for k, v in meta["n_selected"].items()},
-            "dropped": {int(k): v for k, v in meta["dropped"].items()},
-            "fitted_models": meta["fitted_models"],
-            "folds_completed": meta["folds_completed"],
-            "best_pooled_prev": meta["best_pooled_prev"],
-            "stopped_early": meta["stopped_early"],
-        }
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+            return {
+                "pooled": data["pooled"].copy(),
+                "evaluated_mask": data["evaluated_mask"].copy(),
+                "fold_aucs": {int(k): v for k, v in meta["fold_aucs"].items()},
+                "n_selected": {int(k): v for k, v in meta["n_selected"].items()},
+                "dropped": {int(k): v for k, v in meta["dropped"].items()},
+                "fitted_models": meta["fitted_models"],
+                "folds_completed": meta["folds_completed"],
+                "best_pooled_prev": meta["best_pooled_prev"],
+                "stopped_early": meta["stopped_early"],
+            }
+    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+        raise InputFileError(f"unreadable CV checkpoint {path}: {exc!r}") from exc
 
 
 def select_winner(result: CVResult) -> tuple[ModelConfig, PerformanceEstimate]:

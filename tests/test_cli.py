@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -197,6 +198,71 @@ class TestRunCommand:
     def test_missing_matrix_exits_2(self, tmp_path):
         cfg = run_config_ini(tmp_path, tmp_path / "nope.csfm", tmp_path / "out")
         assert main(["--config", str(cfg), "run"]) == 2
+
+    def test_seed_flag_matches_config_seed(self, synth_matrix_file, tmp_path):
+        out_dir = tmp_path / "out"
+        (tmp_path / "flag").mkdir()
+        (tmp_path / "file").mkdir()
+        by_flag = run_config_ini(tmp_path / "flag", synth_matrix_file, out_dir, seed=42)
+        by_file = run_config_ini(tmp_path / "file", synth_matrix_file, out_dir, seed=5)
+        assert main(["--config", str(by_flag), "--seed", "5", "run"]) == 0
+        flag_bytes = (out_dir / "report.json").read_bytes()
+        assert main(["--config", str(by_file), "run"]) == 0
+        file_bytes = (out_dir / "report.json").read_bytes()
+        flag_report, file_report = json.loads(flag_bytes), json.loads(file_bytes)
+        assert flag_report["subset_plan"] == file_report["subset_plan"]
+        assert flag_report["cv_plan"] == file_report["cv_plan"]
+        # run_config.raw records each config file verbatim: only its seed entry differs
+        assert flag_report["run_config"]["raw"]["run"]["seed"] == "42"
+        assert flag_bytes.replace(b'"seed": "42"', b'"seed": "5"') == file_bytes
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+class TestUnreadableInput:
+    def test_non_matrix_file_exits_2(self, tmp_path, capsys):
+        junk = tmp_path / "junk.csfm"
+        junk.write_bytes(b"this is not a matrix")
+        cfg = run_config_ini(tmp_path, junk, tmp_path / "out")
+        assert main(["--config", str(cfg), "run"]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_truncated_matrix_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        cut = tmp_path / "cut.csfm"
+        cut.write_bytes(synth_matrix_file.read_bytes()[:4096])
+        (tmp_path / "cut.csfm.desc.json").write_bytes(
+            (synth_matrix_file.parent / (synth_matrix_file.name + ".desc.json")).read_bytes()
+        )
+        cfg = run_config_ini(tmp_path, cut, tmp_path / "out")
+        assert main(["--config", str(cfg), "run"]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_truncated_cv_checkpoint_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "subsets").mkdir(parents=True)
+        buf = io.BytesIO()
+        np.savez(buf, pooled=np.zeros((3, 350)), evaluated_mask=np.zeros(350, dtype=bool))
+        (out_dir / "subsets" / "subset_00.cv.npz").write_bytes(buf.getvalue()[:200])
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        assert main(["--config", str(cfg), "--resume", "run"]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_bad_subset_checkpoint_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        (out_dir / "subsets").mkdir(parents=True)
+        (out_dir / "subsets" / "subset_00.json").write_text('{"index": 0, "winner"')
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        assert main(["--config", str(cfg), "--resume", "run"]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_corrupt_report_exits_2(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text('{"search_space": {"total_enu')
+        assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        _assert_one_line_error(capsys)
 
 
 class TestExplainCommand:

@@ -5,6 +5,7 @@ from crashsev.learners import (
     ForestModel,
     LinearModel,
     NaiveModel,
+    class_weight_vector,
     fit_decision_tree,
     fit_random_forest,
     fit_ridge_logistic,
@@ -60,10 +61,17 @@ class TestRidge:
 
     def test_objective_decreases_monotonically(self, planted):
         X, y = planted
-        model = fit_ridge_logistic(X, y, lam=1.0)
-        trace = np.array(model.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
-        assert model.converged
+        w = class_weight_vector(y, None)
+        w = w / w.sum()
+
+        def objective(model):
+            eta = model.decision_function(X)
+            nll = float(np.dot(w, np.logaddexp(0.0, eta) - y * eta))
+            return nll + 0.5 * model.lam * float(model.weights @ model.weights)
+
+        fits = [fit_ridge_logistic(X, y, lam=1.0, max_iter=k) for k in range(8)]
+        assert np.all(np.diff([objective(m) for m in fits]) <= 1e-12)
+        assert fits[-1].converged
 
     def test_weights_continuous_in_lambda(self, planted):
         X, y = planted

@@ -10,6 +10,7 @@ from crashsev.preprocess import (
     NON_SEVERE,
     SEVERE,
     AggregationConfig,
+    ColumnInfo,
     FeatureMatrix,
     PreprocessModel,
     VehicleSample,
@@ -248,6 +249,47 @@ class TestEncode:
         test = [_sample(numeric={"Age": 1000.0, "NumberOfOccupants": 9.0})]
         encode(test, model)
         assert model.numeric_means == before
+
+
+class TestColumnGroups:
+    SOURCES = ["a", "b", "a", "c", "b", "a"]  # groups are not contiguous
+
+    @pytest.fixture()
+    def interleaved(self, rng):
+        cols = [ColumnInfo(name=f"{s}{i}", kind="onehot", source=s)
+                for i, s in enumerate(self.SOURCES)]
+        return FeatureMatrix(rng.standard_normal((9, 6)), rng.integers(0, 2, 9), cols)
+
+    def test_index_equals_column_scan(self, interleaved):
+        derived = [
+            interleaved,
+            interleaved.take_rows([0, 3, 4]),
+            interleaved.take_groups(["b", "a"]),
+            interleaved.take_groups(["c", "a"]).take_rows([1, 2]),
+            interleaved.take_groups([]),
+        ]
+        for m in derived:
+            sources = list(dict.fromkeys(c.source for c in m.columns))
+            assert m.group_names() == sources
+            for s in sources:
+                scan = [i for i, c in enumerate(m.columns) if c.source == s]
+                assert m.group_columns(s).tolist() == scan
+
+    def test_take_groups_orders_columns_by_request(self, interleaved):
+        sub = interleaved.take_groups(["b", "a"])
+        assert [c.name for c in sub.columns] == ["b1", "b4", "a0", "a2", "a5"]
+        assert np.array_equal(sub.X, interleaved.X[:, [1, 4, 0, 2, 5]])
+        assert interleaved.take_groups([]).X.shape == (9, 0)
+
+    def test_index_is_read_only(self, interleaved):
+        with pytest.raises(ValueError):
+            interleaved.group_columns("a")[0] = 1
+
+    def test_unknown_source_raises_key_error(self, interleaved):
+        with pytest.raises(KeyError, match="'nope'"):
+            interleaved.group_columns("nope")
+        with pytest.raises(KeyError, match="'nope'"):
+            interleaved.take_groups(["a", "nope"])
 
 
 class TestPersistence:

@@ -189,6 +189,13 @@ class TestStability:
         assert len(lines) == 3  # header + A + B
         assert lines[1].startswith("A")
 
+    def test_matrix_lines_mark_follows_threshold(self):
+        sigs = self._sigs(["A", "B"], ["A"], ["A", "C"], ["B"])  # A=3, B=2, C=1 of 4
+        for threshold, marked in ((0.5, {"A", "B"}), (0.75, {"A"}), (1.0, set())):
+            _, table = stability_select(sigs, threshold)
+            rows = table.matrix_lines()[1:]
+            assert {r.split()[0] for r in rows if r.endswith(" *")} == marked
+
 
 class TestSignature:
     def test_duplicates_rejected(self):

@@ -56,6 +56,12 @@ class TestEnumeration:
         assert isinstance(space.configs[-1].learner, NaiveLearner)
         assert space.summary()["matches_declared"]
 
+    def test_naive_baseline_reads_none_selector(self):
+        naive = enumerate_search_space(SearchGrid()).configs[-1]
+        assert naive.selector == NoSelector()
+        assert naive.label() == "#475 None + NaiveBaseline"
+        assert naive.to_dict()["selector"] == "None"
+
     def test_enumeration_deterministic(self):
         a = enumerate_search_space(SearchGrid())
         b = enumerate_search_space(SearchGrid())
@@ -86,7 +92,7 @@ class TestRunRnkCv:
             ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
             ModelConfig(1, UnivariateSelector(0.05), RidgeLearner(0.1)),
             ModelConfig(2, NoSelector(), TreeLearner(3, 0.05)),
-            ModelConfig(3, None, NaiveLearner()),
+            ModelConfig(3, NoSelector(), NaiveLearner()),
         ]
         plan = CVPlan(k=4, seed=1, drop_margin=None, stop_epsilon=None)
         result = run_rnk_cv(matrix, configs, plan)
@@ -128,7 +134,7 @@ class TestRunRnkCv:
         matrix = planted_matrix()
         configs = [
             ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
-            ModelConfig(1, None, NaiveLearner()),  # stuck at AUC 0.5
+            ModelConfig(1, NoSelector(), NaiveLearner()),  # stuck at AUC 0.5
         ]
         plan = CVPlan(k=6, seed=2, drop_margin=0.03, drop_min_folds=3, stop_epsilon=None)
         result = run_rnk_cv(matrix, configs, plan)
@@ -166,7 +172,7 @@ class TestRunRnkCv:
         spy = SpySelector()
         configs = [
             ModelConfig(0, spy, RidgeLearner(1.0)),
-            ModelConfig(1, None, NaiveLearner()),
+            ModelConfig(1, NoSelector(), NaiveLearner()),
         ]
         plan = CVPlan(k=4, seed=17, drop_margin=None, stop_epsilon=None)
         run_rnk_cv(with_id, configs, plan)
@@ -203,7 +209,7 @@ class TestRunRnkCv:
         configs = [
             ModelConfig(0, UnivariateSelector(0.05), RidgeLearner(1.0)),
             ModelConfig(1, NoSelector(), TreeLearner(3, 0.05)),
-            ModelConfig(2, None, NaiveLearner()),
+            ModelConfig(2, NoSelector(), NaiveLearner()),
         ]
         plan = CVPlan(k=3, seed=8, drop_margin=None, stop_epsilon=None)
         serial = run_rnk_cv(matrix, configs, plan, max_workers=1)
@@ -215,7 +221,7 @@ class TestRunRnkCv:
         matrix = planted_matrix(n=300)
         configs = [
             ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
-            ModelConfig(1, None, NaiveLearner()),
+            ModelConfig(1, NoSelector(), NaiveLearner()),
         ]
         plan = CVPlan(k=5, seed=21, drop_margin=None, stop_epsilon=None)
         clean = run_rnk_cv(matrix, configs, plan)
@@ -240,7 +246,7 @@ class TestRunRnkCv:
         matrix = planted_matrix(n=300)
         configs = [
             ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
-            ModelConfig(1, None, NaiveLearner()),
+            ModelConfig(1, NoSelector(), NaiveLearner()),
         ]
         plan = CVPlan(k=4, seed=9, drop_margin=None, stop_epsilon=None)
         path = tmp_path / "cv.npz"
