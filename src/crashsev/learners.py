@@ -10,7 +10,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import chdtrc, expit
@@ -22,7 +22,6 @@ log = logging.getLogger(__name__)
 __all__ = [
     "LinearModel",
     "TreeModel",
-    "TreeNode",
     "ForestModel",
     "NaiveModel",
     "fit_ridge_logistic",
@@ -35,7 +34,7 @@ __all__ = [
     "load_model",
 ]
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def class_weight_vector(y: np.ndarray, class_weights: Optional[tuple[float, float]]) -> np.ndarray:
@@ -165,45 +164,30 @@ def fit_ridge_logistic(
 # Decision tree
 
 
-@dataclass
-class TreeNode:
+# TreeModel's node arrays, as they are stored and serialized
+_NODE_DTYPES = {"column": np.intp, "threshold": np.float64, "left": np.intp, "right": np.intp,
+                "prob": np.float64, "n_samples": np.intp}
+
+
+class Leaf(NamedTuple):
     prob: float
     n_samples: int
-    column: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.column is None
-
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"prob": self.prob, "n": self.n_samples}
-        return {
-            "prob": self.prob,
-            "n": self.n_samples,
-            "column": self.column,
-            "threshold": self.threshold,
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TreeNode":
-        node = cls(prob=raw["prob"], n_samples=raw["n"])
-        if "column" in raw:
-            node.column = raw["column"]
-            node.threshold = raw["threshold"]
-            node.left = cls.from_dict(raw["left"])
-            node.right = cls.from_dict(raw["right"])
-        return node
 
 
 @dataclass
 class TreeModel:
-    root: TreeNode
+    """One tree as parallel node arrays; node 0 is the root. A leaf has
+    ``column`` -1; a split sends rows with ``X[:, column] <= threshold`` to
+    ``left`` and the rest to ``right``. ``prob`` is the weighted
+    positive-class frequency of the node's training rows, ``n_samples`` their
+    count."""
+
+    column: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    prob: np.ndarray
+    n_samples: np.ndarray
     min_leaf: int
     alpha_prune: Optional[float]
     class_weights: Optional[tuple[float, float]]
@@ -211,24 +195,21 @@ class TreeModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(X.shape[0])
-        for i in range(X.shape[0]):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if X[i, node.column] <= node.threshold else node.right
-            out[i] = node.prob
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        rows = np.arange(X.shape[0])
+        # every row still at a split moves down one level per step
+        while rows.size:
+            at = node[rows]
+            col = self.column[at]
+            inner = col >= 0
+            rows, at, col = rows[inner], at[inner], col[inner]
+            go_left = X[rows, col] <= self.threshold[at]
+            node[rows] = np.where(go_left, self.left[at], self.right[at])
+        return self.prob[node]
 
-    def leaves(self) -> list[TreeNode]:
-        found: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                found.append(node)
-            else:
-                stack.extend([node.left, node.right])
-        return found
+    def leaves(self) -> list[Leaf]:
+        at = self.column < 0
+        return [Leaf(float(p), int(n)) for p, n in zip(self.prob[at], self.n_samples[at])]
 
 
 def _chi2_split_pvalue(y_left: np.ndarray, y_right: np.ndarray) -> float:
@@ -303,17 +284,20 @@ def _grow_tree(
     min_leaf: int,
     alpha_prune: Optional[float],
     feature_sampler: Optional[Callable[[], np.ndarray]] = None,
-) -> TreeNode:
-    n_features = X.shape[1]
-    all_features = np.arange(n_features)
+) -> dict[str, np.ndarray]:
+    """The node arrays of ``TreeModel``, grown depth first: a split appends
+    its left then its right child, and the right child is split first."""
+    all_features = np.arange(X.shape[1])
+    nodes: list[list] = []  # one [column, threshold, left, right, prob, n_samples] each
 
-    def make_node(idx: np.ndarray) -> TreeNode:
+    def add_node(idx: np.ndarray) -> int:
         ww = w[idx]
         prob = float(np.dot(ww, y[idx].astype(np.float64)) / ww.sum())
-        return TreeNode(prob=prob, n_samples=int(idx.size))
+        nodes.append([-1, 0.0, -1, -1, prob, int(idx.size)])
+        return len(nodes) - 1
 
-    root = make_node(np.arange(X.shape[0], dtype=np.intp))
-    stack: list[tuple[TreeNode, np.ndarray]] = [(root, np.arange(X.shape[0], dtype=np.intp))]
+    root_idx = np.arange(X.shape[0], dtype=np.intp)
+    stack = [(add_node(root_idx), root_idx)]
     while stack:
         node, idx = stack.pop()
         yy = y[idx]
@@ -330,13 +314,14 @@ def _grow_tree(
         if alpha_prune is not None:
             if _chi2_split_pvalue(y[left_idx], y[right_idx]) > alpha_prune:
                 continue
-        node.column = j
-        node.threshold = threshold
-        node.left = make_node(left_idx)
-        node.right = make_node(right_idx)
-        stack.append((node.left, left_idx))
-        stack.append((node.right, right_idx))
-    return root
+        left, right = add_node(left_idx), add_node(right_idx)
+        nodes[node][:4] = [j, threshold, left, right]
+        stack += [(left, left_idx), (right, right_idx)]
+    return _node_arrays(dict(zip(_NODE_DTYPES, zip(*nodes))))
+
+
+def _node_arrays(nodes: dict) -> dict[str, np.ndarray]:
+    return {name: np.asarray(nodes[name], dtype=dtype) for name, dtype in _NODE_DTYPES.items()}
 
 
 def fit_decision_tree(
@@ -358,9 +343,9 @@ def fit_decision_tree(
     if min_leaf < 1:
         raise ValueError("min_leaf must be at least 1")
     w = class_weight_vector(y, class_weights)
-    root = _grow_tree(X, y, w, min_leaf, alpha_prune)
+    nodes = _grow_tree(X, y, w, min_leaf, alpha_prune)
     names = list(column_names) if column_names is not None else [f"x{i}" for i in range(X.shape[1])]
-    return TreeModel(root=root, min_leaf=min_leaf, alpha_prune=alpha_prune,
+    return TreeModel(**nodes, min_leaf=min_leaf, alpha_prune=alpha_prune,
                      class_weights=class_weights, column_names=names)
 
 
@@ -414,16 +399,16 @@ def fit_random_forest(
         rng = substream(seed, "forest-tree", t)
         boot = rng.integers(0, n, size=n)
         Xb, yb, wb = X[boot], y[boot], w[boot]
+        # with no columns there is nothing to sample: the tree is a single
+        # leaf, as fit_decision_tree grows on zero columns
+        sampler = (lambda: np.sort(rng.choice(p, size=mtry, replace=False))) if p else None
+        nodes = _grow_tree(Xb, yb, wb, min_leaf, None, feature_sampler=sampler)
         if yb.min() == yb.max():
-            # degenerate bootstrap: single-class resample becomes one leaf
-            root = TreeNode(prob=float(yb[0]), n_samples=n)
-        else:
-            # with no columns there is nothing to sample: the tree is a single
-            # leaf, as fit_decision_tree grows on zero columns
-            sampler = (lambda: np.sort(rng.choice(p, size=mtry, replace=False))) if p else None
-            root = _grow_tree(Xb, yb, wb, min_leaf, None, feature_sampler=sampler)
+            # a single-class resample grows one leaf, which emits the class
+            # itself rather than a weighted mean that may round off it
+            nodes["prob"][0] = float(yb[0])
         trees.append(
-            TreeModel(root=root, min_leaf=min_leaf, alpha_prune=None,
+            TreeModel(**nodes, min_leaf=min_leaf, alpha_prune=None,
                       class_weights=class_weights, column_names=names)
         )
     return ForestModel(
@@ -489,6 +474,10 @@ def predict_scores(model, X: np.ndarray, column_names: Optional[Sequence[str]] =
 # Serialization (versioned structured text)
 
 
+def _tree_nodes(tree: TreeModel) -> dict[str, list]:
+    return {name: getattr(tree, name).tolist() for name in _NODE_DTYPES}
+
+
 def save_model(model, path) -> None:
     if isinstance(model, LinearModel):
         payload = {
@@ -506,7 +495,7 @@ def save_model(model, path) -> None:
         payload = {
             "kind": "tree",
             "column_names": model.column_names,
-            "root": model.root.to_dict(),
+            "nodes": _tree_nodes(model),
             "min_leaf": model.min_leaf,
             "alpha_prune": model.alpha_prune,
             "class_weights": list(model.class_weights) if model.class_weights else None,
@@ -515,7 +504,7 @@ def save_model(model, path) -> None:
         payload = {
             "kind": "forest",
             "column_names": model.column_names,
-            "trees": [t.root.to_dict() for t in model.trees],
+            "trees": [_tree_nodes(t) for t in model.trees],
             "n_trees": model.n_trees,
             "min_leaf": model.min_leaf,
             "seed": model.seed,
@@ -552,7 +541,7 @@ def load_model(path):
         )
     if kind == "tree":
         return TreeModel(
-            root=TreeNode.from_dict(raw["root"]),
+            **_node_arrays(raw["nodes"]),
             min_leaf=int(raw["min_leaf"]),
             alpha_prune=raw["alpha_prune"],
             class_weights=cw,
@@ -560,7 +549,7 @@ def load_model(path):
         )
     if kind == "forest":
         trees = [
-            TreeModel(root=TreeNode.from_dict(t), min_leaf=int(raw["min_leaf"]),
+            TreeModel(**_node_arrays(t), min_leaf=int(raw["min_leaf"]),
                       alpha_prune=None, class_weights=cw, column_names=raw["column_names"])
             for t in raw["trees"]
         ]

@@ -118,8 +118,8 @@ class TestTree:
         X = np.arange(20, dtype=float)[:, None]
         y = np.ones(20, dtype=int)
         model = fit_decision_tree(X, y, min_leaf=1, alpha_prune=0.1)
-        assert model.root.is_leaf
-        assert model.root.prob == 1.0
+        assert model.leaves() == [(1.0, 20)]
+        assert model.column.tolist() == [-1]
 
     def test_insignificant_split_rejected(self, rng):
         X = rng.standard_normal((200, 3))

@@ -103,10 +103,14 @@ FOREST_CASES = {
 }
 
 
-def _structure(tree) -> dict:
+def _structure(tree, node=0) -> dict:
     """The tree as nested nodes: ``prob`` and ``n`` everywhere, and
     ``column``, ``threshold``, ``left`` and ``right`` at a split."""
-    return tree.root.to_dict()
+    out = {"prob": float(tree.prob[node]), "n": int(tree.n_samples[node])}
+    if tree.column[node] >= 0:
+        out.update(column=int(tree.column[node]), threshold=float(tree.threshold[node]),
+                   left=_structure(tree, tree.left[node]), right=_structure(tree, tree.right[node]))
+    return out
 
 
 def _fit_tree(name):
