@@ -269,6 +269,10 @@ def _best_split(
         if dec[k] <= 1e-12:
             continue
         threshold = (v[cut[k] - 1] + v[cut[k]]) / 2.0
+        if not threshold < v[cut[k]]:
+            # adjacent floats: the midpoint rounds to the upper value, which
+            # would send every row left
+            threshold = v[cut[k] - 1]
         cand = (int(j), float(threshold), float(dec[k]))
         if best is None or cand[2] > best[2] + 1e-15 or (
             abs(cand[2] - best[2]) <= 1e-15 and (cand[0], cand[1]) < (best[0], best[1])

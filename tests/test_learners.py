@@ -14,6 +14,7 @@ from crashsev.learners import (
     predict_scores,
     save_model,
 )
+from crashsev.learners import _best_split
 from crashsev.stats import auc_roc
 
 
@@ -126,6 +127,48 @@ class TestTree:
         y = rng.integers(0, 2, 200)
         strict = fit_decision_tree(X, y, min_leaf=1, alpha_prune=0.0001)
         assert len(strict.leaves()) <= 3
+
+
+# a cyclical-encoding value and the next float up: their midpoint rounds to
+# the upper value
+LOW = -0.9009688679024191
+HIGH = float(np.nextafter(LOW, np.inf))
+
+
+@pytest.fixture()
+def adjacent_floats():
+    """Column 0 holds LOW or HIGH and sets the class in 90% of 200 rows;
+    columns 1-3 are 0/1 noise."""
+    rng = np.random.default_rng(5)
+    high = rng.random(200) < 0.5
+    y = np.where(rng.random(200) < 0.9, high, ~high).astype(int)
+    X = np.column_stack([np.where(high, HIGH, LOW), rng.integers(0, 2, (200, 3))])
+    return X, y
+
+
+class TestSplitThreshold:
+    def test_adjacent_values_keep_a_threshold_between_them(self, adjacent_floats):
+        X, y = adjacent_floats
+        assert (LOW + HIGH) / 2 == HIGH
+        found = _best_split(X, y, np.ones(y.size), np.arange(y.size), 1, np.array([0]))
+        assert found is not None and found[0] == 0
+        assert LOW <= found[1] < HIGH
+
+    def test_tree_keeps_a_split_between_adjacent_values(self, adjacent_floats):
+        X, y = adjacent_floats
+        model = fit_decision_tree(X, y, min_leaf=5, alpha_prune=0.05)
+        assert len(model.leaves()) > 1
+        assert all(leaf.n_samples > 0 for leaf in model.leaves())
+        high = X[:, 0] == HIGH
+        assert model.predict(X[high]).min() > model.predict(X[~high]).max()
+
+    def test_forest_grows_no_empty_leaves(self, adjacent_floats):
+        X, y = adjacent_floats
+        forest = fit_random_forest(X, y, n_trees=10, min_leaf=1, seed=3)
+        assert all(leaf.n_samples > 0 for tree in forest.trees for leaf in tree.leaves())
+        above = X.copy()
+        above[:, 0] = np.nextafter(HIGH, np.inf)
+        assert np.isfinite(forest.predict(np.vstack([X, above]))).all()
 
 
 class TestForest:
