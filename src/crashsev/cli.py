@@ -245,7 +245,7 @@ def cmd_run(args) -> int:
             cfg.cv_plan,
             stability_threshold=cfg.stability_threshold,
             final_learner=cfg.final_learner(),
-            class_weights=cfg.effective_class_weights(),
+            class_weights=cfg.class_weights,
             out_dir=cfg.out_dir,
             resume=args.resume,
             max_workers=cfg.max_workers,
@@ -355,38 +355,43 @@ def cmd_report(args) -> int:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputFileError(f"unreadable run report {report_path}: {exc}") from exc
 
-    print("== configuration search ==")
+    try:
+        lines = _report_lines(report)
+    except (KeyError, TypeError) as exc:
+        raise InputFileError(f"incomplete run report {report_path}: {exc!r}") from exc
+    print("\n".join(lines))
+    return EXIT_OK
+
+
+def _report_lines(report: dict) -> list[str]:
     ss = report["search_space"]
-    print(
+    lines = [
+        "== configuration search ==",
         f"configurations: {ss['total_enumerated']} enumerated, {ss['runnable']} runnable, "
         f"{ss['marked_unsupported']} unsupported; declared total: {ss['declared_total']}"
-        + ("" if ss["matches_declared"] else " (MISMATCH, recorded)")
-    )
-    print()
-    print("== per-subset winners ==")
+        + ("" if ss["matches_declared"] else " (MISMATCH, recorded)"),
+        "",
+        "== per-subset winners ==",
+    ]
     for sub in report["subsets"]:
         est = sub["estimate"]
-        print(
+        lines.append(
             f"subset {sub['index'] + 1}: {sub['winner']['selector']} + {sub['winner']['learner']}"
             f"  AUC {est['point']:.4f} CI [{est['ci_low']:.4f}, {est['ci_high']:.4f}]"
             f"  ({sub['fitted_models']} models over {sub['folds_completed']} folds, "
             f"{len(sub['signature'])} features)"
         )
-    print()
-    print("== stability ==")
-    for line in StabilityTable(**report["stability"]).matrix_lines():
-        print(line)
-    print()
+    lines += ["", "== stability ==", *StabilityTable(**report["stability"]).matrix_lines(), ""]
     final = report["final"]
-    print("== final model ==")
-    print(
+    lines += [
+        "== final model ==",
         f"{final['learner']} on {len(report['stable_features'])} stable features: "
         f"train AUC {final['train_auc']:.4f} ({final['n_train']} rows), "
         f"holdout AUC {final['holdout_auc']:.4f} "
         f"CI [{final['holdout_ci'][0]:.4f}, {final['holdout_ci'][1]:.4f}] "
-        f"({final['n_holdout']} rows)"
-    )
-    return EXIT_OK
+        f"({final['n_holdout']} rows)",
+    ]
+    return lines
 
 
 def main(argv=None) -> int:

@@ -38,15 +38,11 @@ _SEARCH_LIST_KEYS = (
 
 @dataclass
 class RunConfig:
-    input_path: Optional[Path] = None
-    schema_path: Optional[Path] = None
-    curated_path: Optional[Path] = None
     matrix_path: Optional[Path] = None
     out_dir: Path = Path("out")
     seed: int = 0
     max_workers: int = 1
     class_weights: Optional[tuple[float, float]] = None  # None = balanced
-    use_class_weights: bool = True
     subset_plan: SubsetPlan = field(default_factory=SubsetPlan)
     cv_plan: CVPlan = field(default_factory=CVPlan)
     grid: SearchGrid = field(default_factory=SearchGrid)
@@ -66,9 +62,6 @@ class RunConfig:
 
         if parser.has_section("paths"):
             p = parser["paths"]
-            cfg.input_path = Path(p["input"]) if p.get("input") else None
-            cfg.schema_path = Path(p["schema"]) if p.get("schema") else None
-            cfg.curated_path = Path(p["curated"]) if p.get("curated") else None
             cfg.matrix_path = Path(p["matrix"]) if p.get("matrix") else None
             if p.get("out_dir"):
                 cfg.out_dir = Path(p["out_dir"])
@@ -79,7 +72,6 @@ class RunConfig:
             cfg.max_workers = r.getint("max_workers", cfg.max_workers)
             weights = r.get("class_weights", "balanced").strip()
             if weights == "none":
-                cfg.use_class_weights = False
                 cfg.class_weights = (1.0, 1.0)
             elif weights and weights != "balanced":
                 try:
@@ -168,10 +160,6 @@ class RunConfig:
                 n_trees=int(spec.get("n_trees", 100)), min_leaf=int(spec.get("min_leaf", 5))
             )
         raise ConfigError(f"unknown final learner {kind!r}")
-
-    def effective_class_weights(self):
-        """None means balanced (inverse class frequency) downstream."""
-        return self.class_weights if not self.use_class_weights or self.class_weights else None
 
     def dump(self) -> dict:
         return {

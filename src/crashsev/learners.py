@@ -15,6 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.special import chdtrc, expit
 
+from .ingest import InputFileError
 from .rng import substream
 
 log = logging.getLogger(__name__)
@@ -270,8 +271,7 @@ def _best_split(
             continue
         threshold = (v[cut[k] - 1] + v[cut[k]]) / 2.0
         if not threshold < v[cut[k]]:
-            # adjacent floats: the midpoint rounds to the upper value, which
-            # would send every row left
+            # adjacent floats: the midpoint rounded onto the upper value
             threshold = v[cut[k] - 1]
         cand = (int(j), float(threshold), float(dec[k]))
         if best is None or cand[2] > best[2] + 1e-15 or (
@@ -478,10 +478,6 @@ def predict_scores(model, X: np.ndarray, column_names: Optional[Sequence[str]] =
 # Serialization (versioned structured text)
 
 
-def _tree_nodes(tree: TreeModel) -> dict[str, list]:
-    return {name: getattr(tree, name).tolist() for name in _NODE_DTYPES}
-
-
 def save_model(model, path) -> None:
     if isinstance(model, LinearModel):
         payload = {
@@ -499,7 +495,7 @@ def save_model(model, path) -> None:
         payload = {
             "kind": "tree",
             "column_names": model.column_names,
-            "nodes": _tree_nodes(model),
+            "nodes": {k: getattr(model, k).tolist() for k in _NODE_DTYPES},
             "min_leaf": model.min_leaf,
             "alpha_prune": model.alpha_prune,
             "class_weights": list(model.class_weights) if model.class_weights else None,
@@ -508,7 +504,7 @@ def save_model(model, path) -> None:
         payload = {
             "kind": "forest",
             "column_names": model.column_names,
-            "trees": [_tree_nodes(t) for t in model.trees],
+            "trees": [{k: getattr(t, k).tolist() for k in _NODE_DTYPES} for t in model.trees],
             "n_trees": model.n_trees,
             "min_leaf": model.min_leaf,
             "seed": model.seed,
@@ -526,10 +522,19 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if raw.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {raw.get('version')!r}")
+    """The model ``save_model`` wrote to ``path``; a file that is not one, or
+    of another format version, raises ``InputFileError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)  # a JSONDecodeError is a ValueError
+        if raw["version"] != MODEL_FORMAT_VERSION:
+            raise ValueError(f"format version {raw['version']!r}, not {MODEL_FORMAT_VERSION}")
+        return _model_from_dict(raw)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InputFileError(f"unreadable model file {path}: {exc!r}") from exc
+
+
+def _model_from_dict(raw: dict):
     kind = raw["kind"]
     cw = tuple(raw["class_weights"]) if raw.get("class_weights") else None
     if kind == "linear":

@@ -6,7 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import crashsev.tune
+from crashsev.learners import fit_decision_tree, fit_random_forest
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -30,3 +33,17 @@ def test_every_traced_target_resolves_to_a_callable():
 
 def test_fold_pool_class_is_reachable_from_tune():
     assert isinstance(crashsev.tune.ThreadPoolExecutor, type)
+
+
+def test_tree_counts_read_fitted_models():
+    # the traced pass counts leaves through tree.leaves(), leaf.n_samples and
+    # forest.trees; run those counts on real fits
+    counts = {target: count for target, _, count in _load_tracer()._counts_table()}
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((120, 4))
+    y = (X[:, 0] + rng.standard_normal(120) > 0).astype(int)
+    tree = fit_decision_tree(X, y, min_leaf=5, alpha_prune=0.5)
+    forest = fit_random_forest(X, y, n_trees=3, min_leaf=5, seed=1)
+    assert len(tree.leaves()) > 1
+    assert counts["learners.fit_decision_tree"](tree, (X, y)) == {"empty_leaves": 0}
+    assert counts["learners.fit_random_forest"](forest, (X, y)) == {"trees": 3, "empty_leaves": 0}

@@ -265,6 +265,24 @@ class TestUnreadableInput:
         _assert_one_line_error(capsys)
 
 
+    def test_report_lacking_keys_exits_2(self, tmp_path, capsys):
+        (tmp_path / "report.json").write_text("{}")
+        assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "junk",
+        "{}",
+        json.dumps({"version": 1, "kind": "tree", "root": {"prob": 0.5, "n": 4}, "min_leaf": 1,
+                    "alpha_prune": 0.1, "class_weights": None, "column_names": ["x0"]}),
+    ])
+    def test_unreadable_model_exits_2(self, synth_matrix_file, tmp_path, capsys, text):
+        (tmp_path / "model.json").write_text(text)
+        assert main(["explain", "--model", str(tmp_path / "model.json"),
+                     "--matrix", str(synth_matrix_file), "--out-dir", str(tmp_path / "exp")]) == 2
+        _assert_one_line_error(capsys)
+
+
 class TestExplainCommand:
     @pytest.fixture()
     def finished_run(self, synth_matrix_file, tmp_path):

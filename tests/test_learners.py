@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from crashsev.ingest import InputFileError
 from crashsev.learners import (
     ForestModel,
     LinearModel,
@@ -276,3 +279,26 @@ class TestSerialization:
         loaded = load_model(tmp_path / "n.json")
         assert isinstance(loaded, NaiveModel)
         assert loaded.prevalence == 0.5
+
+    def test_tree_file_stores_node_arrays(self, planted, tmp_path):
+        X, y = planted
+        model = fit_decision_tree(X, y, min_leaf=3, alpha_prune=0.1)
+        save_model(model, tmp_path / "t.json")
+        raw = json.loads((tmp_path / "t.json").read_text())
+        assert raw["version"] == 2
+        assert raw["nodes"]["column"] == model.column.tolist()
+        assert raw["nodes"]["threshold"] == model.threshold.tolist()
+
+    @pytest.mark.parametrize("text", [
+        "junk",
+        "{}",
+        "[]",
+        json.dumps({"version": 1, "kind": "tree", "root": {"prob": 0.5, "n": 4}, "min_leaf": 1,
+                    "alpha_prune": 0.1, "class_weights": None, "column_names": ["a"]}),
+        json.dumps({"version": 2, "kind": "tree"}),
+        json.dumps({"version": 2, "kind": "bagged"}),
+    ])
+    def test_unreadable_model_file_raises_input_file_error(self, tmp_path, text):
+        (tmp_path / "m.json").write_text(text)
+        with pytest.raises(InputFileError):
+            load_model(tmp_path / "m.json")
