@@ -8,6 +8,7 @@ from crashsev.learners import (
     ForestModel,
     LinearModel,
     NaiveModel,
+    _best_split,
     class_weight_vector,
     fit_decision_tree,
     fit_random_forest,
@@ -17,7 +18,6 @@ from crashsev.learners import (
     predict_scores,
     save_model,
 )
-from crashsev.learners import _best_split
 from crashsev.stats import auc_roc
 
 

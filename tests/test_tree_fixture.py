@@ -2,11 +2,13 @@
 
 ``data/tree_fixture.json`` holds the node structure that
 ``fit_decision_tree`` grew on each case below and the scores of
-``fit_random_forest`` for fixed seeds, both recorded from the linked-node
+``fit_random_forest`` for fixed seeds, recorded from the linked-node
 learner. A change to the tree layout or the split search must reproduce
 them exactly: the same nodes, thresholds and leaf values, and forest scores
 equal bit for bit. Record again (``python tests/test_tree_fixture.py``)
-only for a change that means to alter the trees, and say so.
+only for a change that means to alter the trees, and say so: the
+split-threshold fix for adjacent floats changed the one-hot-heavy forest,
+whose cosine column holds such a pair, and it was recorded again then.
 """
 
 import json
