@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 MODEL_FORMAT_VERSION = 2
+# Largest block (node rows x candidate columns) that _best_split scores in
+# one pass; the pass holds a few arrays of this size at once.
+SPLIT_BLOCK_ELEMENTS = 2**14
 
 
 def class_weight_vector(y: np.ndarray, class_weights: Optional[tuple[float, float]]) -> np.ndarray:
@@ -227,6 +230,16 @@ def _chi2_split_pvalue(y_left: np.ndarray, y_right: np.ndarray) -> float:
     return float(chdtrc(1, stat))
 
 
+def _gini_mass(w: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``w * 2 * p * (1 - p)`` with ``p = pos / w``, elementwise, written
+    over both arguments."""
+    p = np.divide(pos, w, out=pos)
+    w *= 2
+    w *= p
+    w *= 1 - p
+    return w
+
+
 def _best_split(
     X: np.ndarray,
     y: np.ndarray,
@@ -235,49 +248,67 @@ def _best_split(
     min_leaf: int,
     feature_pool: np.ndarray,
 ) -> Optional[tuple[int, float, float]]:
-    """(column, threshold, gini decrease) of the best weighted-Gini split."""
+    """(column, threshold, gini decrease) of the best weighted-Gini split.
+
+    The columns of ``feature_pool`` are scored in blocks of at most
+    ``SPLIT_BLOCK_ELEMENTS`` node rows x columns. A block is gathered and
+    stably sorted column by column in one call; its weighted class sums
+    accumulate down the sorted rows, and the Gini decrease is taken at every
+    boundary between two distinct values that leaves ``min_leaf`` rows on
+    each side. Each column's first best boundary then enters the tie-break in
+    ``feature_pool`` order. These are the floating-point operations, in the
+    same order, of a sorted scan of one column at a time, so the split found
+    is the same to the last bit.
+    """
+    m = idx.size
+    # the boundary after sorted row r leaves r + 1 rows on the left: rows
+    # lo..hi-1 leave min_leaf rows (and at least one) on each side
+    lo, hi = max(min_leaf, 1) - 1, m - max(min_leaf, 1)
+    if hi <= lo:
+        return None
     yy = y[idx].astype(np.float64)
     ww = w[idx]
+    wy = ww * yy
     total_w = ww.sum()
     total_pos = float(np.dot(ww, yy))
     p_parent = total_pos / total_w
     g_parent = 2.0 * p_parent * (1.0 - p_parent)
 
+    pool = np.asarray(feature_pool, dtype=np.intp)
+    step = max(1, SPLIT_BLOCK_ELEMENTS // m)
     best: Optional[tuple[int, float, float]] = None
-    for j in feature_pool:
-        vals = X[idx, j]
-        order = np.argsort(vals, kind="mergesort")
-        v = vals[order]
-        wp = (ww * yy)[order]
-        wa = ww[order]
-        cum_pos = np.cumsum(wp)
-        cum_w = np.cumsum(wa)
-        m = idx.size
-        # candidate boundaries: after position i (1-based count), value changes
-        cut = np.flatnonzero(v[:-1] != v[1:]) + 1
-        cut = cut[(cut >= min_leaf) & (m - cut >= min_leaf)]
-        if cut.size == 0:
-            continue
-        left_w = cum_w[cut - 1]
-        left_pos = cum_pos[cut - 1]
-        right_w = total_w - left_w
+    for start in range(0, pool.size, step):
+        cols = pool[start:start + step]
+        order = np.argsort(X[np.ix_(idx, cols)], axis=0, kind="stable")[:hi + 1]
+        v = X[idx[order], cols]
+        left_pos = np.cumsum(wy[order[:hi]], axis=0)[lo:]
+        left_w = np.cumsum(ww[order[:hi]], axis=0)[lo:]
         right_pos = total_pos - left_pos
-        pl = left_pos / left_w
-        pr = right_pos / right_w
-        g_children = (left_w * 2 * pl * (1 - pl) + right_w * 2 * pr * (1 - pr)) / total_w
-        dec = g_parent - g_children
-        k = int(np.argmax(dec))
-        if dec[k] <= 1e-12:
-            continue
-        threshold = (v[cut[k] - 1] + v[cut[k]]) / 2.0
-        if not threshold < v[cut[k]]:
-            # adjacent floats: the midpoint rounded onto the upper value
-            threshold = v[cut[k] - 1]
-        cand = (int(j), float(threshold), float(dec[k]))
-        if best is None or cand[2] > best[2] + 1e-15 or (
-            abs(cand[2] - best[2]) <= 1e-15 and (cand[0], cand[1]) < (best[0], best[1])
-        ):
-            best = cand
+        right_w = total_w - left_w
+        # g_parent - (left_w*2*pl*(1-pl) + right_w*2*pr*(1-pr)) / total_w,
+        # in place and in that order
+        dec = _gini_mass(left_w, left_pos)
+        dec += _gini_mass(right_w, right_pos)
+        dec /= total_w
+        np.subtract(g_parent, dec, out=dec)
+        # only a boundary between two distinct values is a cut
+        dec[v[lo:hi] == v[lo + 1:]] = -np.inf
+        k = np.argmax(dec, axis=0)
+        at = np.arange(cols.size)
+        lower, upper = v[lo + k, at], v[lo + k + 1, at]
+        for j, d, low, up in zip(cols.tolist(), dec[k, at].tolist(), lower.tolist(),
+                                 upper.tolist()):
+            if d <= 1e-12:
+                continue
+            threshold = (low + up) / 2.0
+            if not threshold < up:
+                # adjacent floats: the midpoint rounded onto the upper value
+                threshold = low
+            cand = (j, threshold, d)
+            if best is None or cand[2] > best[2] + 1e-15 or (
+                abs(cand[2] - best[2]) <= 1e-15 and (cand[0], cand[1]) < (best[0], best[1])
+            ):
+                best = cand
     return best
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from crashsev import learners
 from crashsev.ingest import InputFileError
 from crashsev.learners import (
     ForestModel,
@@ -172,6 +173,129 @@ class TestSplitThreshold:
         above = X.copy()
         above[:, 0] = np.nextafter(HIGH, np.inf)
         assert np.isfinite(forest.predict(np.vstack([X, above]))).all()
+
+
+def _reference_best_split(X, y, w, idx, min_leaf, feature_pool):
+    """The split search as a sorted scan of one column at a time: the
+    reference that the block-vectorised ``_best_split`` must equal bit for
+    bit."""
+    yy = y[idx].astype(np.float64)
+    ww = w[idx]
+    total_w = ww.sum()
+    total_pos = float(np.dot(ww, yy))
+    p_parent = total_pos / total_w
+    g_parent = 2.0 * p_parent * (1.0 - p_parent)
+
+    best = None
+    for j in feature_pool:
+        vals = X[idx, j]
+        order = np.argsort(vals, kind="mergesort")
+        v = vals[order]
+        cum_pos = np.cumsum((ww * yy)[order])
+        cum_w = np.cumsum(ww[order])
+        m = idx.size
+        cut = np.flatnonzero(v[:-1] != v[1:]) + 1
+        cut = cut[(cut >= min_leaf) & (m - cut >= min_leaf)]
+        if cut.size == 0:
+            continue
+        left_w = cum_w[cut - 1]
+        left_pos = cum_pos[cut - 1]
+        right_w = total_w - left_w
+        right_pos = total_pos - left_pos
+        pl = left_pos / left_w
+        pr = right_pos / right_w
+        g_children = (left_w * 2 * pl * (1 - pl) + right_w * 2 * pr * (1 - pr)) / total_w
+        dec = g_parent - g_children
+        k = int(np.argmax(dec))
+        if dec[k] <= 1e-12:
+            continue
+        threshold = (v[cut[k] - 1] + v[cut[k]]) / 2.0
+        if not threshold < v[cut[k]]:
+            threshold = v[cut[k] - 1]
+        cand = (int(j), float(threshold), float(dec[k]))
+        if best is None or cand[2] > best[2] + 1e-15 or (
+            abs(cand[2] - best[2]) <= 1e-15 and (cand[0], cand[1]) < (best[0], best[1])
+        ):
+            best = cand
+    return best
+
+
+def _mixed_columns(rng, n):
+    """Continuous, heavily tied, one-hot, constant and adjacent-float
+    columns, with a class that leans on a few of them."""
+    cats = rng.integers(0, 4, n)
+    X = np.column_stack([
+        rng.standard_normal(n),
+        rng.integers(0, 3, n).astype(float),
+        np.round(rng.standard_normal(n), 1),
+        np.eye(4)[cats],
+        np.full(n, 2.5),
+        np.where(rng.random(n) < 0.5, HIGH, LOW),
+        rng.integers(16, 90, n).astype(float),
+    ])
+    logit = -1.5 + 1.2 * (cats == 2) + 0.8 * X[:, 0] + 0.5 * X[:, 1]
+    y = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(int)
+    return X, y
+
+
+def _assert_same_split(X, y, w, idx, min_leaf, pool):
+    got = _best_split(X, y, w, idx, min_leaf, pool)
+    want = _reference_best_split(X, y, w, idx, min_leaf, pool)
+    assert got == want
+    if got is not None:
+        # bit for bit, not merely equal as floats
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+class TestBestSplitExactness:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_column_scan_on_mixed_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        X, y = _mixed_columns(rng, 300)
+        w = class_weight_vector(y, None)  # balanced: not whole numbers
+        assert not np.array_equal(w, np.round(w))
+        for m in (2, 3, 17, 120, 300):
+            idx = np.sort(rng.choice(300, size=m, replace=False))
+            if y[idx].min() == y[idx].max():
+                continue
+            pools = [np.arange(X.shape[1]), np.sort(rng.choice(X.shape[1], 4, replace=False))]
+            for min_leaf in sorted({1, 2, 5, m // 2 - 1, m // 2, m // 2 + 1}):
+                for pool in pools:
+                    _assert_same_split(X, y, w, idx, min_leaf, pool)
+
+    def test_equals_column_scan_on_adjacent_floats(self, adjacent_floats):
+        X, y = adjacent_floats
+        w = class_weight_vector(y, None)
+        for min_leaf in (1, 50, 99, 100):
+            _assert_same_split(X, y, w, np.arange(y.size), min_leaf, np.arange(4))
+
+    def test_two_row_node(self):
+        X = np.array([[0.0, 1.0, 3.0], [1.0, 1.0, 3.0]])
+        y = np.array([0, 1])
+        w = np.array([0.75, 1.5])
+        for min_leaf in (1, 2):
+            _assert_same_split(X, y, w, np.arange(2), min_leaf, np.arange(3))
+        column, threshold, dec = _best_split(X, y, w, np.arange(2), 1, np.arange(3))
+        assert (column, threshold) == (0, 0.5) and dec == pytest.approx(4 / 9)
+
+    def test_constant_columns_give_no_split(self):
+        X = np.full((40, 3), 7.0)
+        y = np.arange(40) % 2
+        assert _best_split(X, y, np.ones(40), np.arange(40), 1, np.arange(3)) is None
+
+    def test_block_size_does_not_change_trees_or_forests(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        X, y = _mixed_columns(rng, 400)
+        tree = fit_decision_tree(X, y, min_leaf=3, alpha_prune=0.2)
+        forest = fit_random_forest(X, y, n_trees=4, min_leaf=2, seed=7)
+        monkeypatch.setattr(learners, "SPLIT_BLOCK_ELEMENTS", 1)  # one column per block
+        small_tree = fit_decision_tree(X, y, min_leaf=3, alpha_prune=0.2)
+        small_forest = fit_random_forest(X, y, n_trees=4, min_leaf=2, seed=7)
+        assert len(tree.leaves()) > 2
+        for name in ("column", "threshold", "left", "right", "prob", "n_samples"):
+            assert np.array_equal(getattr(tree, name), getattr(small_tree, name)), name
+        assert np.array_equal(forest.predict(X), small_forest.predict(X))
 
 
 class TestForest:
