@@ -7,6 +7,7 @@ Commands: curate, preprocess, run, explain, report. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import sys
@@ -134,11 +135,10 @@ def cmd_curate(args) -> int:
     with open(args.input, "rb") as fh:
         parsed = parse_person_rows(fh, schema)
     if parsed.errors:
-        with open(args.out_dir / "quarantine.csv", "w", encoding="utf-8") as fh:
-            fh.write("line_number,message,raw\n")
-            for err in parsed.errors:
-                raw = err.raw.replace('"', '""')
-                fh.write(f'{err.line_number},"{err.message}","{raw}"\n')
+        with open(args.out_dir / "quarantine.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["line_number", "message", "raw"])
+            writer.writerows([err.line_number, err.message, err.raw] for err in parsed.errors)
 
     result = curate(parsed.rows, decoder)
     if not result.audit.conservation_holds():

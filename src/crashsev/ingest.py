@@ -378,6 +378,14 @@ class ParseError:
     raw: str = ""
 
 
+def _csv_line(record: list[str]) -> str:
+    """``record`` as one CSV line, without its line end, that parses back to
+    the same fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(record)
+    return buf.getvalue()
+
+
 @dataclass
 class ParseResult:
     rows: list[PersonRow]
@@ -439,7 +447,7 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
         if len(record) != len(header):
             errors.append(
                 ParseError(line_number, f"expected {len(header)} fields, got {len(record)}",
-                           raw=",".join(record))
+                           raw=_csv_line(record))
             )
             continue
 
@@ -467,7 +475,7 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
                 line_number=line_number,
             )
         except (ValueError, KeyError) as exc:
-            errors.append(ParseError(line_number, str(exc), raw=",".join(record)))
+            errors.append(ParseError(line_number, str(exc), raw=_csv_line(record)))
             continue
         rows.append(row)
     return ParseResult(rows=rows, errors=errors)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -127,6 +128,27 @@ class TestCurateCommand:
         assert main(["curate", "--input", str(bad), "--decoder-table",
                      str(decoder_file), "--out-dir", str(out)]) == 0
         assert "expected 5 fields" in (out / "quarantine.csv").read_text()
+
+    def test_quarantine_fields_round_trip_commas_and_quotes(self, decoder_file, tmp_path):
+        bad = tmp_path / "partial.csv"
+        bad.write_text(
+            "CrashID,VIN,PersonType,SeatingPosition,Severity\n"
+            "C1,1HGCM82633A004352,Driver,Front Left Side,Fatal\n"
+            'C2,"V,1","Dri""ver"\n'
+            'C3,1HGCM82633A004352,"Dri""ver, x",Front Left Side,Fatal\n'
+        )
+        out = tmp_path / "o"
+        assert main(["curate", "--input", str(bad), "--decoder-table",
+                     str(decoder_file), "--out-dir", str(out)]) == 0
+        text = (out / "quarantine.csv").read_text(encoding="utf-8")
+        assert len(text.splitlines()) == 3  # one physical line per record
+        header, short, unknown = csv.reader(io.StringIO(text))
+        assert header == ["line_number", "message", "raw"]
+        assert short[:2] == ["3", "expected 5 fields, got 3"]
+        assert next(csv.reader([short[2]])) == ["C2", "V,1", 'Dri"ver']
+        assert unknown[0] == "4" and 'Dri"ver, x' in unknown[1]
+        assert next(csv.reader([unknown[2]])) == [
+            "C3", "1HGCM82633A004352", 'Dri"ver, x', "Front Left Side", "Fatal"]
 
 
 class TestPreprocessCommand:
