@@ -286,7 +286,8 @@ def cmd_run(args) -> int:
     _write_json(cfg.out_dir / "report.json", report)
     _write_json(
         cfg.out_dir / "run_meta.json",
-        {"generated_at": datetime.now(timezone.utc).isoformat(), "version": __version__},
+        {"generated_at": datetime.now(timezone.utc).isoformat(), "version": __version__,
+         "paths": cfg.raw.get("paths", {})},
     )
 
     print(

@@ -1,6 +1,7 @@
 """Run configuration: a single INI-style file (key = value with sections)
 parsed into the plans and grids the pipeline consumes, and dumped verbatim
-into the run report for provenance.
+into the run report for provenance, all but its ``[paths]`` section, which
+goes to ``run_meta.json``.
 """
 
 from __future__ import annotations
@@ -162,10 +163,13 @@ class RunConfig:
         raise ConfigError(f"unknown final learner {kind!r}")
 
     def dump(self) -> dict:
+        """The configuration as the run report records it. The file's
+        ``[paths]`` section is left out, so that the report does not depend
+        on where the matrix and the outputs live."""
         return {
             "seed": self.seed,
             "max_workers": self.max_workers,
             "stability_threshold": self.stability_threshold,
             "final_learner": self.final_learner_spec,
-            "raw": self.raw,
+            "raw": {name: items for name, items in self.raw.items() if name != "paths"},
         }

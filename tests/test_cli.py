@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -216,6 +217,23 @@ class TestRunCommand:
         assert log.read_text().splitlines() == first
         assert main(["--config", str(cfg), "--resume", "run"]) == 0
         assert log.read_text().splitlines()[:len(first)] == first
+
+    def test_report_does_not_depend_on_checkout_directory(self, synth_matrix_file, tmp_path):
+        reports = []
+        for name in ("a", "b"):
+            where = tmp_path / name / "deeper"
+            where.mkdir(parents=True)
+            for src in synth_matrix_file.parent.glob(synth_matrix_file.name + "*"):
+                shutil.copy(src, where / src.name)
+            matrix, out_dir = where / synth_matrix_file.name, where / "out"
+            cfg = run_config_ini(where, matrix, out_dir)
+            assert main(["--config", str(cfg), "run"]) == 0
+            reports.append((out_dir / "report.json").read_bytes())
+            meta = json.loads((out_dir / "run_meta.json").read_text())
+            assert meta["paths"] == {"matrix": str(matrix), "out_dir": str(out_dir)}
+        assert reports[0] == reports[1]
+        assert b"deeper" not in reports[0]
+        assert "paths" not in json.loads(reports[0])["run_config"]["raw"]
 
     def test_missing_matrix_exits_2(self, tmp_path):
         cfg = run_config_ini(tmp_path, tmp_path / "nope.csfm", tmp_path / "out")
