@@ -18,7 +18,7 @@ from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import Signature, StabilityTable, stability_select
-from .stats import PerformanceEstimate, RocCurve, auc_roc, roc_curve
+from .stats import PerformanceEstimate, RocCurve, auc_roc, bootstrap_aucs, roc_curve
 from .tune import (
     CVPlan,
     ModelConfig,
@@ -180,15 +180,18 @@ def _bootstrap_auc_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for the AUC of one fixed model."""
     n = scores.size
-    vals = []
-    for _ in range(n_boot):
-        for _retry in range(max_redraws):
-            idx = rng.integers(0, n, size=n)
-            if labels[idx].min() != labels[idx].max():
-                break
-        else:
-            continue
-        vals.append(auc_roc(scores[idx], labels[idx]))
+
+    def replicates():
+        for _ in range(n_boot):
+            for _retry in range(max_redraws):
+                idx = rng.integers(0, n, size=n)
+                if labels[idx].min() != labels[idx].max():
+                    break
+            else:
+                continue
+            yield np.bincount(idx, minlength=n)
+
+    vals = bootstrap_aucs(scores, labels, replicates())
     lo = (1.0 - ci_level) / 2.0
     return float(np.quantile(vals, lo)), float(np.quantile(vals, 1.0 - lo))
 

@@ -1,9 +1,16 @@
 """Statistical kernels shared by feature selection and tuning.
 
-AUC-ROC with midrank tie correction, the nested-logistic likelihood-ratio
+AUC-ROC from one exact weighted kernel, the nested-logistic likelihood-ratio
 conditional-independence test, Benjamini-Hochberg step-up selection,
 stratified fold assignment, and the bootstrap bias correction of the winning
 configuration's score.
+
+Every AUC comes from one kernel: a score vector is sorted into tie groups
+once, and each row of a (replicates, n) block of integer weights is scored
+from int64 prefix sums at the group ends. The class totals and twice the
+Mann-Whitney pair count are integers below 2^42 even at 2.3M rows, so they
+are exact in any order or blocking and the one float64 division rounds once:
+unit, bootstrap and 0/1 out-of-bag weights all give an exact pair count's bits.
 
 The likelihood-ratio tests run in batches of (candidate, conditioning-set)
 pairs: every pair brings its own conditioning columns and null fit, and the
@@ -14,7 +21,7 @@ A pair's result does not depend on the batch it is fitted in.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import chdtrc, expit
@@ -26,6 +33,7 @@ __all__ = [
     "NullFit",
     "SingleClassError",
     "auc_roc",
+    "bootstrap_aucs",
     "roc_curve",
     "fit_null_logistic",
     "lrt_ci_test",
@@ -40,6 +48,7 @@ log = logging.getLogger(__name__)
 LOGISTIC_MAX_ITER = 100
 LOGISTIC_GRAD_TOL = 1e-8
 LOGISTIC_DEV_TOL = 1e-10
+REPLICATE_BLOCK_ELEMENTS = 1 << 16  # cap on a (replicates, n) block of bootstrap weights
 
 
 class SingleClassError(ValueError):
@@ -76,32 +85,11 @@ class PerformanceEstimate:
     naive_point: float = float("nan")
 
     def to_dict(self) -> dict:
-        return {
-            "point": self.point,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "ci_level": self.ci_level,
-            "n_boot": self.n_boot,
-            "n_skipped": self.n_skipped,
-            "naive_point": self.naive_point,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # AUC-ROC
-
-
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the group midrank (exact halves)."""
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    n = x.size
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], n]
-    group_rank = (starts + ends + 1) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
 
 
 def _split_labels(labels) -> tuple[np.ndarray, int, int]:
@@ -114,31 +102,65 @@ def _split_labels(labels) -> tuple[np.ndarray, int, int]:
     return pos, npos, nneg
 
 
+def _sorted_tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ascending order permutation, offset of each tie group's last member
+    in sorted order)."""
+    perm = np.argsort(scores, kind="mergesort")
+    s = scores[perm]
+    last = np.flatnonzero(np.r_[s[1:] != s[:-1], True])
+    return perm, last
+
+
+def _weighted_aucs(groups: tuple[np.ndarray, np.ndarray], pos: np.ndarray, weights) -> np.ndarray:
+    """AUC of one score vector, grouped by ``_sorted_tie_groups``, under each
+    row of a (b, n) integer or boolean weight block with weight on both classes."""
+    perm, last = groups
+    w = np.take(weights, perm, axis=1).astype(np.int64, copy=False)
+    # positive and negative weight at or below each tie group's top score
+    cpos = np.cumsum(w * pos[perm].astype(np.int64), axis=1)[:, last]
+    cneg = np.cumsum(w, axis=1)[:, last]
+    cneg -= cpos
+    # twice (pairs ranked right + half the tied ones): the positives of
+    # group g beat cneg[g-1] negatives and tie with cneg[g] - cneg[g-1]
+    gpos = cpos.copy()
+    gpos[:, 1:] -= cpos[:, :-1]
+    twice = np.einsum("bg,bg->b", gpos, cneg) + np.einsum("bg,bg->b", gpos[:, 1:], cneg[:, :-1])
+    return twice / (2 * cpos[:, -1] * cneg[:, -1])
+
+
 def auc_roc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score+ > score-) + 0.5 * P(score+ = score-).
 
-    Computed from midranks in O(n log n); exact halves keep the result
+    The unit-weight case of the weighted-AUC kernel: O(n log n), and
     bit-identical to O(n^2) pair counting.
     """
     s = np.asarray(scores, dtype=np.float64)
-    pos, npos, nneg = _split_labels(labels)
+    pos, _, _ = _split_labels(labels)
     if s.size != pos.size:
         raise ValueError("scores and labels differ in length")
-    rpos = float(np.sum(_midranks(s)[pos]))
-    return (rpos - npos * (npos + 1) / 2.0) / (npos * nneg)
+    return float(_weighted_aucs(_sorted_tie_groups(s), pos, np.ones((1, s.size), dtype=np.int64))[0])
+
+
+def bootstrap_aucs(scores, labels, replicates) -> np.ndarray:
+    """AUC of ``scores`` under each integer weight vector that ``replicates``
+    yields, in order. The scores are sorted once, the weights scored in blocks."""
+    s = np.asarray(scores, dtype=np.float64)
+    groups = _sorted_tie_groups(s)
+    pos = np.asarray(labels) == 1
+    return np.concatenate([_weighted_aucs(groups, pos, w) for w in _row_blocks(replicates, s.size)])
 
 
 def roc_curve(scores, labels) -> RocCurve:
     """ROC points from a descending threshold sweep, tie groups collapsed."""
     s = np.asarray(scores, dtype=np.float64)
     pos, npos, nneg = _split_labels(labels)
-    order = np.argsort(-s, kind="mergesort")
-    y = pos[order]
-    tp = np.cumsum(y)
-    fp = np.cumsum(~y)
-    last = np.r_[s[order][1:] != s[order][:-1], True]
-    tpr = np.r_[0.0, tp[last] / npos]
-    fpr = np.r_[0.0, fp[last] / nneg]
+    perm, last = _sorted_tie_groups(s)
+    # positives and negatives scoring at or above each group, top group first
+    below = np.r_[0, last[:-1] + 1]
+    tp = npos - np.r_[0, np.cumsum(pos[perm])][below][::-1]
+    fp = (s.size - below)[::-1] - tp
+    tpr = np.r_[0.0, tp / npos]
+    fpr = np.r_[0.0, fp / nneg]
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc_roc(s, labels))
 
 
@@ -375,54 +397,33 @@ def stratified_folds(labels, k: int, seed) -> np.ndarray:
 # Bootstrap bias correction
 
 
-def _sorted_tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ascending order permutation, tie-group start offsets in sorted order)."""
-    perm = np.argsort(scores, kind="mergesort")
-    s = scores[perm]
-    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
-    return perm, starts
+def _row_blocks(rows, n: int):
+    """Pack length-n integer vectors into (b, n) int64 blocks of at most
+    REPLICATE_BLOCK_ELEMENTS; each block's buffer is reused for the next."""
+    block = np.empty((max(1, REPLICATE_BLOCK_ELEMENTS // n), n), dtype=np.int64)
+    kept = 0
+    for row in rows:
+        block[kept] = row
+        kept += 1
+        if kept == block.shape[0]:
+            yield block
+            kept = 0
+    yield block[:kept]
 
 
-def _inbag_auc_matrix(scores: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Weighted AUC of every configuration under every bootstrap replicate.
-
-    scores is (C, n), counts is (B, n) bootstrap multiplicities; returns (B, C).
-    """
-    B = counts.shape[0]
-    C = scores.shape[0]
-    yf = y.astype(np.float64)
-    out = np.empty((B, C))
-    for c in range(C):
-        perm, starts = _sorted_tie_groups(scores[c])
-        ys = yf[perm]
-        wc = counts[:, perm]
-        pos = wc * ys
-        neg = wc - pos
-        pg = np.add.reduceat(pos, starts, axis=1)
-        ng = np.add.reduceat(neg, starts, axis=1)
-        cum_before = np.cumsum(ng, axis=1) - ng
-        numer = np.sum(pg * (cum_before + 0.5 * ng), axis=1)
-        wpos = pos.sum(axis=1)
-        wneg = neg.sum(axis=1)
-        out[:, c] = numer / (wpos * wneg)
-    return out
-
-
-def _draw_counts(rng: np.random.Generator, y: np.ndarray, n: int, max_redraws: int) -> np.ndarray | None:
-    """One bootstrap replicate's multiplicity vector, redrawn until both the
-    in-bag multiset and the out-of-bag remainder contain both classes."""
-    for _ in range(max_redraws + 1):
-        counts = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(np.float64)
-        inbag = counts > 0
-        oob = ~inbag
-        if not oob.any():
-            continue
-        if y[inbag].min() == y[inbag].max():
-            continue
-        if y[oob].min() == y[oob].max():
-            continue
-        return counts
-    return None
+def _draw_replicates(rng: np.random.Generator, y: np.ndarray, n_boot: int, max_redraws: int):
+    """Bootstrap multiplicity vectors, each redrawn until both the in-bag
+    multiset and the out-of-bag remainder contain both classes."""
+    n = y.size
+    for b in range(n_boot):
+        for _ in range(max_redraws + 1):
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            inbag, oob = counts > 0, counts == 0
+            if oob.any() and y[inbag].min() < y[inbag].max() and y[oob].min() < y[oob].max():
+                yield counts
+                break
+        else:
+            log.warning("bbc_correct: replicate %d skipped after %d redraws", b, max_redraws)
 
 
 def bbc_correct(
@@ -449,27 +450,20 @@ def bbc_correct(
         raise ValueError("n_boot must be at least 100")
     C, n = S.shape
     y = np.asarray(labels)
-    _split_labels(y)  # both classes required
-
+    pos, _, _ = _split_labels(y)  # both classes required
+    groups = [_sorted_tie_groups(S[c]) for c in range(C)]
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    counts = np.empty((n_boot, n))
-    keep = np.ones(n_boot, dtype=bool)
-    for b in range(n_boot):
-        drawn = _draw_counts(rng, y, n, max_redraws)
-        if drawn is None:
-            keep[b] = False
-            counts[b] = 0.0
-            log.warning("bbc_correct: replicate %d skipped after %d redraws", b, max_redraws)
-        else:
-            counts[b] = drawn
-    counts = counts[keep]
-
-    inbag = _inbag_auc_matrix(S, y, counts)
-    winners = np.argmax(inbag, axis=1)  # ties go to the lowest config index
-    oob_auc = np.empty(counts.shape[0])
-    for b in range(counts.shape[0]):
-        oob = counts[b] == 0
-        oob_auc[b] = auc_roc(S[winners[b]][oob], y[oob])
+    oob_auc = []
+    for counts in _row_blocks(_draw_replicates(rng, y, n_boot, max_redraws), n):
+        inbag = np.column_stack([_weighted_aucs(g, pos, counts) for g in groups])
+        winners = np.argmax(inbag, axis=1)  # ties go to the lowest config index
+        oob = counts == 0
+        block_auc = np.empty(counts.shape[0])
+        for c in np.unique(winners):
+            won = winners == c
+            block_auc[won] = _weighted_aucs(groups[c], pos, oob[won])
+        oob_auc.append(block_auc)
+    oob_auc = np.concatenate(oob_auc)
 
     lo = (1.0 - ci_level) / 2.0
     naive = max(auc_roc(S[c], y) for c in range(C))
@@ -478,7 +472,7 @@ def bbc_correct(
         ci_low=float(np.quantile(oob_auc, lo)),
         ci_high=float(np.quantile(oob_auc, 1.0 - lo)),
         ci_level=ci_level,
-        n_boot=int(counts.shape[0]),
-        n_skipped=int(n_boot - counts.shape[0]),
+        n_boot=int(oob_auc.size),
+        n_skipped=int(n_boot - oob_auc.size),
         naive_point=float(naive),
     )

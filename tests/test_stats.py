@@ -13,7 +13,10 @@ from crashsev.stats import (
     roc_curve,
     stratified_folds,
 )
-from crashsev.stats import _inbag_auc_matrix  # internal, checked against pair counting
+from crashsev.stats import (  # internal, checked against pair counting
+    _sorted_tie_groups,
+    _weighted_aucs,
+)
 from crashsev.synth import planted_generator
 
 
@@ -309,16 +312,41 @@ class TestBBC:
             y = rng.integers(0, 2, n)
             if y.min() == y.max():
                 continue
-            counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(4)],
-                              dtype=float)
-            # keep only replicates with both classes in-bag
+            counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n) for _ in range(4)])
+            # keep only replicates with both classes in-bag; add the out-of-bag
+            # 0/1 rows where both classes are out of bag
             ok = [b for b in range(4)
                   if len(set(y[counts[b] > 0])) == 2]
-            got = _inbag_auc_matrix(S, y, counts[ok])
-            for bi, b in enumerate(ok):
-                for c in range(3):
-                    want = brute_force_weighted_auc(S[c], y, counts[b])
-                    assert got[bi, c] == pytest.approx(want, abs=1e-12)
+            oob = [b for b in ok if len(set(y[counts[b] == 0])) == 2]
+            weights = np.concatenate([counts[ok], (counts[oob] == 0).astype(int)])
+            for c in range(3):
+                got = _weighted_aucs(_sorted_tie_groups(S[c]), y == 1, weights)
+                for b in range(weights.shape[0]):
+                    want = brute_force_weighted_auc(S[c], y, weights[b])
+                    assert got[b] == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # tied grid values mixed with arbitrary floats
+                st.one_of(st.integers(0, 6).map(float), st.floats(-10, 10)),
+                st.integers(0, 1),
+                st.integers(0, 9),
+            ),
+            min_size=2,
+            max_size=40,
+        )
+    )
+    def test_kernel_equals_pair_count_and_repeated_sample(self, rows):
+        scores, labels, weights = (np.array(col) for col in zip(*rows))
+        wpos = weights[labels == 1].sum()
+        wneg = weights[labels == 0].sum()
+        if wpos == 0 or wneg == 0:
+            return
+        got = _weighted_aucs(_sorted_tie_groups(scores), labels == 1, weights[None, :])[0]
+        assert got == brute_force_weighted_auc(scores, labels, weights)
+        assert got == auc_roc(np.repeat(scores, weights), np.repeat(labels, weights))
 
     def test_single_config_ci_contains_pooled(self, rng):
         y = (rng.random(300) < 0.3).astype(int)
