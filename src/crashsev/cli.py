@@ -203,7 +203,10 @@ def cmd_run(args) -> int:
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
-        cfg.cv_plan = replace(cfg.cv_plan, **overrides)
+        try:
+            cfg.cv_plan = replace(cfg.cv_plan, **overrides)
+        except ValueError as exc:
+            raise ConfigError(f"bad CV override: {exc}") from exc
     if args.matrix:
         cfg.matrix_path = args.matrix
     if args.out_dir:

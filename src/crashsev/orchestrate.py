@@ -78,7 +78,8 @@ def draw_subsets(labels, plan: SubsetPlan) -> tuple[list[np.ndarray], np.ndarray
     """Stratified subset index lists plus the remaining holdout indices.
 
     Each subset preserves the global class ratio within one sample per class;
-    subsets are pairwise disjoint when the plan says so.
+    subsets are pairwise disjoint when the plan says so. A plan that leaves
+    the holdout without a class raises ProtocolError.
     """
     y = np.asarray(labels)
     n = y.size
@@ -90,7 +91,7 @@ def draw_subsets(labels, plan: SubsetPlan) -> tuple[list[np.ndarray], np.ndarray
         demand = need * plan.n_subsets if plan.disjoint else need
         if demand > available:
             raise ProtocolError(
-                f"class {c!r} has {available} rows but the plan needs {demand} "
+                f"class {c.item()!r} has {available} rows but the plan needs {demand} "
                 f"({need} per subset x {plan.n_subsets} disjoint subsets)"
             )
 
@@ -112,6 +113,12 @@ def draw_subsets(labels, plan: SubsetPlan) -> tuple[list[np.ndarray], np.ndarray
     for s in subset_arrays:
         used[s] = True
     holdout = np.flatnonzero(~used)
+    for c in sorted(alloc):
+        if not np.any(y[holdout] == c):
+            raise ProtocolError(
+                f"the subsets take all {int(np.count_nonzero(y == c))} rows of class {c.item()!r}, "
+                "but the holdout needs both classes; use fewer or smaller subsets"
+            )
     return subset_arrays, holdout
 
 

@@ -48,6 +48,7 @@ log = logging.getLogger(__name__)
 LOGISTIC_MAX_ITER = 100
 LOGISTIC_GRAD_TOL = 1e-8
 LOGISTIC_DEV_TOL = 1e-10
+MIN_BBC_BOOT = 100  # the fewest bootstrap replicates bbc_correct accepts
 REPLICATE_BLOCK_ELEMENTS = 1 << 16  # cap on a (replicates, n) block of bootstrap weights
 
 
@@ -446,8 +447,8 @@ def bbc_correct(
         raise ValueError("oof_scores must be (configs, samples)")
     if not np.isfinite(S).all():
         raise ValueError("every configuration needs a score for every sample")
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
+    if n_boot < MIN_BBC_BOOT:
+        raise ValueError(f"n_boot must be at least {MIN_BBC_BOOT}")
     C, n = S.shape
     y = np.asarray(labels)
     pos, _, _ = _split_labels(y)  # both classes required

@@ -21,7 +21,7 @@ from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import CITestCache, Signature, lasso_select, ses_select, univariate_select
-from .stats import PerformanceEstimate, auc_roc, bbc_correct, stratified_folds
+from .stats import MIN_BBC_BOOT, PerformanceEstimate, auc_roc, bbc_correct, stratified_folds
 
 log = logging.getLogger(__name__)
 
@@ -322,11 +322,17 @@ class CVPlan:
     bbc_ci: float = 0.95
 
     def __post_init__(self) -> None:
+        if self.k < 2:
+            raise ValueError("folds must be at least 2")
         n_complete = self.k if self.n_complete is None else self.n_complete
         if not 1 <= n_complete <= self.k:
-            raise ValueError("n_complete must satisfy 1 <= n_complete <= k")
+            raise ValueError("n_complete must satisfy 1 <= n_complete <= folds")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.bbc_boot < MIN_BBC_BOOT:
+            raise ValueError(f"bbc_boot must be at least {MIN_BBC_BOOT}")
+        if not 0.0 < self.bbc_ci < 1.0:
+            raise ValueError("bbc_ci must lie strictly between 0 and 1")
 
     @property
     def folds_per_repeat(self) -> int:

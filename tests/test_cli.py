@@ -263,6 +263,40 @@ def _assert_one_line_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+class TestInvalidPlan:
+    @pytest.mark.parametrize("old, new", [
+        ("folds = 4", "folds = 3\nn_complete = 5"),
+        ("bbc_boot = 150", "bbc_boot = 50"),
+        ("bbc_boot = 150", "bbc_ci = 1.5"),
+    ])
+    def test_bad_cv_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
+        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace(old, new))
+        assert main(["--config", str(cfg), "--dry-run", "run"]) == 2
+        _assert_one_line_error(capsys)
+        assert main(["--config", str(cfg), "run"]) == 2
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_fold_override_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
+        assert main(["--config", str(cfg), "run", "--folds", "1"]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_holdout_without_a_class_exits_2_before_tuning(self, synth_matrix_file, tmp_path,
+                                                           capsys):
+        # 5 disjoint subsets of 47 positives and 452 negatives take all 235
+        # positives and leave 5 negatives for the holdout
+        out_dir = tmp_path / "out"
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        cfg.write_text(cfg.read_text().replace("n_subsets = 4\nsubset_size = 350",
+                                               "n_subsets = 5\nsubset_size = 499"))
+        assert main(["--config", str(cfg), "run"]) == 2
+        _assert_one_line_error(capsys)
+        assert (out_dir / "progress.jsonl").read_text() == ""
+        assert not (out_dir / "subsets").exists()
+
+
 class TestUnreadableInput:
     def test_non_matrix_file_exits_2(self, tmp_path, capsys):
         junk = tmp_path / "junk.csfm"

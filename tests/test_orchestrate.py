@@ -89,6 +89,15 @@ class TestDrawSubsets:
         with pytest.raises(ProtocolError, match="class"):
             draw_subsets(labels, plan)
 
+    @pytest.mark.parametrize("n_negative, missing", [(392, "0"), (500, "1")])
+    def test_plan_leaving_holdout_without_a_class_raises(self, n_negative, missing):
+        # 8 positives, 4 x 100 disjoint subsets: with 392 negatives the
+        # holdout is empty; with 500 it keeps negatives but no positive
+        labels = np.r_[np.zeros(n_negative, dtype=np.int8), np.ones(8, dtype=np.int8)]
+        plan = SubsetPlan(n_subsets=4, subset_size=100, seed=0)
+        with pytest.raises(ProtocolError, match=f"class {missing}, .*holdout"):
+            draw_subsets(labels, plan)
+
 
 class TestProtocol:
     def test_recovers_planted_features(self, small_generator, small_matrix):
