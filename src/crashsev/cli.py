@@ -187,6 +187,22 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _explain(model, X, y, columns, features, out_dir: Path, *, svg: bool, seed: int):
+    """Write importance.csv for a final model and return its table: exact SHAP
+    importance and plotdata.csv (plus summary_plot.svg when ``svg``) for a
+    linear model, permutation AUC drops for any other."""
+    plot_seed = spawn_seed(seed, "plot")
+    if isinstance(model, LinearModel):
+        shap = linear_shap(model, X, columns)
+        table = variable_importance(shap)
+        export_summary_plot(shap, X, features, out_dir / "plotdata.csv",
+                            svg_path=out_dir / "summary_plot.svg" if svg else None, seed=plot_seed)
+    else:
+        table = permutation_importance(model, X, y, columns, seed=plot_seed)
+    write_importance_csv(table, out_dir / "importance.csv")
+    return table
+
+
 def cmd_run(args) -> int:
     if not args.config:
         raise _UsageError("run requires --config")
@@ -265,26 +281,8 @@ def cmd_run(args) -> int:
         fh.write("\n".join(final.stability.matrix_lines()) + "\n")
 
     train_matrix = matrix.take_rows(final.train_indices).take_groups(final.stable_features)
-    if isinstance(final.final_model, LinearModel):
-        shap = linear_shap(final.final_model, train_matrix.X, train_matrix.columns)
-        table = variable_importance(shap)
-        export_summary_plot(
-            shap,
-            train_matrix.X,
-            final.stable_features,
-            cfg.out_dir / "plotdata.csv",
-            svg_path=cfg.out_dir / "summary_plot.svg",
-            seed=spawn_seed(cfg.seed, "plot"),
-        )
-    else:
-        table = permutation_importance(
-            final.final_model,
-            train_matrix.X,
-            train_matrix.y,
-            train_matrix.columns,
-            seed=spawn_seed(cfg.seed, "plot"),
-        )
-    write_importance_csv(table, cfg.out_dir / "importance.csv")
+    table = _explain(final.final_model, train_matrix.X, train_matrix.y, train_matrix.columns,
+                     final.stable_features, cfg.out_dir, svg=True, seed=cfg.seed)
     report["explanation_method"] = table.method
     _write_json(cfg.out_dir / "report.json", report)
     _write_json(
@@ -323,27 +321,14 @@ def cmd_explain(args) -> int:
         else [f.strip() for f in args.features.split(",") if f.strip()]
     )
 
-    if isinstance(model, LinearModel):
-        shap = linear_shap(model, X, columns)
-        table = variable_importance(shap)
-        try:
-            export_summary_plot(
-                shap,
-                X,
-                features,
-                args.out_dir / "plotdata.csv",
-                svg_path=(args.out_dir / "summary_plot.svg") if args.svg else None,
-                seed=spawn_seed(args.seed or 0, "plot"),
-            )
-        except KeyError as exc:
-            print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        table = permutation_importance(
-            model, X, matrix.y, columns, seed=spawn_seed(args.seed or 0, "plot")
-        )
+    try:
+        table = _explain(model, X, matrix.y, columns, features, args.out_dir,
+                         svg=args.svg, seed=args.seed or 0)
+    except KeyError as exc:  # an unknown feature name
+        print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
+        return EXIT_USAGE
+    if table.method != "shap":
         print("final model is not linear: wrote permutation importance instead of attributions")
-    write_importance_csv(table, args.out_dir / "importance.csv")
     print(f"wrote importance for {len(table.ranking)} features to {args.out_dir}")
     return EXIT_OK
 
