@@ -53,11 +53,18 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
+        """Parse a config file; a malformed or out-of-range value raises
+        ConfigError."""
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+            return cls._from_parser(parser)
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigError(f"bad config file {path}: {' '.join(str(exc).split())}") from exc
 
+    @classmethod
+    def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
         cfg = cls()
         cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
 
@@ -90,27 +97,24 @@ class RunConfig:
             )
 
         cv_kwargs: dict = {}
-        try:
-            if parser.has_section("cv"):
-                c = parser["cv"]
-                cv_kwargs["k"] = c.getint("folds", 10)
-                cv_kwargs["repeats"] = c.getint("repeats", 1)
-                if c.get("n_complete"):
-                    cv_kwargs["n_complete"] = c.getint("n_complete")
-                if c.get("drop_margin", "").strip() == "none":
-                    cv_kwargs["drop_margin"] = None
-                elif c.get("drop_margin"):
-                    cv_kwargs["drop_margin"] = c.getfloat("drop_margin")
-                cv_kwargs["drop_min_folds"] = c.getint("drop_min_folds", 3)
-                if c.get("stop_epsilon", "").strip() == "none":
-                    cv_kwargs["stop_epsilon"] = None
-                elif c.get("stop_epsilon"):
-                    cv_kwargs["stop_epsilon"] = c.getfloat("stop_epsilon")
-                cv_kwargs["bbc_boot"] = c.getint("bbc_boot", 500)
-                cv_kwargs["bbc_ci"] = c.getfloat("bbc_ci", 0.95)
-            cfg.cv_plan = CVPlan(**cv_kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"bad [cv] settings: {exc}") from exc
+        if parser.has_section("cv"):
+            c = parser["cv"]
+            cv_kwargs["k"] = c.getint("folds", 10)
+            cv_kwargs["repeats"] = c.getint("repeats", 1)
+            if c.get("n_complete"):
+                cv_kwargs["n_complete"] = c.getint("n_complete")
+            if c.get("drop_margin", "").strip() == "none":
+                cv_kwargs["drop_margin"] = None
+            elif c.get("drop_margin"):
+                cv_kwargs["drop_margin"] = c.getfloat("drop_margin")
+            cv_kwargs["drop_min_folds"] = c.getint("drop_min_folds", 3)
+            if c.get("stop_epsilon", "").strip() == "none":
+                cv_kwargs["stop_epsilon"] = None
+            elif c.get("stop_epsilon"):
+                cv_kwargs["stop_epsilon"] = c.getfloat("stop_epsilon")
+            cv_kwargs["bbc_boot"] = c.getint("bbc_boot", 500)
+            cv_kwargs["bbc_ci"] = c.getfloat("bbc_ci", 0.95)
+        cfg.cv_plan = CVPlan(**cv_kwargs)
 
         if parser.has_section("search"):
             s = parser["search"]

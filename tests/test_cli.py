@@ -268,8 +268,10 @@ class TestInvalidPlan:
         ("folds = 4", "folds = 3\nn_complete = 5"),
         ("bbc_boot = 150", "bbc_boot = 50"),
         ("bbc_boot = 150", "bbc_ci = 1.5"),
+        ("subset_size = 350", "subset_size = many"),
+        ("[paths]", "paths"),
     ])
-    def test_bad_cv_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
+    def test_bad_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
         cfg.write_text(cfg.read_text().replace(old, new))
         assert main(["--config", str(cfg), "--dry-run", "run"]) == 2
