@@ -139,7 +139,8 @@ def auc_roc(scores, labels) -> float:
     pos, _, _ = _split_labels(labels)
     if s.size != pos.size:
         raise ValueError("scores and labels differ in length")
-    return float(_weighted_aucs(_sorted_tie_groups(s), pos, np.ones((1, s.size), dtype=np.int64))[0])
+    ones = np.ones((1, s.size), dtype=np.int64)
+    return float(_weighted_aucs(_sorted_tie_groups(s), pos, ones)[0])
 
 
 def bootstrap_aucs(scores, labels, replicates) -> np.ndarray:
