@@ -14,6 +14,7 @@ from typing import Optional
 
 from .orchestrate import SubsetPlan
 from .rng import spawn_seed
+from .selection import check_stability_plan
 from .tune import CVPlan, ForestLearner, RidgeLearner, SearchGrid, TreeLearner
 
 __all__ = ["RunConfig", "ConfigError"]
@@ -135,6 +136,7 @@ class RunConfig:
 
         if parser.has_section("stability"):
             cfg.stability_threshold = parser["stability"].getfloat("threshold", 0.75)
+        check_stability_plan(cfg.subset_plan.n_subsets, cfg.stability_threshold)
 
         if parser.has_section("final"):
             f = parser["final"]

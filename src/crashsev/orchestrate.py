@@ -184,23 +184,31 @@ def _bootstrap_auc_ci(
     ci_level: float,
     rng: np.random.Generator,
     max_redraws: int = 100,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the AUC of one fixed model."""
+) -> tuple[float, float, int]:
+    """Percentile bootstrap interval for the AUC of one fixed model, and the
+    number of replicates skipped because all ``max_redraws`` of their draws
+    missed a class."""
     n = scores.size
+    n_skipped = 0
 
     def replicates():
+        nonlocal n_skipped
         for _ in range(n_boot):
             for _retry in range(max_redraws):
                 idx = rng.integers(0, n, size=n)
                 if labels[idx].min() != labels[idx].max():
                     break
             else:
+                n_skipped += 1
                 continue
             yield np.bincount(idx, minlength=n)
 
     vals = bootstrap_aucs(scores, labels, replicates())
+    if n_skipped:
+        log.warning("holdout CI: %d of %d bootstrap replicates skipped; every one of their "
+                    "%d draws missed a class", n_skipped, n_boot, max_redraws)
     lo = (1.0 - ci_level) / 2.0
-    return float(np.quantile(vals, lo)), float(np.quantile(vals, 1.0 - lo))
+    return float(np.quantile(vals, lo)), float(np.quantile(vals, 1.0 - lo)), n_skipped
 
 
 def _refit_winner_signature(winner: ModelConfig, subset_matrix: FeatureMatrix) -> Signature:
@@ -346,10 +354,12 @@ def run_protocol(
     holdout_scores = L.predict_scores(model, holdout_matrix.X, column_names=names)
     holdout_auc = auc_roc(holdout_scores, holdout_labels)
     ci_rng = substream(subset_plan.seed, "holdout-ci")
-    ci_low, ci_high = _bootstrap_auc_ci(holdout_scores, holdout_labels, 1000, 0.95, ci_rng)
+    ci_low, ci_high, n_skipped = _bootstrap_auc_ci(
+        holdout_scores, holdout_labels, 1000, 0.95, ci_rng
+    )
     estimate = PerformanceEstimate(
         point=holdout_auc, ci_low=ci_low, ci_high=ci_high, ci_level=0.95,
-        n_boot=1000, naive_point=holdout_auc,
+        n_boot=1000, n_skipped=n_skipped, naive_point=holdout_auc,
     )
     roc = roc_curve(holdout_scores, holdout_labels)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -31,8 +31,11 @@ __all__ = [
     "StabilityTable",
     "CITestCache",
     "ses_select",
+    "LassoDesign",
+    "lasso_design",
     "lasso_select",
     "univariate_select",
+    "check_stability_plan",
     "stability_select",
 ]
 
@@ -233,26 +236,44 @@ def _lasso_cd(
     return beta, b0, converged
 
 
-def lasso_select(matrix: FeatureMatrix, penalty: float) -> Signature:
-    """Groups with any nonzero coefficient under an L1 logistic fit.
+class LassoDesign(NamedTuple):
+    """The penalty-free part of a lasso fit on one matrix: the standardized
+    columns and lambda_max, the smallest strength zeroing every coefficient."""
 
-    The unitless penalty in [0, 2] maps to penalty * lambda_max / 2, where
-    lambda_max is the smallest strength zeroing every coefficient, so 2.0
-    forces the empty model and 0 is unpenalized.
-    """
-    if penalty < 0:
-        raise ValueError("penalty must be nonnegative")
+    Xs: np.ndarray
+    lam_max: float
+
+
+def lasso_design(matrix: FeatureMatrix) -> LassoDesign:
+    """Columns centred and scaled to unit variance (a constant column keeps
+    scale 1), and lambda_max on them."""
     X = matrix.X
     y = matrix.y.astype(np.float64)
-    n = X.shape[0]
     means = X.mean(axis=0)
     scales = X.std(axis=0)
     scales = np.where(scales > 0, scales, 1.0)
     Xs = (X - means) / scales
+    lam_max = float(np.max(np.abs(Xs.T @ (y - y.mean()))) / X.shape[0]) if X.shape[1] else 0.0
+    return LassoDesign(Xs, lam_max)
 
-    lam_max = float(np.max(np.abs(Xs.T @ (y - y.mean()))) / n) if X.shape[1] else 0.0
-    lam = penalty * lam_max / 2.0
-    beta, _, converged = _lasso_cd(Xs, matrix.y, lam)
+
+def lasso_select(
+    matrix: FeatureMatrix,
+    penalty: float,
+    design: Optional[LassoDesign] = None,
+) -> Signature:
+    """Groups with any nonzero coefficient under an L1 logistic fit.
+
+    The unitless penalty in [0, 2] maps to penalty * lambda_max / 2, so 2.0
+    forces the empty model and 0 is unpenalized. ``design`` is
+    ``lasso_design(matrix)``, passed in when several penalties share it.
+    """
+    if penalty < 0:
+        raise ValueError("penalty must be nonnegative")
+    if design is None:
+        design = lasso_design(matrix)
+    lam = penalty * design.lam_max / 2.0
+    beta, _, converged = _lasso_cd(design.Xs, matrix.y, lam)
     if not converged:
         log.warning("lasso_select(penalty=%g) hit the iteration budget; flagged", penalty)
 
@@ -319,6 +340,14 @@ class StabilityTable:
         return lines
 
 
+def check_stability_plan(n_runs: int, threshold: float) -> None:
+    """Raise ValueError unless there are at least 2 runs and 0 < threshold <= 1."""
+    if n_runs < 2:
+        raise ValueError(f"stability aggregation needs at least 2 runs, not {n_runs}")
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError(f"stability threshold must be in (0, 1], not {threshold:g}")
+
+
 def stability_select(
     signatures: Sequence[Signature],
     threshold: float,
@@ -327,10 +356,7 @@ def stability_select(
 
     threshold 0.75 over four runs keeps features present in at least three.
     """
-    if len(signatures) < 2:
-        raise ValueError("stability aggregation needs at least 2 runs")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must be in (0, 1]")
+    check_stability_plan(len(signatures), threshold)
     counts: dict[str, int] = {}
     for sig in signatures:
         for f in sig.selected:

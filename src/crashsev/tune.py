@@ -11,6 +11,7 @@ import logging
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -20,7 +21,15 @@ from . import learners as L
 from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
-from .selection import CITestCache, Signature, lasso_select, ses_select, univariate_select
+from .selection import (
+    CITestCache,
+    LassoDesign,
+    Signature,
+    lasso_design,
+    lasso_select,
+    ses_select,
+    univariate_select,
+)
 from .stats import MIN_BBC_BOOT, PerformanceEstimate, auc_roc, bbc_correct, stratified_folds
 
 log = logging.getLogger(__name__)
@@ -57,6 +66,10 @@ class SelectionContext:
         self.train = train
         self.ci_cache = CITestCache(train)
 
+    @cached_property
+    def lasso_design(self) -> LassoDesign:
+        return lasso_design(self.train)
+
 
 @dataclass(frozen=True)
 class SesSelector:
@@ -78,7 +91,7 @@ class LassoSelector:
         return f"Lasso(penalty={self.penalty:g})"
 
     def select(self, ctx: SelectionContext) -> Signature:
-        return lasso_select(ctx.train, self.penalty)
+        return lasso_select(ctx.train, self.penalty, ctx.lasso_design)
 
 
 @dataclass(frozen=True)
@@ -397,7 +410,9 @@ def run_rnk_cv(
 ) -> CVResult:
     """Evaluate every surviving configuration fold by fold.
 
-    Selectors see only the training side of each fold. After each fold,
+    Selectors see only the training side of each fold, and each distinct
+    selector runs once per fold: every config that pairs it with a learner
+    gets the same signature. After each fold,
     configurations whose mean per-fold AUC trails the best by more than
     drop_margin (once drop_min_folds folds are in) are dropped, and the fold
     loop ends early when the best pooled AUC stops improving by stop_epsilon.
@@ -451,12 +466,12 @@ def run_rnk_cv(
         ctx = SelectionContext(train)
 
         surviving = [c for c in configs if c.supported and c.config_id not in dropped]
-        signatures = {c.config_id: c.selector.select(ctx) for c in surviving}
+        signatures = {s: s.select(ctx) for s in dict.fromkeys(c.selector for c in surviving)}
 
         def evaluate(config: ModelConfig) -> tuple[int, np.ndarray]:
             seed = spawn_seed(plan.seed, "learner", config.config_id, r, j)
             scores = _fit_and_score(
-                config, signatures[config.config_id], train, test, class_weights, seed
+                config, signatures[config.selector], train, test, class_weights, seed
             )
             return config.config_id, scores
 
@@ -470,7 +485,8 @@ def run_rnk_cv(
             pooled[cid, test_idx] = scores
             fauc = auc_roc(scores, labels[test_idx])
             fold_aucs[cid].append(fauc)
-            n_selected[cid].append(len(signatures[cid].selected))
+            n_sel = len(signatures[config.selector].selected)
+            n_selected[cid].append(n_sel)
             if config.trainable:
                 fitted_models += 1
             if progress is not None:
@@ -481,7 +497,7 @@ def run_rnk_cv(
                         "config_id": cid,
                         "config": config.label(),
                         "fold_auc": fauc,
-                        "n_selected": len(signatures[cid].selected),
+                        "n_selected": n_sel,
                     }
                 )
 

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
+import crashsev.selection
 import crashsev.tune
 from crashsev.learners import fit_decision_tree, fit_random_forest
+from crashsev.preprocess import FeatureMatrix
+from crashsev.tune import CVPlan, LassoSelector, ModelConfig, RidgeLearner, TreeLearner, run_rnk_cv
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,3 +50,38 @@ def test_tree_counts_read_fitted_models():
     assert len(tree.leaves()) > 1
     assert counts["learners.fit_decision_tree"](tree, (X, y)) == {"empty_leaves": 0}
     assert counts["learners.fit_random_forest"](forest, (X, y)) == {"trees": 3, "empty_leaves": 0}
+
+
+def test_every_cv_lasso_fit_goes_through_the_traced_name(monkeypatch):
+    # selection.lasso_calls counts the spans of the name the tracer wraps;
+    # a lasso fit reached any other way would go uncounted
+    targets = [t for t, name, _ in _load_tracer()._counts_table() if name == "selection.lasso"]
+    assert targets == ["tune.lasso_select"]
+    depth = {"now": 0}
+    spans, fits = [], []
+    traced, real_cd = crashsev.tune.lasso_select, crashsev.selection._lasso_cd
+
+    def span(*args, **kwargs):
+        spans.append(args[1])
+        depth["now"] += 1
+        try:
+            return traced(*args, **kwargs)
+        finally:
+            depth["now"] -= 1
+
+    def fit(*args, **kwargs):
+        fits.append(depth["now"])
+        return real_cd(*args, **kwargs)
+
+    monkeypatch.setattr(crashsev.tune, "lasso_select", span)
+    monkeypatch.setattr(crashsev.selection, "_lasso_cd", fit)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((240, 5))
+    y = (X[:, 0] + rng.standard_normal(240) > 0.5).astype(int)
+    pairs = [(LassoSelector(p), learner) for p in (0.5, 1.0)
+             for learner in (RidgeLearner(1.0), TreeLearner(5, 0.05))]
+    configs = [ModelConfig(i, sel, learner) for i, (sel, learner) in enumerate(pairs)]
+    plan = CVPlan(k=3, seed=2, drop_margin=None, stop_epsilon=None)
+    run_rnk_cv(FeatureMatrix.from_arrays(X, y), configs, plan)
+    assert sorted(spans) == [0.5] * 3 + [1.0] * 3  # one per penalty and fold
+    assert fits == [1] * len(spans)

@@ -11,6 +11,7 @@ alter the bootstraps' draws or their statistics, and say so.
 """
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +101,17 @@ def _bbc(name):
     return bbc_correct(S, y, **kwargs).to_dict()
 
 
-def _ci(name):
+def _ci_and_skipped(name):
     data, n_boot, ci_level, seed, max_redraws = CI_CASES[name]
     scores, y = data()
     rng = np.random.default_rng(seed)
-    return list(_bootstrap_auc_ci(scores, y, n_boot, ci_level, rng, max_redraws=max_redraws))
+    low, high, n_skipped = _bootstrap_auc_ci(scores, y, n_boot, ci_level, rng,
+                                             max_redraws=max_redraws)
+    return [low, high], n_skipped
+
+
+def _ci(name):
+    return _ci_and_skipped(name)[0]
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +127,20 @@ def test_bbc_estimate_matches_fixture(recorded, name):
 @pytest.mark.parametrize("name", sorted(CI_CASES))
 def test_holdout_ci_matches_fixture(recorded, name):
     assert _ci(name) == recorded["holdout_ci"][name]
+
+
+def test_holdout_ci_counts_and_logs_skipped_replicates(caplog):
+    with caplog.at_level(logging.WARNING, logger="crashsev.orchestrate"):
+        _, n_skipped = _ci_and_skipped("skipped")
+    assert n_skipped == 48  # of 400 replicates, 2 redraws each
+    assert [r.getMessage() for r in caplog.records] == [
+        "holdout CI: 48 of 400 bootstrap replicates skipped; every one of their 2 draws "
+        "missed a class"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="crashsev.orchestrate"):
+        assert _ci_and_skipped("ties")[1] == 0
+    assert not caplog.records
 
 
 def test_fixture_covers_skipped_replicates(recorded):

@@ -270,6 +270,9 @@ class TestInvalidPlan:
         ("bbc_boot = 150", "bbc_ci = 1.5"),
         ("subset_size = 350", "subset_size = many"),
         ("[paths]", "paths"),
+        ("threshold = 0.75", "threshold = 1.5"),
+        ("threshold = 0.75", "threshold = 0"),
+        ("n_subsets = 4", "n_subsets = 1"),
     ])
     def test_bad_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")

@@ -154,6 +154,22 @@ class TestProtocol:
             run_protocol(small_matrix, subset_plan, small_space(), cv_plan,
                          stability_threshold=1.0)
 
+    def test_holdout_estimate_records_skipped_replicates(self, small_matrix, monkeypatch):
+        subset_plan, cv_plan = small_plans()
+        real_ci = orch._bootstrap_auc_ci
+        seen = {}
+
+        def ci_with_skips(*args, **kwargs):
+            low, high, _ = real_ci(*args, **kwargs)
+            seen["ci"] = [low, high]
+            return low, high, 7
+
+        monkeypatch.setattr(orch, "_bootstrap_auc_ci", ci_with_skips)
+        final = run_protocol(small_matrix, subset_plan, small_space(), cv_plan)
+        assert final.holdout_estimate.n_skipped == 7
+        assert final.holdout_estimate.n_boot == 1000
+        assert final.report["final"]["holdout_ci"] == seen["ci"]
+
     def test_report_deterministic(self, small_matrix):
         subset_plan, cv_plan = small_plans()
         a = run_protocol(small_matrix, subset_plan, small_space(), cv_plan)

@@ -6,6 +6,7 @@ from crashsev.preprocess import FeatureMatrix
 from crashsev.selection import (
     CITestCache,
     Signature,
+    lasso_design,
     lasso_select,
     ses_select,
     stability_select,
@@ -121,6 +122,12 @@ class TestLasso:
         m, _ = planted_matrix(seed=13, n=1200, p=30, k=5)
         sizes = [len(lasso_select(m, pen).selected) for pen in (0.25, 1.0, 1.75)]
         assert sizes[0] >= sizes[1] >= sizes[2]
+
+    def test_shared_design_gives_the_same_signatures(self):
+        m, _ = planted_matrix(seed=13, n=800, p=20, k=5)
+        design = lasso_design(m)
+        for pen in (0.25, 1.0, 1.75):
+            assert lasso_select(m, pen, design) == lasso_select(m, pen)
 
 
 class TestUnivariate:

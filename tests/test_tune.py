@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from crashsev import tune
 from crashsev.preprocess import FeatureMatrix
 from crashsev.rng import substream
 from crashsev.selection import Signature
@@ -216,6 +217,38 @@ class TestRunRnkCv:
         threaded = run_rnk_cv(matrix, configs, plan, max_workers=4)
         assert np.array_equal(serial.pooled, threaded.pooled, equal_nan=True)
         assert serial.fold_aucs == threaded.fold_aucs
+
+    def test_each_selector_runs_once_per_fold(self, monkeypatch):
+        calls = {"select": 0, "design": 0}
+        real_select, real_design = tune.lasso_select, tune.lasso_design
+
+        def counting_select(*args, **kwargs):
+            calls["select"] += 1
+            return real_select(*args, **kwargs)
+
+        def counting_design(*args, **kwargs):
+            calls["design"] += 1
+            return real_design(*args, **kwargs)
+
+        monkeypatch.setattr(tune, "lasso_select", counting_select)
+        monkeypatch.setattr(tune, "lasso_design", counting_design)
+        matrix = planted_matrix(n=300)
+        learners = [RidgeLearner(1.0), RidgeLearner(10.0), TreeLearner(3, 0.05)]
+        selectors = [LassoSelector(0.5), LassoSelector(1.0), UnivariateSelector(0.05)]
+        configs = [ModelConfig(len(learners) * i + k, sel, lrn)
+                   for i, sel in enumerate(selectors) for k, lrn in enumerate(learners)]
+        plan = CVPlan(k=3, seed=4, drop_margin=None, stop_epsilon=None)
+
+        serial = run_rnk_cv(matrix, configs, plan)
+        assert calls == {"select": 3 * 2, "design": 3}  # folds x penalties, folds
+        for i in range(0, len(configs), len(learners)):
+            first, *rest = (serial.n_selected[c.config_id] for c in configs[i:i + len(learners)])
+            assert len(first) == 3 and all(counts == first for counts in rest)
+
+        threaded = run_rnk_cv(matrix, configs, plan, max_workers=2)
+        assert calls == {"select": 2 * 3 * 2, "design": 2 * 3}
+        assert np.array_equal(serial.pooled, threaded.pooled, equal_nan=True)
+        assert serial.n_selected == threaded.n_selected
 
     def test_mid_fold_interrupt_resume_equivalence(self, tmp_path):
         matrix = planted_matrix(n=300)
