@@ -37,6 +37,18 @@ _SEARCH_LIST_KEYS = (
     "forest_min_leaf",
 )
 
+# the keys each section may hold; any other section or key is an error
+_SECTION_KEYS = {
+    "paths": {"matrix", "out_dir"},
+    "run": {"seed", "max_workers", "class_weights"},
+    "subsets": {"n_subsets", "subset_size", "disjoint"},
+    "cv": {"folds", "repeats", "n_complete", "drop_margin", "drop_min_folds", "stop_epsilon",
+           "bbc_boot", "bbc_ci"},
+    "search": {*_SEARCH_LIST_KEYS, "include_no_selector", "declared_total"},
+    "stability": {"threshold"},
+    "final": {"learner", "lambda", "min_leaf", "alpha", "n_trees"},
+}
+
 
 @dataclass
 class RunConfig:
@@ -68,6 +80,12 @@ class RunConfig:
     def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
         cfg = cls()
         cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
+        for name, items in cfg.raw.items():
+            if name not in _SECTION_KEYS:
+                raise ConfigError(f"unknown section [{name}]")
+            unknown = sorted(set(items) - _SECTION_KEYS[name])
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in section [{name}]")
 
         if parser.has_section("paths"):
             p = parser["paths"]
@@ -123,9 +141,14 @@ class RunConfig:
             for key in _SEARCH_LIST_KEYS:
                 if s.get(key) is not None:
                     try:
-                        grid_dict[key] = json.loads(s[key])
-                    except json.JSONDecodeError as exc:
-                        raise ConfigError(f"search.{key} is not a JSON list") from exc
+                        values = json.loads(s[key])
+                    except json.JSONDecodeError:
+                        values = None
+                    if not isinstance(values, list) or not all(
+                        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+                    ):
+                        raise ConfigError(f"search.{key} is not a JSON list of numbers")
+                    grid_dict[key] = values
             if s.get("include_no_selector") is not None:
                 grid_dict["include_no_selector"] = s.getboolean("include_no_selector")
             if s.get("declared_total", "").strip():
@@ -144,6 +167,7 @@ class RunConfig:
             for key in ("lambda", "min_leaf", "alpha", "n_trees"):
                 if f.get(key):
                     cfg.final_learner_spec[key] = float(f[key])
+        cfg.final_learner()  # an unknown learner fails here, before any subset is drawn
         return cfg.with_seed(cfg.seed)
 
     def with_seed(self, seed: int) -> "RunConfig":

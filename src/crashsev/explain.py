@@ -57,14 +57,6 @@ class ImportanceTable:
     ranking: list[tuple[str, float]]     # (source feature, importance) descending
     method: str = "shap"
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "columns": {n: float(v) for n, v in zip(self.column_names, self.column_vi)},
-            "groups": {k: float(v) for k, v in self.group_vi.items()},
-            "ranking": [[name, float(v)] for name, v in self.ranking],
-        }
-
 
 def linear_shap(model: LinearModel, X: np.ndarray, columns: Sequence[ColumnInfo]) -> ShapMatrix:
     """Exact additive attributions of the linear model on the log-odds scale.

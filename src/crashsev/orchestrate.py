@@ -18,7 +18,7 @@ from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import Signature, StabilityTable, stability_select
-from .stats import PerformanceEstimate, RocCurve, auc_roc, bootstrap_aucs, roc_curve
+from .stats import PerformanceEstimate, RocCurve, auc_roc, bootstrap_auc_ci, roc_curve
 from .tune import (
     CVPlan,
     ModelConfig,
@@ -177,40 +177,6 @@ def _thin_points(fpr: np.ndarray, tpr: np.ndarray, max_points: int) -> list[list
     return [[float(fpr[i]), float(tpr[i])] for i in keep]
 
 
-def _bootstrap_auc_ci(
-    scores: np.ndarray,
-    labels: np.ndarray,
-    n_boot: int,
-    ci_level: float,
-    rng: np.random.Generator,
-    max_redraws: int = 100,
-) -> tuple[float, float, int]:
-    """Percentile bootstrap interval for the AUC of one fixed model, and the
-    number of replicates skipped because all ``max_redraws`` of their draws
-    missed a class."""
-    n = scores.size
-    n_skipped = 0
-
-    def replicates():
-        nonlocal n_skipped
-        for _ in range(n_boot):
-            for _retry in range(max_redraws):
-                idx = rng.integers(0, n, size=n)
-                if labels[idx].min() != labels[idx].max():
-                    break
-            else:
-                n_skipped += 1
-                continue
-            yield np.bincount(idx, minlength=n)
-
-    vals = bootstrap_aucs(scores, labels, replicates())
-    if n_skipped:
-        log.warning("holdout CI: %d of %d bootstrap replicates skipped; every one of their "
-                    "%d draws missed a class", n_skipped, n_boot, max_redraws)
-    lo = (1.0 - ci_level) / 2.0
-    return float(np.quantile(vals, lo)), float(np.quantile(vals, 1.0 - lo)), n_skipped
-
-
 def _refit_winner_signature(winner: ModelConfig, subset_matrix: FeatureMatrix) -> Signature:
     """The winner's selector re-fitted on the whole subset, for stability."""
     return winner.selector.select(SelectionContext(subset_matrix))
@@ -352,15 +318,10 @@ def run_protocol(
     holdout_matrix = matrix.take_rows(holdout).take_groups(stable)
     holdout_labels = labels[holdout]
     holdout_scores = L.predict_scores(model, holdout_matrix.X, column_names=names)
-    holdout_auc = auc_roc(holdout_scores, holdout_labels)
-    ci_rng = substream(subset_plan.seed, "holdout-ci")
-    ci_low, ci_high, n_skipped = _bootstrap_auc_ci(
-        holdout_scores, holdout_labels, 1000, 0.95, ci_rng
-    )
-    estimate = PerformanceEstimate(
-        point=holdout_auc, ci_low=ci_low, ci_high=ci_high, ci_level=0.95,
-        n_boot=1000, n_skipped=n_skipped, naive_point=holdout_auc,
-    )
+    # 1000 replicates of up to 100 draws each
+    estimate = bootstrap_auc_ci(holdout_scores, holdout_labels, 1000, 0.95,
+                                substream(subset_plan.seed, "holdout-ci"), max_redraws=99)
+    holdout_auc = estimate.point
     roc = roc_curve(holdout_scores, holdout_labels)
 
     report = {
@@ -378,7 +339,7 @@ def run_protocol(
             "n_holdout": int(holdout.size),
             "train_auc": train_auc,
             "holdout_auc": holdout_auc,
-            "holdout_ci": [ci_low, ci_high],
+            "holdout_ci": [estimate.ci_low, estimate.ci_high],
             "train_holdout_gap": abs(train_auc - holdout_auc),
             "roc_points": _thin_points(roc.fpr, roc.tpr, 2000),
         },

@@ -58,14 +58,6 @@ class Signature:
         if len(set(self.selected)) != len(self.selected):
             raise ValueError("signature contains duplicate feature groups")
 
-    def to_dict(self) -> dict:
-        return {
-            "selected": list(self.selected),
-            "method": self.method,
-            "hyperparameters": dict(self.hyperparameters),
-            "converged": self.converged,
-        }
-
 
 class CITestCache:
     """Memoized likelihood-ratio conditional-independence tests on one dataset.

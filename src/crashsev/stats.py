@@ -2,8 +2,9 @@
 
 AUC-ROC from one exact weighted kernel, the nested-logistic likelihood-ratio
 conditional-independence test, Benjamini-Hochberg step-up selection,
-stratified fold assignment, and the bootstrap bias correction of the winning
-configuration's score.
+stratified fold assignment, and one bootstrap, which draws and summarises
+the replicates of both the bias correction of the winning configuration's
+score and the holdout AUC's interval.
 
 Every AUC comes from one kernel: a score vector is sorted into tie groups
 once, and each row of a (replicates, n) block of integer weights is scored
@@ -33,7 +34,6 @@ __all__ = [
     "NullFit",
     "SingleClassError",
     "auc_roc",
-    "bootstrap_aucs",
     "roc_curve",
     "fit_null_logistic",
     "lrt_ci_test",
@@ -41,6 +41,7 @@ __all__ = [
     "bh_select",
     "stratified_folds",
     "bbc_correct",
+    "bootstrap_auc_ci",
 ]
 
 log = logging.getLogger(__name__)
@@ -75,7 +76,8 @@ class RocCurve:
 
 @dataclass(frozen=True)
 class PerformanceEstimate:
-    """BBC-corrected point estimate with a percentile confidence interval."""
+    """A bootstrap point estimate with a percentile confidence interval;
+    ``n_boot`` replicates were scored and ``n_skipped`` skipped."""
 
     point: float
     ci_low: float
@@ -143,15 +145,6 @@ def auc_roc(scores, labels) -> float:
     return float(_weighted_aucs(_sorted_tie_groups(s), pos, ones)[0])
 
 
-def bootstrap_aucs(scores, labels, replicates) -> np.ndarray:
-    """AUC of ``scores`` under each integer weight vector that ``replicates``
-    yields, in order. The scores are sorted once, the weights scored in blocks."""
-    s = np.asarray(scores, dtype=np.float64)
-    groups = _sorted_tie_groups(s)
-    pos = np.asarray(labels) == 1
-    return np.concatenate([_weighted_aucs(groups, pos, w) for w in _row_blocks(replicates, s.size)])
-
-
 def roc_curve(scores, labels) -> RocCurve:
     """ROC points from a descending threshold sweep, tie groups collapsed."""
     s = np.asarray(scores, dtype=np.float64)
@@ -210,7 +203,6 @@ def _newton_logistic_many(
     y: np.ndarray,
     w: np.ndarray,
     beta0: np.ndarray | None = None,
-    max_iter: int = LOGISTIC_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit C logistic models sharing (y, w): A is (C, n, m).
 
@@ -230,7 +222,7 @@ def _newton_logistic_many(
     done = np.zeros(C, dtype=bool)
     failed = np.zeros(C, dtype=bool)
 
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         mu = expit(eta)
         grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
         done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
@@ -282,13 +274,12 @@ class NullFit:
     converged: bool
 
 
-def fit_null_logistic(y, z=None, *, sample_weight=None, max_iter: int = LOGISTIC_MAX_ITER) -> NullFit:
+def fit_null_logistic(y, z=None) -> NullFit:
     """Fit the reduced model y ~ Z once, for reuse as the LRT null."""
     yf = np.asarray(y, dtype=np.float64)
     n = yf.size
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     base = np.column_stack([np.ones(n), _z_block(z, n)])
-    beta, ll, conv = _newton_logistic_many(base[None, :, :], yf, w, max_iter=max_iter)
+    beta, ll, conv = _newton_logistic_many(base[None, :, :], yf, np.ones(n))
     return NullFit(beta=beta[0], loglik=float(ll[0]), converged=bool(conv[0]))
 
 
@@ -297,9 +288,7 @@ def lrt_ci_test_many(
     y,
     z=None,
     *,
-    sample_weight=None,
     null: NullFit | list[NullFit] | None = None,
-    max_iter: int = LOGISTIC_MAX_ITER,
 ) -> list[PValue]:
     """Likelihood-ratio tests of y ~ Z vs y ~ Z + x for each candidate x.
 
@@ -316,14 +305,10 @@ def lrt_ci_test_many(
     C = len(cols)
     yf = np.asarray(y, dtype=np.float64)
     n = yf.size
-    w = np.ones(n) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     per_row = isinstance(z, list)
     zcs = [_z_block(zi, n) for zi in z] if per_row else [_z_block(z, n)] * C
     if null is None:
-        def fit(zc: np.ndarray) -> NullFit:
-            return fit_null_logistic(y, zc, sample_weight=sample_weight, max_iter=max_iter)
-
-        null = [fit(zc) for zc in zcs] if per_row else fit(zcs[0])
+        null = [fit_null_logistic(y, zc) for zc in zcs] if per_row else fit_null_logistic(y, zcs[0])
     nulls = null if isinstance(null, list) else [null] * C
     if len(zcs) != C or len(nulls) != C:
         raise ValueError("need one conditioning block and one null fit per candidate")
@@ -339,7 +324,7 @@ def lrt_ci_test_many(
         A[i, :, 1:kz] = zcs[i]
         A[i, :, kz:] = cols[i]
         beta0[i, :kz] = nulls[i].beta
-    _, ll_alt, conv_alt = _newton_logistic_many(A, yf, w, beta0=beta0, max_iter=max_iter)
+    _, ll_alt, conv_alt = _newton_logistic_many(A, yf, np.ones(n), beta0=beta0)
 
     ll_null = np.array([nf.loglik for nf in nulls])
     ok = conv_alt & np.array([nf.converged for nf in nulls])
@@ -349,9 +334,9 @@ def lrt_ci_test_many(
             for i in range(C)]
 
 
-def lrt_ci_test(x, y, z=None, *, sample_weight=None, max_iter: int = LOGISTIC_MAX_ITER) -> PValue:
+def lrt_ci_test(x, y, z=None) -> PValue:
     """p-value of the nested-logistic LRT for x against y given columns Z."""
-    return lrt_ci_test_many([x], y, z, sample_weight=sample_weight, max_iter=max_iter)[0]
+    return lrt_ci_test_many([x], y, z)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +368,7 @@ def stratified_folds(labels, k: int, seed) -> np.ndarray:
     if k < 2:
         raise ValueError("need at least 2 folds")
     y = np.asarray(labels)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     assign = np.empty(y.size, dtype=np.intp)
     for cls in np.unique(y):
         idx = np.flatnonzero(y == cls)
@@ -396,7 +381,7 @@ def stratified_folds(labels, k: int, seed) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bootstrap bias correction
+# Bootstrap: bias correction and the holdout interval
 
 
 def _row_blocks(rows, n: int):
@@ -413,19 +398,43 @@ def _row_blocks(rows, n: int):
     yield block[:kept]
 
 
-def _draw_replicates(rng: np.random.Generator, y: np.ndarray, n_boot: int, max_redraws: int):
-    """Bootstrap multiplicity vectors, each redrawn until both the in-bag
-    multiset and the out-of-bag remainder contain both classes."""
+def _draw_replicates(rng: np.random.Generator, y: np.ndarray, n_boot: int, max_redraws: int,
+                     score_oob: bool):
+    """Bootstrap multiplicity vectors, each redrawn up to ``max_redraws`` times
+    until the in-bag multiset and, if ``score_oob``, the out-of-bag remainder
+    hold both classes; a replicate none of whose draws does is skipped."""
     n = y.size
-    for b in range(n_boot):
+    for _ in range(n_boot):
         for _ in range(max_redraws + 1):
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            inbag, oob = counts > 0, counts == 0
-            if oob.any() and y[inbag].min() < y[inbag].max() and y[oob].min() < y[oob].max():
+            scored = (counts > 0, counts == 0) if score_oob else (counts > 0,)
+            if all(rows.any() and y[rows].min() < y[rows].max() for rows in scored):
                 yield counts
                 break
-        else:
-            log.warning("bbc_correct: replicate %d skipped after %d redraws", b, max_redraws)
+
+
+def _percentile_estimate(aucs: np.ndarray, naive_point: float, ci_level: float, n_boot: int,
+                         caller: str, point: float | None = None) -> PerformanceEstimate:
+    """The estimate from the AUCs of the replicates scored out of ``n_boot``
+    requested, with their percentile interval at ``ci_level``; the point is
+    ``point``, or the replicates' mean when it is None."""
+    n_skipped = n_boot - aucs.size
+    if not aucs.size:
+        raise ValueError(f"{caller}: all {n_boot} bootstrap replicates skipped; "
+                         "every draw missed a class")
+    if n_skipped:
+        log.warning("%s: %d of %d bootstrap replicates skipped; all their draws missed a class",
+                    caller, n_skipped, n_boot)
+    lo = (1.0 - ci_level) / 2.0
+    return PerformanceEstimate(
+        point=float(np.mean(aucs) if point is None else point),
+        ci_low=float(np.quantile(aucs, lo)),
+        ci_high=float(np.quantile(aucs, 1.0 - lo)),
+        ci_level=ci_level,
+        n_boot=int(aucs.size),
+        n_skipped=int(n_skipped),
+        naive_point=float(naive_point),
+    )
 
 
 def bbc_correct(
@@ -454,9 +463,9 @@ def bbc_correct(
     y = np.asarray(labels)
     pos, _, _ = _split_labels(y)  # both classes required
     groups = [_sorted_tie_groups(S[c]) for c in range(C)]
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    draws = _draw_replicates(np.random.default_rng(seed), y, n_boot, max_redraws, score_oob=True)
     oob_auc = []
-    for counts in _row_blocks(_draw_replicates(rng, y, n_boot, max_redraws), n):
+    for counts in _row_blocks(draws, n):
         inbag = np.column_stack([_weighted_aucs(g, pos, counts) for g in groups])
         winners = np.argmax(inbag, axis=1)  # ties go to the lowest config index
         oob = counts == 0
@@ -466,15 +475,19 @@ def bbc_correct(
             block_auc[won] = _weighted_aucs(groups[c], pos, oob[won])
         oob_auc.append(block_auc)
     oob_auc = np.concatenate(oob_auc)
-
-    lo = (1.0 - ci_level) / 2.0
     naive = max(auc_roc(S[c], y) for c in range(C))
-    return PerformanceEstimate(
-        point=float(np.mean(oob_auc)),
-        ci_low=float(np.quantile(oob_auc, lo)),
-        ci_high=float(np.quantile(oob_auc, 1.0 - lo)),
-        ci_level=ci_level,
-        n_boot=int(oob_auc.size),
-        n_skipped=int(n_boot - oob_auc.size),
-        naive_point=float(naive),
-    )
+    return _percentile_estimate(oob_auc, naive, ci_level, n_boot, "bbc_correct")
+
+
+def bootstrap_auc_ci(scores, labels, n_boot: int, ci_level: float, seed,
+                     max_redraws: int) -> PerformanceEstimate:
+    """AUC of one fixed model's scores on every row, with the percentile
+    interval of its in-bag AUC over ``n_boot`` bootstrap replicates."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    point = auc_roc(s, y)
+    pos = y == 1
+    groups = _sorted_tie_groups(s)
+    draws = _draw_replicates(np.random.default_rng(seed), y, n_boot, max_redraws, score_oob=False)
+    aucs = np.concatenate([_weighted_aucs(groups, pos, w) for w in _row_blocks(draws, s.size)])
+    return _percentile_estimate(aucs, point, ci_level, n_boot, "holdout CI", point=point)

@@ -239,9 +239,6 @@ class SearchGrid:
     forest_min_leaf: list = field(default_factory=lambda: [4, 5])
     declared_total: Optional[int] = 738
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
     @classmethod
     def from_dict(cls, raw: dict) -> "SearchGrid":
         grid = cls()

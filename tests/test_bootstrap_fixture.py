@@ -1,10 +1,9 @@
 """Recorded output of the two bootstraps that score AUCs.
 
 ``data/bootstrap_fixture.json`` holds the ``PerformanceEstimate`` of
-``bbc_correct`` and the interval of the holdout CI
-(``orchestrate._bootstrap_auc_ci``) on each case below, recorded from the
-midrank AUC with a float ``reduceat`` in-bag matrix and per-replicate AUC
-loops. Every AUC in them is an exact pair count divided once, so any exact
+``bbc_correct`` and the interval of the holdout CI (``bootstrap_auc_ci``)
+on each case below, recorded from the midrank AUC with a float ``reduceat``
+in-bag matrix and per-replicate AUC loops. Every AUC in them is an exact pair count divided once, so any exact
 kernel must reproduce them bit for bit. Record again
 (``python tests/test_bootstrap_fixture.py``) only for a change that means to
 alter the bootstraps' draws or their statistics, and say so.
@@ -17,8 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crashsev.orchestrate import _bootstrap_auc_ci
-from crashsev.stats import bbc_correct
+from crashsev.stats import bbc_correct, bootstrap_auc_ci
 
 FIXTURE = Path(__file__).parent / "data" / "bootstrap_fixture.json"
 
@@ -79,19 +77,20 @@ def _holdout_imbalanced():
 
 def _holdout_rare():
     # one positive in 60 rows: about one draw in three misses it, so with
-    # two tries a replicate is skipped about one time in eight
+    # two draws (one redraw) a replicate is skipped about one time in eight
     rng = np.random.default_rng(24)
     y = np.zeros(60, dtype=int)
     y[30] = 1
     return rng.integers(0, 6, 60) / 5.0, y
 
 
-# name -> (data, n_boot, ci_level, seed, max_redraws)
+# name -> (data, n_boot, ci_level, seed, max_redraws); 99 redraws are the
+# 100 draws per replicate that the protocol's holdout CI allows
 CI_CASES = {
-    "continuous": (_holdout_continuous, 1000, 0.95, 31, 100),
-    "ties": (_holdout_ties, 1000, 0.95, 32, 100),
-    "imbalanced": (_holdout_imbalanced, 1000, 0.9, 33, 100),
-    "skipped": (_holdout_rare, 400, 0.95, 34, 2),
+    "continuous": (_holdout_continuous, 1000, 0.95, 31, 99),
+    "ties": (_holdout_ties, 1000, 0.95, 32, 99),
+    "imbalanced": (_holdout_imbalanced, 1000, 0.9, 33, 99),
+    "skipped": (_holdout_rare, 400, 0.95, 34, 1),
 }
 
 
@@ -101,17 +100,15 @@ def _bbc(name):
     return bbc_correct(S, y, **kwargs).to_dict()
 
 
-def _ci_and_skipped(name):
+def _ci_estimate(name):
     data, n_boot, ci_level, seed, max_redraws = CI_CASES[name]
     scores, y = data()
-    rng = np.random.default_rng(seed)
-    low, high, n_skipped = _bootstrap_auc_ci(scores, y, n_boot, ci_level, rng,
-                                             max_redraws=max_redraws)
-    return [low, high], n_skipped
+    return bootstrap_auc_ci(scores, y, n_boot, ci_level, seed, max_redraws)
 
 
 def _ci(name):
-    return _ci_and_skipped(name)[0]
+    est = _ci_estimate(name)
+    return [est.ci_low, est.ci_high]
 
 
 @pytest.fixture(scope="module")
@@ -130,17 +127,33 @@ def test_holdout_ci_matches_fixture(recorded, name):
 
 
 def test_holdout_ci_counts_and_logs_skipped_replicates(caplog):
-    with caplog.at_level(logging.WARNING, logger="crashsev.orchestrate"):
-        _, n_skipped = _ci_and_skipped("skipped")
-    assert n_skipped == 48  # of 400 replicates, 2 redraws each
+    with caplog.at_level(logging.WARNING, logger="crashsev.stats"):
+        est = _ci_estimate("skipped")
+    assert est.n_skipped == 48  # of 400 replicates, 2 draws each
     assert [r.getMessage() for r in caplog.records] == [
-        "holdout CI: 48 of 400 bootstrap replicates skipped; every one of their 2 draws "
-        "missed a class"
+        "holdout CI: 48 of 400 bootstrap replicates skipped; all their draws missed a class"
     ]
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="crashsev.orchestrate"):
-        assert _ci_and_skipped("ties")[1] == 0
+    with caplog.at_level(logging.WARNING, logger="crashsev.stats"):
+        assert _ci_estimate("ties").n_skipped == 0
     assert not caplog.records
+
+
+def test_scored_and_skipped_replicates_add_up_to_the_requested_count():
+    for name in ("skipped_c1", "skipped_c3"):
+        est = _bbc(name)
+        assert est["n_boot"] + est["n_skipped"] == BBC_CASES[name][1]["n_boot"]
+    est = _ci_estimate("skipped")
+    assert est.n_skipped > 0
+    assert est.n_boot + est.n_skipped == CI_CASES["skipped"][1]
+
+
+def test_no_replicate_scored_is_a_value_error():
+    # with one positive, no replicate holds it both in-bag and out-of-bag
+    y = np.zeros(40, dtype=int)
+    y[3] = 1
+    with pytest.raises(ValueError, match="all 100 bootstrap replicates skipped"):
+        bbc_correct(np.tile(np.arange(40.0), (2, 1)), y, n_boot=100)
 
 
 def test_fixture_covers_skipped_replicates(recorded):

@@ -273,6 +273,11 @@ class TestInvalidPlan:
         ("threshold = 0.75", "threshold = 1.5"),
         ("threshold = 0.75", "threshold = 0"),
         ("n_subsets = 4", "n_subsets = 1"),
+        ("ses_kmax = [2]", "ses_kmax = 3"),
+        ("ses_kmax = [2]", 'ses_kmax = ["2"]'),
+        ("learner = ridge", "learner = svm"),
+        ("folds = 4", "folds = 4\nfold = 3"),
+        ("[stability]", "[stabilty]"),
     ])
     def test_bad_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,18 +157,18 @@ class TestProtocol:
 
     def test_holdout_estimate_records_skipped_replicates(self, small_matrix, monkeypatch):
         subset_plan, cv_plan = small_plans()
-        real_ci = orch._bootstrap_auc_ci
+        real_ci = orch.bootstrap_auc_ci
         seen = {}
 
         def ci_with_skips(*args, **kwargs):
-            low, high, _ = real_ci(*args, **kwargs)
-            seen["ci"] = [low, high]
-            return low, high, 7
+            est = real_ci(*args, **kwargs)
+            seen["ci"] = [est.ci_low, est.ci_high]
+            return replace(est, n_boot=est.n_boot - 7, n_skipped=est.n_skipped + 7)
 
-        monkeypatch.setattr(orch, "_bootstrap_auc_ci", ci_with_skips)
+        monkeypatch.setattr(orch, "bootstrap_auc_ci", ci_with_skips)
         final = run_protocol(small_matrix, subset_plan, small_space(), cv_plan)
         assert final.holdout_estimate.n_skipped == 7
-        assert final.holdout_estimate.n_boot == 1000
+        assert final.holdout_estimate.n_boot + 7 == 1000  # replicates scored of those requested
         assert final.report["final"]["holdout_ci"] == seen["ci"]
 
     def test_report_deterministic(self, small_matrix):
