@@ -349,8 +349,16 @@ class CVPlan:
         return self.k if self.n_complete is None else self.n_complete
 
 
+# what a CV checkpoint holds: the arrays as npz members, the rest in ``meta``
+_CHECKPOINT_STATE = ("pooled", "evaluated_mask", "fold_aucs", "n_selected", "dropped",
+                     "fitted_models", "folds_completed", "best_pooled_prev", "stopped_early")
+
+
 @dataclass
 class CVResult:
+    """The fold loop's state: ``run_rnk_cv`` advances it fold by fold,
+    checkpoints it after each fold and returns it."""
+
     configs: list[ModelConfig]
     pooled: np.ndarray          # (C, n) out-of-fold scores, NaN where unevaluated
     evaluated_mask: np.ndarray  # samples belonging to completed folds
@@ -363,6 +371,7 @@ class CVResult:
     fitted_models: int
     stopped_early: bool
     plan: CVPlan
+    best_pooled_prev: Optional[float] = None  # best pooled AUC after the last fold
 
     def surviving(self) -> list[ModelConfig]:
         return [
@@ -374,6 +383,28 @@ class CVResult:
         mask = self.evaluated_mask & ~np.isnan(self.pooled[config_id])
         return auc_roc(self.pooled[config_id][mask], self.labels[mask])
 
+    def save(self, path) -> None:
+        """Write the fold loop's state to ``path``, atomically."""
+        state = {name: getattr(self, name) for name in _CHECKPOINT_STATE}
+        arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
+        meta = json.dumps({k: v for k, v in state.items() if k not in arrays})
+        tmp = Path(str(path) + ".tmp")
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays, meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8))
+        tmp.replace(Path(path))
+
+    def restore(self, path) -> None:
+        """Take the fold loop's state from the checkpoint at ``path``."""
+        try:
+            with np.load(path) as data:
+                state = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+                for name in _CHECKPOINT_STATE:
+                    value = data[name].copy() if name in data.files else state[name]
+                    setattr(self, name, {int(k): v for k, v in value.items()}
+                            if isinstance(value, dict) else value)
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
+            raise InputFileError(f"unreadable CV checkpoint {path}: {exc!r}") from exc
+
 
 def _fit_and_score(
     config: ModelConfig,
@@ -383,16 +414,10 @@ def _fit_and_score(
     class_weights,
     seed: int,
 ) -> np.ndarray:
-    groups = signature.selected
-    if groups:
-        Xtr = train.take_groups(groups)
-        Xte = test.take_groups(groups)
-        names = [c.name for c in Xtr.columns]
-        model = config.learner.fit(Xtr.X, train.y, names, class_weights, seed)
-        return L.predict_scores(model, Xte.X, column_names=names)
-    # empty signature: intercept-only model
-    model = config.learner.fit(np.empty((train.n_rows, 0)), train.y, [], class_weights, seed)
-    return L.predict_scores(model, np.empty((test.n_rows, 0)))
+    Xtr = train.take_groups(signature.selected)
+    names = [c.name for c in Xtr.columns]
+    model = config.learner.fit(Xtr.X, train.y, names, class_weights, seed)
+    return L.predict_scores(model, test.take_groups(signature.selected).X, column_names=names)
 
 
 def run_rnk_cv(
@@ -414,12 +439,26 @@ def run_rnk_cv(
     drop_margin (once drop_min_folds folds are in) are dropped, and the fold
     loop ends early when the best pooled AUC stops improving by stop_epsilon.
     """
-    labels = matrix.y
-    n = matrix.n_rows
-    C = len(configs)
-    unsupported = [c.config_id for c in configs if not c.supported]
-    for cid in unsupported:
+    labels, n = matrix.y, matrix.n_rows
+    state = CVResult(
+        configs=list(configs),
+        pooled=np.full((len(configs), n), np.nan),
+        evaluated_mask=np.zeros(n, dtype=bool),
+        labels=labels,
+        fold_aucs={c.config_id: [] for c in configs},
+        n_selected={c.config_id: [] for c in configs},
+        dropped={},
+        unsupported=[c.config_id for c in configs if not c.supported],
+        folds_completed=0,
+        fitted_models=0,
+        stopped_early=False,
+        plan=plan,
+    )
+    for cid in state.unsupported:
         log.info("config %s is unsupported and will be skipped", configs[cid].label())
+    if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
+        state.restore(checkpoint_path)
+        log.info("resuming CV from fold %d", state.folds_completed + 1)
 
     fold_sequence: list[tuple[int, int, np.ndarray]] = []
     for r in range(plan.repeats):
@@ -427,172 +466,67 @@ def run_rnk_cv(
         for j in range(plan.folds_per_repeat):
             fold_sequence.append((r, j, assignment == j))
 
-    pooled = np.full((C, n), np.nan)
-    evaluated_mask = np.zeros(n, dtype=bool)
-    fold_aucs: dict[int, list[float]] = {c.config_id: [] for c in configs}
-    n_selected: dict[int, list[int]] = {c.config_id: [] for c in configs}
-    dropped: dict[int, int] = {}
-    fitted_models = 0
-    folds_completed = 0
-    stopped_early = False
-    best_pooled_prev: Optional[float] = None
-    start_fold = 0
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        for r, j, test_mask in fold_sequence[state.folds_completed:]:
+            if state.stopped_early:
+                break
+            train = matrix.take_rows(np.flatnonzero(~test_mask))
+            test_idx = np.flatnonzero(test_mask)
+            test = matrix.take_rows(test_idx)
+            ctx = SelectionContext(train)
+            surviving = state.surviving()
+            signatures = {s: s.select(ctx) for s in dict.fromkeys(c.selector for c in surviving)}
 
-    if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
-        state = _load_checkpoint(checkpoint_path)
-        pooled = state["pooled"]
-        evaluated_mask = state["evaluated_mask"]
-        fold_aucs = state["fold_aucs"]
-        n_selected = state["n_selected"]
-        dropped = state["dropped"]
-        fitted_models = state["fitted_models"]
-        folds_completed = state["folds_completed"]
-        best_pooled_prev = state["best_pooled_prev"]
-        stopped_early = state["stopped_early"]
-        start_fold = folds_completed
-        log.info("resuming CV from fold %d", start_fold + 1)
-
-    for t in range(start_fold, len(fold_sequence)):
-        if stopped_early:
-            break
-        r, j, test_mask = fold_sequence[t]
-        train_idx = np.flatnonzero(~test_mask)
-        test_idx = np.flatnonzero(test_mask)
-        train = matrix.take_rows(train_idx)
-        test = matrix.take_rows(test_idx)
-        ctx = SelectionContext(train)
-
-        surviving = [c for c in configs if c.supported and c.config_id not in dropped]
-        signatures = {s: s.select(ctx) for s in dict.fromkeys(c.selector for c in surviving)}
-
-        def evaluate(config: ModelConfig) -> tuple[int, np.ndarray]:
-            seed = spawn_seed(plan.seed, "learner", config.config_id, r, j)
-            scores = _fit_and_score(
-                config, signatures[config.selector], train, test, class_weights, seed
-            )
-            return config.config_id, scores
-
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(evaluate, surviving))
-        else:
-            results = [evaluate(c) for c in surviving]
-
-        for config, (cid, scores) in zip(surviving, results):
-            pooled[cid, test_idx] = scores
-            fauc = auc_roc(scores, labels[test_idx])
-            fold_aucs[cid].append(fauc)
-            n_sel = len(signatures[config.selector].selected)
-            n_selected[cid].append(n_sel)
-            if config.trainable:
-                fitted_models += 1
-            if progress is not None:
-                progress(
-                    {
-                        "repeat": r,
-                        "fold": j,
-                        "config_id": cid,
-                        "config": config.label(),
-                        "fold_auc": fauc,
-                        "n_selected": n_sel,
-                    }
+            def evaluate(config: ModelConfig) -> np.ndarray:
+                seed = spawn_seed(plan.seed, "learner", config.config_id, r, j)
+                return _fit_and_score(
+                    config, signatures[config.selector], train, test, class_weights, seed
                 )
 
-        evaluated_mask |= test_mask
-        folds_completed += 1
+            for config, scores in zip(surviving, pool.map(evaluate, surviving)):
+                cid = config.config_id
+                state.pooled[cid, test_idx] = scores
+                fauc = auc_roc(scores, labels[test_idx])
+                state.fold_aucs[cid].append(fauc)
+                n_sel = len(signatures[config.selector].selected)
+                state.n_selected[cid].append(n_sel)
+                if config.trainable:
+                    state.fitted_models += 1
+                if progress is not None:
+                    progress({"repeat": r, "fold": j, "config_id": cid, "config": config.label(),
+                              "fold_auc": fauc, "n_selected": n_sel})
 
-        if plan.drop_margin is not None:
-            means = {c.config_id: float(np.mean(fold_aucs[c.config_id])) for c in surviving}
-            best_mean = max(means.values())
-            for c in surviving:
-                cid = c.config_id
-                if len(fold_aucs[cid]) >= plan.drop_min_folds and means[cid] < best_mean - plan.drop_margin:
-                    dropped[cid] = folds_completed
-                    log.info("dropped %s at fold %d (mean AUC %.4f vs best %.4f)",
-                             c.label(), folds_completed, means[cid], best_mean)
+            state.evaluated_mask |= test_mask
+            state.folds_completed += 1
+            done = state.folds_completed
 
-        alive = [c for c in configs if c.supported and c.config_id not in dropped]
-        best_pooled_now = max(
-            auc_roc(pooled[c.config_id][evaluated_mask], labels[evaluated_mask]) for c in alive
-        )
-        if (
-            plan.stop_epsilon is not None
-            and best_pooled_prev is not None
-            and best_pooled_now - best_pooled_prev < plan.stop_epsilon
-        ):
-            stopped_early = True
-            log.info("early stop after fold %d (best pooled AUC %.4f, prev %.4f)",
-                     folds_completed, best_pooled_now, best_pooled_prev)
-        best_pooled_prev = best_pooled_now
+            if plan.drop_margin is not None:
+                means = {c.config_id: float(np.mean(state.fold_aucs[c.config_id]))
+                         for c in surviving}
+                best_mean = max(means.values())
+                for c in surviving:
+                    cid = c.config_id
+                    if (len(state.fold_aucs[cid]) >= plan.drop_min_folds
+                            and means[cid] < best_mean - plan.drop_margin):
+                        state.dropped[cid] = done
+                        log.info("dropped %s at fold %d (mean AUC %.4f vs best %.4f)",
+                                 c.label(), done, means[cid], best_mean)
 
-        if checkpoint_path is not None:
-            _save_checkpoint(
-                checkpoint_path,
-                pooled=pooled,
-                evaluated_mask=evaluated_mask,
-                fold_aucs=fold_aucs,
-                n_selected=n_selected,
-                dropped=dropped,
-                fitted_models=fitted_models,
-                folds_completed=folds_completed,
-                best_pooled_prev=best_pooled_prev,
-                stopped_early=stopped_early,
-            )
+            best_pooled_now = max(state.pooled_auc(c.config_id) for c in state.surviving())
+            prev = state.best_pooled_prev
+            if (
+                plan.stop_epsilon is not None
+                and prev is not None
+                and best_pooled_now - prev < plan.stop_epsilon
+            ):
+                state.stopped_early = True
+                log.info("early stop after fold %d (best pooled AUC %.4f, prev %.4f)",
+                         done, best_pooled_now, prev)
+            state.best_pooled_prev = best_pooled_now
 
-    return CVResult(
-        configs=list(configs),
-        pooled=pooled,
-        evaluated_mask=evaluated_mask,
-        labels=labels,
-        fold_aucs=fold_aucs,
-        n_selected=n_selected,
-        dropped=dropped,
-        unsupported=unsupported,
-        folds_completed=folds_completed,
-        fitted_models=fitted_models,
-        stopped_early=stopped_early,
-        plan=plan,
-    )
-
-
-def _save_checkpoint(path, **state) -> None:
-    meta = {
-        "fold_aucs": {str(k): v for k, v in state["fold_aucs"].items()},
-        "n_selected": {str(k): v for k, v in state["n_selected"].items()},
-        "dropped": {str(k): v for k, v in state["dropped"].items()},
-        "fitted_models": state["fitted_models"],
-        "folds_completed": state["folds_completed"],
-        "best_pooled_prev": state["best_pooled_prev"],
-        "stopped_early": state["stopped_early"],
-    }
-    tmp = Path(str(path) + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(
-            fh,
-            pooled=state["pooled"],
-            evaluated_mask=state["evaluated_mask"],
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
-    tmp.replace(Path(path))
-
-
-def _load_checkpoint(path) -> dict:
-    try:
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-            return {
-                "pooled": data["pooled"].copy(),
-                "evaluated_mask": data["evaluated_mask"].copy(),
-                "fold_aucs": {int(k): v for k, v in meta["fold_aucs"].items()},
-                "n_selected": {int(k): v for k, v in meta["n_selected"].items()},
-                "dropped": {int(k): v for k, v in meta["dropped"].items()},
-                "fitted_models": meta["fitted_models"],
-                "folds_completed": meta["folds_completed"],
-                "best_pooled_prev": meta["best_pooled_prev"],
-                "stopped_early": meta["stopped_early"],
-            }
-    except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
-        raise InputFileError(f"unreadable CV checkpoint {path}: {exc!r}") from exc
+            if checkpoint_path is not None:
+                state.save(checkpoint_path)
+    return state
 
 
 def select_winner(result: CVResult) -> tuple[ModelConfig, PerformanceEstimate]:
