@@ -15,7 +15,14 @@ from typing import Optional
 from .orchestrate import SubsetPlan
 from .rng import spawn_seed
 from .selection import check_stability_plan
-from .tune import CVPlan, ForestLearner, RidgeLearner, SearchGrid, TreeLearner
+from .tune import (
+    CVPlan,
+    ForestLearner,
+    RidgeLearner,
+    SearchGrid,
+    TreeLearner,
+    enumerate_search_space,
+)
 
 __all__ = ["RunConfig", "ConfigError"]
 
@@ -156,6 +163,7 @@ class RunConfig:
             elif "declared_total" in s:
                 grid_dict["declared_total"] = None
             cfg.grid = SearchGrid.from_dict(grid_dict) if grid_dict else SearchGrid()
+        enumerate_search_space(cfg.grid)  # an out-of-range value fails here, as in [final]
 
         if parser.has_section("stability"):
             cfg.stability_threshold = parser["stability"].getfloat("threshold", 0.75)
@@ -167,7 +175,7 @@ class RunConfig:
             for key in ("lambda", "min_leaf", "alpha", "n_trees"):
                 if f.get(key):
                     cfg.final_learner_spec[key] = float(f[key])
-        cfg.final_learner()  # an unknown learner fails here, before any subset is drawn
+        cfg.final_learner()  # an unknown learner or a bad value fails here, before any draw
         return cfg.with_seed(cfg.seed)
 
     def with_seed(self, seed: int) -> "RunConfig":
@@ -187,12 +195,10 @@ class RunConfig:
             return RidgeLearner(lam=float(spec.get("lambda", 1.0)))
         if kind == "tree":
             return TreeLearner(
-                min_leaf=int(spec.get("min_leaf", 5)), alpha_prune=float(spec.get("alpha", 0.05))
+                min_leaf=spec.get("min_leaf", 5), alpha_prune=float(spec.get("alpha", 0.05))
             )
         if kind == "forest":
-            return ForestLearner(
-                n_trees=int(spec.get("n_trees", 100)), min_leaf=int(spec.get("min_leaf", 5))
-            )
+            return ForestLearner(n_trees=spec.get("n_trees", 100), min_leaf=spec.get("min_leaf", 5))
         raise ConfigError(f"unknown final learner {kind!r}")
 
     def dump(self) -> dict:

@@ -195,16 +195,21 @@ class StubDecoder:
 
     @classmethod
     def from_file(cls, path) -> "StubDecoder":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        table = {}
-        for prefix, entry in raw.items():
-            year = entry.get("model_year")
-            table[prefix.upper()] = DecodedVehicle(
-                make=str(entry.get("make", "unknown")),
-                model=str(entry.get("model", "unknown")),
-                model_year=int(year) if year is not None else None,
-            )
+        """The lookup table in JSON file ``path``; a malformed one raises
+        InputFileError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)  # a JSONDecodeError is a ValueError
+            table = {}
+            for prefix, entry in raw.items():
+                year = entry.get("model_year")
+                table[prefix.upper()] = DecodedVehicle(
+                    make=str(entry.get("make", "unknown")),
+                    model=str(entry.get("model", "unknown")),
+                    model_year=int(year) if year is not None else None,
+                )
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise InputFileError(f"unreadable decoder table {path}: {exc!r}") from exc
         return cls(table)
 
     def decode(self, vin: str) -> DecodedVehicle:
@@ -337,22 +342,27 @@ class ColumnSchema:
 
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        base = cls.default()
-        columns = dict(base.columns)
-        columns.update(raw.get("columns", {}))
-        schema = cls(columns=columns)
-        if "person_type_values" in raw:
-            schema.person_type_values = {
-                k.casefold(): PersonType(v) for k, v in raw["person_type_values"].items()
-            }
-        if "front_left_values" in raw:
-            schema.front_left_values = frozenset(v.casefold() for v in raw["front_left_values"])
-        if "severity_values" in raw:
-            schema.severity_values = {
-                k.casefold(): SeverityClass(v) for k, v in raw["severity_values"].items()
-            }
+        """The default schema overlaid with JSON file ``path``; a malformed
+        file, or one naming an unknown person type or severity class, raises
+        InputFileError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)  # a JSONDecodeError is a ValueError
+            columns = dict(cls.default().columns)
+            columns.update(raw.get("columns", {}))
+            schema = cls(columns=columns)
+            if "person_type_values" in raw:
+                schema.person_type_values = {
+                    k.casefold(): PersonType(v) for k, v in raw["person_type_values"].items()
+                }
+            if "front_left_values" in raw:
+                schema.front_left_values = frozenset(v.casefold() for v in raw["front_left_values"])
+            if "severity_values" in raw:
+                schema.severity_values = {
+                    k.casefold(): SeverityClass(v) for k, v in raw["severity_values"].items()
+                }
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise InputFileError(f"unreadable schema file {path}: {exc!r}") from exc
         return schema
 
     def severity_of(self, value: str) -> SeverityClass:

@@ -123,21 +123,26 @@ class AggregationConfig:
 
     @classmethod
     def from_file(cls, path) -> "AggregationConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        cfg = cls()
-        if "numeric_attrs" in raw:
-            cfg.numeric_attrs = tuple(raw["numeric_attrs"])
-        if "categorical_attrs" in raw:
-            cfg.categorical_attrs = tuple(raw["categorical_attrs"])
-        if "cyclical_periods" in raw:
-            cfg.cyclical_periods = {k: float(v) for k, v in raw["cyclical_periods"].items()}
-        if "passenger_types" in raw:
-            cfg.passenger_types = frozenset(_norm_type(v) for v in raw["passenger_types"])
-        if "postcrash_denylist" in raw:
-            cfg.postcrash_denylist = tuple(raw["postcrash_denylist"])
-        if "n_interacting_slots" in raw:
-            cfg.n_interacting_slots = int(raw["n_interacting_slots"])
+        """The defaults overlaid with JSON file ``path``; a malformed file
+        raises InputFileError."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)  # a JSONDecodeError is a ValueError
+            cfg = cls()
+            if "numeric_attrs" in raw:
+                cfg.numeric_attrs = tuple(raw["numeric_attrs"])
+            if "categorical_attrs" in raw:
+                cfg.categorical_attrs = tuple(raw["categorical_attrs"])
+            if "cyclical_periods" in raw:
+                cfg.cyclical_periods = {k: float(v) for k, v in raw["cyclical_periods"].items()}
+            if "passenger_types" in raw:
+                cfg.passenger_types = frozenset(_norm_type(v) for v in raw["passenger_types"])
+            if "postcrash_denylist" in raw:
+                cfg.postcrash_denylist = tuple(raw["postcrash_denylist"])
+            if "n_interacting_slots" in raw:
+                cfg.n_interacting_slots = int(raw["n_interacting_slots"])
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise InputFileError(f"unreadable aggregation config {path}: {exc!r}") from exc
         return cfg
 
 

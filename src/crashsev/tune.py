@@ -6,11 +6,14 @@ pick the winner and bias-correct its estimate.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import math
+import numbers
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
@@ -71,10 +74,31 @@ class SelectionContext:
         return lasso_design(self.train)
 
 
+def _check(spec, name: str, ok: bool, what: str) -> None:
+    if not ok:
+        value = getattr(spec, name)
+        raise ValueError(f"{type(spec).__name__}.{name} must be {what}, not {value!r}")
+
+
+def _integer(spec, name: str, low: int, high: float = math.inf) -> None:
+    """Store field ``name`` of a frozen spec as an int; a non-integral value
+    or one outside low..high raises ValueError."""
+    value = getattr(spec, name)
+    integral = (isinstance(value, float) and value.is_integer()) or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
+    _check(spec, name, integral and low <= value <= high,
+           f"an integer >= {low}" if high == math.inf else f"an integer in {low}..{high}")
+    object.__setattr__(spec, name, int(value))
+
+
 @dataclass(frozen=True)
 class SesSelector:
     kmax: int
     alpha: float
+
+    def __post_init__(self) -> None:
+        _integer(self, "kmax", 1, 5)
+        _check(self, "alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")
 
     def label(self) -> str:
         return f"SES(kmax={self.kmax},alpha={self.alpha:g})"
@@ -87,6 +111,9 @@ class SesSelector:
 class LassoSelector:
     penalty: float
 
+    def __post_init__(self) -> None:
+        _check(self, "penalty", 0.0 <= self.penalty < math.inf, "finite and nonnegative")
+
     def label(self) -> str:
         return f"Lasso(penalty={self.penalty:g})"
 
@@ -97,6 +124,9 @@ class LassoSelector:
 @dataclass(frozen=True)
 class UnivariateSelector:
     alpha: float
+
+    def __post_init__(self) -> None:
+        _check(self, "alpha", 0.0 < self.alpha < 1.0, "in (0, 1)")
 
     def label(self) -> str:
         return f"Univariate(alpha={self.alpha:g})"
@@ -135,6 +165,9 @@ class RidgeLearner:
 
     complexity = 0
 
+    def __post_init__(self) -> None:
+        _check(self, "lam", 0.0 <= self.lam < math.inf, "finite and nonnegative")
+
     def label(self) -> str:
         return f"Ridge(lambda={self.lam:g})"
 
@@ -148,6 +181,9 @@ class TreeLearner:
     alpha_prune: float
 
     complexity = 1
+
+    def __post_init__(self) -> None:
+        _integer(self, "min_leaf", 1)
 
     def label(self) -> str:
         return f"Tree(min_leaf={self.min_leaf},alpha={self.alpha_prune:g})"
@@ -163,6 +199,10 @@ class ForestLearner:
     min_leaf: int
 
     complexity = 2
+
+    def __post_init__(self) -> None:
+        _integer(self, "n_trees", 1)
+        _integer(self, "min_leaf", 1)
 
     def label(self) -> str:
         return f"Forest(n_trees={self.n_trees},min_leaf={self.min_leaf})"
@@ -276,12 +316,13 @@ class SearchSpace:
 def enumerate_search_space(grid: SearchGrid) -> SearchSpace:
     """Deterministic cross product of selector and learner grids plus the
     naive baseline; unsupported named selectors stay in the enumeration but
-    are skipped at run time. Any mismatch with the grid's declared total is
-    recorded in the summary, not raised."""
+    are skipped at run time. A value a spec refuses raises ValueError. Any
+    mismatch with the grid's declared total is recorded in the summary (which
+    the report and ``--dry-run`` show), not raised."""
     selectors: list[Selector] = []
     for kmax in grid.ses_kmax:
         for alpha in grid.ses_alpha:
-            selectors.append(SesSelector(kmax=int(kmax), alpha=float(alpha)))
+            selectors.append(SesSelector(kmax=kmax, alpha=float(alpha)))
     selectors.extend(LassoSelector(penalty=float(p)) for p in grid.lasso_penalty)
     selectors.extend(UnivariateSelector(alpha=float(a)) for a in grid.univariate_alpha)
     selectors.extend(EpilogiSelector(threshold=float(t)) for t in grid.epilogi_threshold)
@@ -292,10 +333,10 @@ def enumerate_search_space(grid: SearchGrid) -> SearchSpace:
     learner_list.extend(RidgeLearner(lam=float(l)) for l in grid.ridge_lambda)
     for leaf in grid.tree_min_leaf:
         for alpha in grid.tree_alpha:
-            learner_list.append(TreeLearner(min_leaf=int(leaf), alpha_prune=float(alpha)))
+            learner_list.append(TreeLearner(min_leaf=leaf, alpha_prune=float(alpha)))
     for n_trees in grid.forest_n_trees:
         for leaf in grid.forest_min_leaf:
-            learner_list.append(ForestLearner(n_trees=int(n_trees), min_leaf=int(leaf)))
+            learner_list.append(ForestLearner(n_trees=n_trees, min_leaf=leaf))
 
     configs: list[ModelConfig] = []
     for selector in selectors:
@@ -303,14 +344,7 @@ def enumerate_search_space(grid: SearchGrid) -> SearchSpace:
             configs.append(ModelConfig(config_id=len(configs), selector=selector, learner=learner))
     configs.append(ModelConfig(config_id=len(configs), selector=NoSelector(), learner=NaiveLearner()))
 
-    space = SearchSpace(configs=configs, declared_total=grid.declared_total)
-    summary = space.summary()
-    if not summary["matches_declared"]:
-        log.info(
-            "search space enumerates %d configs; declared total is %s",
-            summary["total_enumerated"], summary["declared_total"],
-        )
-    return space
+    return SearchSpace(configs=configs, declared_total=grid.declared_total)
 
 
 # ---------------------------------------------------------------------------
@@ -383,27 +417,49 @@ class CVResult:
         mask = self.evaluated_mask & ~np.isnan(self.pooled[config_id])
         return auc_roc(self.pooled[config_id][mask], self.labels[mask])
 
-    def save(self, path) -> None:
-        """Write the fold loop's state to ``path``, atomically."""
+    def save(self, path, stamp: dict) -> None:
+        """Write the fold loop's state and ``stamp``, what it was computed
+        for, to ``path``, atomically."""
         state = {name: getattr(self, name) for name in _CHECKPOINT_STATE}
         arrays = {k: v for k, v in state.items() if isinstance(v, np.ndarray)}
-        meta = json.dumps({k: v for k, v in state.items() if k not in arrays})
+        meta = json.dumps({**{k: v for k, v in state.items() if k not in arrays}, **stamp})
         tmp = Path(str(path) + ".tmp")
         with open(tmp, "wb") as fh:
             np.savez(fh, **arrays, meta=np.frombuffer(meta.encode("utf-8"), dtype=np.uint8))
         tmp.replace(Path(path))
 
-    def restore(self, path) -> None:
-        """Take the fold loop's state from the checkpoint at ``path``."""
+    def restore(self, path, stamp: dict) -> None:
+        """Take the fold loop's state from the checkpoint at ``path``. An
+        unreadable checkpoint, or one whose stamp is not ``stamp``, raises
+        InputFileError."""
         try:
             with np.load(path) as data:
-                state = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
-                for name in _CHECKPOINT_STATE:
-                    value = data[name].copy() if name in data.files else state[name]
-                    setattr(self, name, {int(k): v for k, v in value.items()}
-                            if isinstance(value, dict) else value)
+                meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+                state = {name: data[name].copy() if name in data.files else meta[name]
+                         for name in _CHECKPOINT_STATE}
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
             raise InputFileError(f"unreadable CV checkpoint {path}: {exc!r}") from exc
+        for key, expected in stamp.items():
+            if meta.get(key) != expected:
+                raise InputFileError(f"CV checkpoint {path} was written for another {key}; "
+                                     "delete it or run without --resume")
+        for name, value in state.items():
+            setattr(self, name, {int(k): v for k, v in value.items()}
+                    if isinstance(value, dict) else value)
+
+
+def _checkpoint_stamp(matrix: FeatureMatrix, configs: Sequence[ModelConfig], plan: CVPlan,
+                      class_weights) -> dict:
+    """What a CV checkpoint is written for, as JSON reads it back: the plan,
+    the config labels in order, the class weights and a sha256 of the
+    matrix's X and y."""
+    digest = hashlib.sha256()
+    for a in (matrix.X, matrix.y):
+        digest.update(f"{a.dtype.str}{a.shape}".encode("ascii"))
+        digest.update(np.ascontiguousarray(a))
+    return json.loads(json.dumps({"plan": asdict(plan), "configs": [c.label() for c in configs],
+                                  "class_weights": class_weights,
+                                  "data_sha256": digest.hexdigest()}))
 
 
 def _fit_and_score(
@@ -438,6 +494,8 @@ def run_rnk_cv(
     configurations whose mean per-fold AUC trails the best by more than
     drop_margin (once drop_min_folds folds are in) are dropped, and the fold
     loop ends early when the best pooled AUC stops improving by stop_epsilon.
+    A resumed run refuses a checkpoint written for another plan, config
+    list, class weighting or matrix.
     """
     labels, n = matrix.y, matrix.n_rows
     state = CVResult(
@@ -456,8 +514,10 @@ def run_rnk_cv(
     )
     for cid in state.unsupported:
         log.info("config %s is unsupported and will be skipped", configs[cid].label())
+    stamp = ({} if checkpoint_path is None
+             else _checkpoint_stamp(matrix, configs, plan, class_weights))
     if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
-        state.restore(checkpoint_path)
+        state.restore(checkpoint_path, stamp)
         log.info("resuming CV from fold %d", state.folds_completed + 1)
 
     fold_sequence: list[tuple[int, int, np.ndarray]] = []
@@ -525,7 +585,7 @@ def run_rnk_cv(
             state.best_pooled_prev = best_pooled_now
 
             if checkpoint_path is not None:
-                state.save(checkpoint_path)
+                state.save(checkpoint_path, stamp)
     return state
 
 

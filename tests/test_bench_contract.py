@@ -12,7 +12,16 @@ import crashsev.selection
 import crashsev.tune
 from crashsev.learners import fit_decision_tree, fit_random_forest
 from crashsev.preprocess import FeatureMatrix
-from crashsev.tune import CVPlan, LassoSelector, ModelConfig, RidgeLearner, TreeLearner, run_rnk_cv
+from crashsev.tune import (
+    CVPlan,
+    LassoSelector,
+    ModelConfig,
+    NaiveLearner,
+    NoSelector,
+    RidgeLearner,
+    TreeLearner,
+    run_rnk_cv,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -50,6 +59,27 @@ def test_tree_counts_read_fitted_models():
     assert len(tree.leaves()) > 1
     assert counts["learners.fit_decision_tree"](tree, (X, y)) == {"empty_leaves": 0}
     assert counts["learners.fit_random_forest"](forest, (X, y)) == {"trees": 3, "empty_leaves": 0}
+
+
+def test_cv_counts_read_a_real_cv_result():
+    # the traced pass counts folds, fits, drops and early stops through
+    # these CVResult attributes; run that count on a real search
+    counts = {target: count for target, _, count in _load_tracer()._counts_table()}
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((300, 4))
+    y = (X[:, 0] + rng.standard_normal(300) > 0.5).astype(int)
+    configs = [ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
+               ModelConfig(1, NoSelector(), NaiveLearner())]
+    plan = CVPlan(k=8, seed=7, drop_margin=0.03, drop_min_folds=3, stop_epsilon=0.01)
+    result = run_rnk_cv(FeatureMatrix.from_arrays(X, y), configs, plan)
+    assert result.dropped == {1: 3} and result.stopped_early
+    assert result.folds_completed == 4
+    assert counts["orchestrate.run_rnk_cv"](result, ()) == {
+        "folds": 4,
+        "fitted": 4,  # the naive baseline is not counted
+        "dropped": 1,
+        "early_stops": 1,
+    }
 
 
 def test_every_cv_lasso_fit_goes_through_the_traced_name(monkeypatch):

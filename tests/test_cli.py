@@ -2,15 +2,18 @@ import csv
 import io
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from fixture_curation import DECODER_TABLE, fixture_csv_bytes
 
+from crashsev import orchestrate
 from crashsev.cli import main
 from crashsev.config import RunConfig
 from crashsev.preprocess import load_matrix, save_matrix
 from crashsev.synth import planted_generator
+from crashsev.tune import enumerate_search_space
 
 
 @pytest.fixture()
@@ -275,6 +278,18 @@ class TestInvalidPlan:
         ("n_subsets = 4", "n_subsets = 1"),
         ("ses_kmax = [2]", "ses_kmax = 3"),
         ("ses_kmax = [2]", 'ses_kmax = ["2"]'),
+        ("ses_kmax = [2]", "ses_kmax = [2.5]"),
+        ("ses_kmax = [2]", "ses_kmax = [6]"),
+        ("ses_alpha = [0.05]", "ses_alpha = [1.5]"),
+        ("lasso_penalty = []", "lasso_penalty = [-1]"),
+        ("univariate_alpha = []", "univariate_alpha = [0]"),
+        ("ridge_lambda = [0.1, 1.0]", "ridge_lambda = [0.1, -1.0]"),
+        ("tree_min_leaf = []\ntree_alpha = []", "tree_min_leaf = [0]\ntree_alpha = [0.05]"),
+        ("forest_n_trees = []\nforest_min_leaf = []", "forest_n_trees = [0]\nforest_min_leaf = [5]"),
+        ("forest_n_trees = []\nforest_min_leaf = []", "forest_n_trees = [10]\nforest_min_leaf = [4.5]"),
+        ("learner = ridge\nlambda = 1.0", "learner = ridge\nlambda = -1"),
+        ("learner = ridge\nlambda = 1.0", "learner = tree\nmin_leaf = 2.5"),
+        ("learner = ridge\nlambda = 1.0", "learner = forest\nn_trees = 0"),
         ("learner = ridge", "learner = svm"),
         ("folds = 4", "folds = 4\nfold = 3"),
         ("[stability]", "[stabilty]"),
@@ -335,6 +350,44 @@ class TestUnreadableInput:
         assert main(["--config", str(cfg), "--resume", "run"]) == 2
         _assert_one_line_error(capsys)
 
+    def test_cv_checkpoint_without_stamp_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        # a readable checkpoint that does not record the plan, configs and
+        # matrix it was written for cannot be trusted to resume this run
+        out_dir = tmp_path / "out"
+        (out_dir / "subsets").mkdir(parents=True)
+        meta = {"fold_aucs": {"0": [0.5], "1": [0.5], "2": [0.5]},
+                "n_selected": {"0": [1], "1": [1], "2": [1]}, "dropped": {},
+                "fitted_models": 2, "folds_completed": 1, "best_pooled_prev": 0.5,
+                "stopped_early": False}
+        np.savez(out_dir / "subsets" / "subset_00.cv.npz", pooled=np.zeros((3, 350)),
+                 evaluated_mask=np.zeros(350, dtype=bool),
+                 meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        assert main(["--config", str(cfg), "--resume", "run"]) == 2
+        _assert_one_line_error(capsys)
+
+    def test_cv_checkpoint_of_another_seed_exits_2(self, synth_matrix_file, tmp_path, capsys,
+                                                    monkeypatch):
+        out_dir = tmp_path / "out"
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        calls = {"n": 0}
+
+        def kill_in_fold_two(record):
+            calls["n"] += 1
+            if calls["n"] == 4:
+                raise KeyboardInterrupt("simulated kill")
+
+        real_run = orchestrate.run_rnk_cv
+        monkeypatch.setattr(orchestrate, "run_rnk_cv",
+                            lambda *a, **kw: real_run(*a, **{**kw, "progress": kill_in_fold_two}))
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", str(cfg), "run"])
+        monkeypatch.setattr(orchestrate, "run_rnk_cv", real_run)
+        assert (out_dir / "subsets" / "subset_00.cv.npz").exists()
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--seed", "7", "--resume", "run"]) == 2
+        _assert_one_line_error(capsys)
+
     def test_bad_subset_checkpoint_exits_2(self, synth_matrix_file, tmp_path, capsys):
         out_dir = tmp_path / "out"
         (out_dir / "subsets").mkdir(parents=True)
@@ -365,6 +418,27 @@ class TestUnreadableInput:
         assert main(["explain", "--model", str(tmp_path / "model.json"),
                      "--matrix", str(synth_matrix_file), "--out-dir", str(tmp_path / "exp")]) == 2
         _assert_one_line_error(capsys)
+
+
+class TestMalformedSideInput:
+    @pytest.mark.parametrize("command, flag, text", [
+        ("curate", "--schema", "junk"),
+        ("curate", "--schema", "[1, 2]"),
+        ("curate", "--schema", '{"severity_values": {"fatal": "Nope"}}'),
+        ("curate", "--decoder-table", "junk"),
+        ("curate", "--decoder-table", '{"1HG": 5}'),
+        ("preprocess", "--agg-config", "junk"),
+        ("preprocess", "--agg-config", '{"cyclical_periods": {"hour": "day"}}'),
+        ("preprocess", "--schema", '{"severity_values": {"fatal": "Nope"}}'),
+    ])
+    def test_exits_2(self, raw_csv, tmp_path, capsys, command, flag, text):
+        side = tmp_path / "side.json"
+        side.write_text(text)
+        out_dir = tmp_path / "o"
+        assert main([command, "--input", str(raw_csv), flag, str(side),
+                     "--out-dir", str(out_dir)]) == 2
+        _assert_one_line_error(capsys)
+        assert not out_dir.exists()
 
 
 class TestExplainCommand:
@@ -442,6 +516,15 @@ class TestRunConfigParsing:
         assert a.subset_plan.seed == b.subset_plan.seed
         assert a.cv_plan.seed == b.cv_plan.seed
         assert a.subset_plan.seed != a.cv_plan.seed
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        cfg = RunConfig.load(path)
+        assert enumerate_search_space(cfg.grid).summary()["total_enumerated"] == 476
+        assert cfg.final_learner().label() == "Ridge(lambda=1)"
 
     def test_dump_covers_raw_sections(self, synth_matrix_file, tmp_path):
         cfg = RunConfig.load(run_config_ini(tmp_path, synth_matrix_file, tmp_path / "o"))

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from crashsev import tune
+from crashsev.ingest import InputFileError
 from crashsev.preprocess import FeatureMatrix
 from crashsev.rng import substream
 from crashsev.selection import Signature
@@ -289,6 +293,94 @@ class TestRunRnkCv:
         assert np.array_equal(first.pooled, resumed.pooled, equal_nan=True)
         assert first.fitted_models == resumed.fitted_models
         assert first.fold_aucs == resumed.fold_aucs
+
+    @staticmethod
+    def _interrupted_checkpoint(tmp_path, matrix, configs, plan, fold=2):
+        """The checkpoint a run leaves when killed at the start of ``fold``."""
+        path = tmp_path / "cv.npz"
+
+        def kill_at_fold(record):
+            if record["fold"] == fold:
+                raise KeyboardInterrupt("simulated kill")
+
+        with pytest.raises(KeyboardInterrupt):
+            run_rnk_cv(matrix, configs, plan, checkpoint_path=path, progress=kill_at_fold)
+        return path
+
+    @pytest.mark.parametrize("change, field", [
+        ("plan", "plan"), ("configs", "configs"), ("weights", "class_weights"),
+        ("matrix", "data_sha256"),
+    ])
+    def test_stale_checkpoint_is_refused(self, tmp_path, change, field):
+        matrix = planted_matrix(n=300)
+        configs = [
+            ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
+            ModelConfig(1, NoSelector(), NaiveLearner()),
+        ]
+        plan = CVPlan(k=5, seed=21, drop_margin=None, stop_epsilon=None)
+        path = self._interrupted_checkpoint(tmp_path, matrix, configs, plan)
+        if change == "plan":
+            plan = CVPlan(k=5, seed=99, drop_margin=None, stop_epsilon=None)
+        elif change == "configs":
+            configs = configs + [ModelConfig(2, NoSelector(), RidgeLearner(10.0))]
+        else:
+            matrix = planted_matrix(seed=1, n=300)
+        with pytest.raises(InputFileError, match=f"another {field};"):
+            run_rnk_cv(matrix, configs, plan, checkpoint_path=path, resume=True,
+                       class_weights=(1.0, 1.0) if change == "weights" else None)
+
+    def test_checkpoint_without_stamp_is_refused(self, tmp_path):
+        # the state alone, as checkpoints were written before they carried
+        # the plan, the config labels and the matrix digest
+        matrix = planted_matrix(n=300)
+        configs = [ModelConfig(0, NoSelector(), RidgeLearner(1.0))]
+        plan = CVPlan(k=5, seed=21, drop_margin=None, stop_epsilon=None)
+        path = self._interrupted_checkpoint(tmp_path, matrix, configs, plan)
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        meta = json.loads(members["meta"].tobytes())
+        for key in ("plan", "configs", "class_weights", "data_sha256"):
+            del meta[key]
+        members["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        np.savez(path, **members)
+        with pytest.raises(InputFileError, match="another plan;"):
+            run_rnk_cv(matrix, configs, plan, checkpoint_path=path, resume=True)
+
+    @pytest.mark.parametrize("kill_fold", range(6))
+    def test_resume_with_dropping_and_early_stop(self, tmp_path, kill_fold):
+        # the clean run drops two configs at fold 3 and stops early after
+        # fold 5 of 6; kill_fold 5 is never reached, so that run finishes
+        # and the resume reads the final checkpoint back
+        matrix = planted_matrix(n=300)
+        configs = [
+            ModelConfig(0, NoSelector(), RidgeLearner(1.0)),
+            ModelConfig(1, UnivariateSelector(0.05), TreeLearner(3, 0.05)),
+            ModelConfig(2, NoSelector(), NaiveLearner()),
+        ]
+        plan = CVPlan(k=6, seed=4, drop_margin=0.03, drop_min_folds=3, stop_epsilon=0.01)
+        clean = run_rnk_cv(matrix, configs, plan)
+        assert clean.dropped == {1: 3, 2: 3}
+        assert clean.stopped_early and clean.folds_completed == 5
+
+        path = tmp_path / "cv.npz"
+
+        def kill_at_fold(record):
+            if record["fold"] == kill_fold:
+                raise KeyboardInterrupt("simulated kill")
+
+        try:
+            run_rnk_cv(matrix, configs, plan, checkpoint_path=path, progress=kill_at_fold)
+        except KeyboardInterrupt:
+            assert kill_fold < clean.folds_completed
+        else:
+            assert kill_fold == clean.folds_completed
+        resumed = run_rnk_cv(matrix, configs, plan, checkpoint_path=path, resume=True)
+        for f in dataclasses.fields(CVResult):
+            want, got = getattr(clean, f.name), getattr(resumed, f.name)
+            if isinstance(want, np.ndarray):
+                assert np.array_equal(want, got, equal_nan=want.dtype.kind == "f"), f.name
+            else:
+                assert want == got, f.name
 
 
 class TestSelectWinner:
