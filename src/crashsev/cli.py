@@ -211,6 +211,8 @@ def cmd_run(args) -> int:
         cfg = cfg.with_seed(args.seed)
     if args.max_workers is not None:
         cfg.max_workers = args.max_workers
+    if cfg.max_workers < 1:
+        raise ConfigError(f"max_workers must be at least 1, not {cfg.max_workers}")
     overrides = {
         "k": args.folds,
         "drop_margin": args.drop_margin,

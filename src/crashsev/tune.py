@@ -440,7 +440,7 @@ class CVResult:
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
             raise InputFileError(f"unreadable CV checkpoint {path}: {exc!r}") from exc
         for key, expected in stamp.items():
-            if meta.get(key) != expected:
+            if key not in meta or meta[key] != expected:
                 raise InputFileError(f"CV checkpoint {path} was written for another {key}; "
                                      "delete it or run without --resume")
         for name, value in state.items():

@@ -293,6 +293,7 @@ class TestInvalidPlan:
         ("learner = ridge", "learner = svm"),
         ("folds = 4", "folds = 4\nfold = 3"),
         ("[stability]", "[stabilty]"),
+        ("max_workers = 1", "max_workers = 0"),
     ])
     def test_bad_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
@@ -307,6 +308,12 @@ class TestInvalidPlan:
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
         assert main(["--config", str(cfg), "run", "--folds", "1"]) == 2
         _assert_one_line_error(capsys)
+
+    def test_bad_worker_count_flag_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
+        assert main(["--config", str(cfg), "--max-workers", "0", "run"]) == 2
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_holdout_without_a_class_exits_2_before_tuning(self, synth_matrix_file, tmp_path,
                                                            capsys):
