@@ -6,12 +6,15 @@ from fixture_curation import EXPECTED, ROWS, V_HONDA, expected_verdicts, fixture
 
 from crashsev.ingest import (
     ColumnSchema,
+    DecodedVehicle,
+    DecoderUnavailable,
     DisabledDecoder,
     PersonRow,
     PersonType,
     SchemaError,
     SeatingPosition,
     SeverityClass,
+    StubDecoder,
     VinStatus,
     compute_age,
     curate,
@@ -157,6 +160,41 @@ class TestValidateVin:
         # ensure the interesting branch actually fired at least once
         good = validate_vin(V_HONDA, 2020, decoder)
         assert good.status is VinStatus.VALID_FORMAT
+
+
+def _reference_decode(table: dict, vin: str) -> DecodedVehicle:
+    """The decoder's lookup as a linear scan: every prefix tried, longest
+    first."""
+    for prefix in sorted(table, key=len, reverse=True):
+        if vin.startswith(prefix):
+            return table[prefix]
+    raise DecoderUnavailable(vin)
+
+
+class TestStubDecoder:
+    def test_longest_prefix_wins_as_in_a_linear_scan(self, rng):
+        # nested prefixes of lengths 1 to 9, and prefixes no VIN starts with
+        table = {}
+        for i, prefix in enumerate(["1", "1H", "1HG", "1HGCM", "1HGCM8", "1HGCM826",
+                                    "1HGCM8263", "2T", "2T1BU", "5YJSA1E2", "ZZZZZZZ"]):
+            table[prefix] = DecodedVehicle(make=f"m{i}", model=prefix, model_year=2000 + i)
+        decoder = StubDecoder(table)
+        pool = list("12HGCM8639TBUZ5YJSAE")
+        starts = ["1HGCM8263", "1HGCM826", "1HGC", "1H", "2T1B", "5YJSA1E", "5YJSA1E2", "", "9"]
+        for _ in range(2000):
+            start = starts[int(rng.integers(len(starts)))]
+            vin = start + "".join(rng.choice(pool, size=17 - len(start)))
+            try:
+                want = _reference_decode(table, vin)
+            except DecoderUnavailable:
+                with pytest.raises(DecoderUnavailable):
+                    decoder.decode(vin)
+                continue
+            assert decoder.decode(vin) is want
+
+    def test_empty_table_misses(self):
+        with pytest.raises(DecoderUnavailable):
+            StubDecoder({}).decode("1HGCM82633A004352")
 
 
 class TestComputeAge:
