@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import logging
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
@@ -191,7 +192,7 @@ class StubDecoder:
 
     def __init__(self, table: dict[str, DecodedVehicle]):
         self._table = dict(table)
-        self._prefixes = sorted(self._table, key=len, reverse=True)
+        self._lengths = sorted({len(prefix) for prefix in self._table}, reverse=True)
 
     @classmethod
     def from_file(cls, path) -> "StubDecoder":
@@ -213,15 +214,18 @@ class StubDecoder:
         return cls(table)
 
     def decode(self, vin: str) -> DecodedVehicle:
-        for prefix in self._prefixes:
-            if vin.startswith(prefix):
-                return self._table[prefix]
+        # one probe per distinct prefix length, longest first; a VIN shorter
+        # than a length probes with itself, the longest prefix it can have
+        for n in self._lengths:
+            hit = self._table.get(vin[:n])
+            if hit is not None:
+                return hit
         raise DecoderUnavailable(vin)
 
 
 def vin_check_digit(vin: str) -> str:
     """ISO 3779 check character for a 17-char VIN over the allowed alphabet."""
-    total = sum(_VIN_VALUES[c] * w for c, w in zip(vin, _VIN_WEIGHTS))
+    total = sum(map(operator.mul, _VIN_WEIGHTS, map(_VIN_VALUES.__getitem__, vin)))
     r = total % 11
     return "X" if r == 10 else str(r)
 
@@ -421,6 +425,28 @@ def _parse_int(value: str) -> Optional[int]:
     return int(float(v)) if v.replace(".", "", 1).isdigit() else int(v)
 
 
+class MemoTable(dict):
+    """``fn`` of each distinct key, computed on its first lookup. A call that
+    raises stores nothing, so every occurrence of a bad value raises. Tables
+    are made per call and dropped with it."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+# the canonical fields in the order parse_person_rows reads them
+_CANONICAL = (
+    "crash_id", "unit_vin", "person_type", "seating_position", "severity", "date_of_birth",
+    "reported_age", "crash_date", "crash_time", "unit_id", "unit_type", "vehicle_make",
+    "vehicle_model", "vehicle_year",
+)
+
+
 def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     """Read a UTF-8 CSV with a header into PersonRows.
 
@@ -442,50 +468,61 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     for canon in REQUIRED_COLUMNS:
         if schema.columns[canon] not in positions:
             raise SchemaError(f"missing required column {schema.columns[canon]!r}")
-    canon_pos = {
-        canon: positions.get(schema.columns.get(canon, ""))
-        for canon in REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-    }
-    mapped = {i for i in canon_pos.values() if i is not None}
+    width = len(header)
+    # a canonical field the header lacks reads the empty field appended at
+    # index ``width`` of each record
+    canon_pos = [positions.get(schema.columns.get(canon, ""), width) for canon in _CANONICAL]
+    fields = operator.itemgetter(*canon_pos)
+    mapped = set(canon_pos)
     extra = [(name, i) for name, i in positions.items() if i not in mapped]
+    extra_names = [name for name, _ in extra]
+    # two trailing indices keep the result a tuple for zero or one extra
+    # column; zip drops them
+    extra_fields = operator.itemgetter(*[i for _, i in extra], width, width)
+
+    # each distinct raw string is decoded once per call
+    person_types = MemoTable(schema.person_type_of)
+    seats = MemoTable(schema.seating_of)
+    severities = MemoTable(schema.severity_of)
+    dates = MemoTable(_parse_date)
+    ints = MemoTable(_parse_int)
 
     rows: list[PersonRow] = []
     errors: list[ParseError] = []
     for line_number, record in enumerate(reader, start=2):
-        if not record or all(not f.strip() for f in record):
+        if not any(map(str.strip, record)):
             continue
-        if len(record) != len(header):
+        if len(record) != width:
             errors.append(
-                ParseError(line_number, f"expected {len(header)} fields, got {len(record)}",
+                ParseError(line_number, f"expected {width} fields, got {len(record)}",
                            raw=_csv_line(record))
             )
             continue
-
-        def get(canon: str) -> str:
-            i = canon_pos[canon]
-            return record[i] if i is not None else ""
-
+        record.append("")
+        (crash_id, unit_vin, person_type, seating_position, severity, date_of_birth,
+         reported_age, crash_date, crash_time, unit_id, unit_type, vehicle_make,
+         vehicle_model, vehicle_year) = fields(record)
         try:
             row = PersonRow(
-                crash_id=get("crash_id").strip(),
-                unit_vin=get("unit_vin").strip(),
-                person_type=schema.person_type_of(get("person_type")),
-                seating_position=schema.seating_of(get("seating_position")),
-                severity=schema.severity_of(get("severity")),
-                date_of_birth=_parse_date(get("date_of_birth")),
-                reported_age=_parse_int(get("reported_age")),
-                crash_date=_parse_date(get("crash_date")),
-                crash_time=get("crash_time").strip() or None,
-                unit_id=get("unit_id").strip(),
-                unit_type=get("unit_type").strip(),
-                vehicle_make=get("vehicle_make").strip(),
-                vehicle_model=get("vehicle_model").strip(),
-                vehicle_year=_parse_int(get("vehicle_year")),
-                raw_attributes={name: record[i] for name, i in extra},
+                crash_id=crash_id.strip(),
+                unit_vin=unit_vin.strip(),
+                person_type=person_types[person_type],
+                seating_position=seats[seating_position],
+                severity=severities[severity],
+                date_of_birth=dates[date_of_birth],
+                reported_age=ints[reported_age],
+                crash_date=dates[crash_date],
+                crash_time=crash_time.strip() or None,
+                unit_id=unit_id.strip(),
+                unit_type=unit_type.strip(),
+                vehicle_make=vehicle_make.strip(),
+                vehicle_model=vehicle_model.strip(),
+                vehicle_year=ints[vehicle_year],
+                raw_attributes=dict(zip(extra_names, extra_fields(record))),
                 line_number=line_number,
             )
         except (ValueError, KeyError) as exc:
-            errors.append(ParseError(line_number, str(exc), raw=_csv_line(record)))
+            errors.append(ParseError(line_number, str(exc), raw=_csv_line(record[:width])))
             continue
         rows.append(row)
     return ParseResult(rows=rows, errors=errors)
@@ -664,9 +701,8 @@ def _duplicate_vin_survivors(
         by_crash_vin.setdefault((key[0], vin), []).append(key)
 
     to_remove: dict[tuple[str, str], str] = {}
-    for (_, _), keys in sorted(by_crash_vin.items()):
-        if len(keys) < 2:
-            continue
+    shared = sorted(item for item in by_crash_vin.items() if len(item[1]) > 1)
+    for (_, _), keys in shared:
         matching = []
         for key in sorted(keys):
             decoded = verdicts[key].decoded
@@ -817,36 +853,41 @@ def summarize_dataset(rows: list[PersonRow]) -> SummaryReport:
 def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None:
     """Write curated rows back out in the input schema (re-curation is a no-op)."""
     extra_keys = sorted({k for r in rows for k in r.raw_attributes})
-    canon_order = [c for c in REQUIRED_COLUMNS + OPTIONAL_COLUMNS if c in schema.columns]
-    header = [schema.columns[c] for c in canon_order] + extra_keys
+    canon = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+    keep = [i for i, c in enumerate(canon) if c in schema.columns]
+    header = [schema.columns[canon[i]] for i in keep] + extra_keys
 
-    sev_names = {v: k for k, v in schema.severity_values.items() if k}
-    type_names = {v: k for k, v in schema.person_type_values.items()}
+    type_names = {t: t.value for t in PersonType}
+    type_names.update({v: k for k, v in schema.person_type_values.items()})
+    seat_names = {s: s.value for s in SeatingPosition}
+    if schema.front_left_values:
+        seat_names[SeatingPosition.FRONT_LEFT] = min(schema.front_left_values)
+    sev_names = {s: s.value for s in SeverityClass}
+    sev_names.update({v: k for k, v in schema.severity_values.items() if k})
 
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            values = {
-                "crash_id": row.crash_id,
-                "unit_vin": row.unit_vin,
-                "unit_id": row.unit_id,
-                "person_type": type_names.get(row.person_type, row.person_type.value),
-                "seating_position": (
-                    sorted(schema.front_left_values)[0]
-                    if row.seating_position is SeatingPosition.FRONT_LEFT
-                    else row.seating_position.value
-                ),
-                "severity": sev_names.get(row.severity, row.severity.value),
-                "date_of_birth": row.date_of_birth.isoformat() if row.date_of_birth else "",
-                "reported_age": "" if row.reported_age is None else str(row.reported_age),
-                "crash_date": row.crash_date.isoformat() if row.crash_date else "",
-                "crash_time": row.crash_time or "",
-                "unit_type": row.unit_type,
-                "vehicle_make": row.vehicle_make,
-                "vehicle_model": row.vehicle_model,
-                "vehicle_year": "" if row.vehicle_year is None else str(row.vehicle_year),
-            }
-            record = [values[c] for c in canon_order]
-            record += [row.raw_attributes.get(k, "") for k in extra_keys]
+            # the canonical fields in REQUIRED_COLUMNS + OPTIONAL_COLUMNS order
+            record = [
+                row.crash_id,
+                row.unit_vin,
+                type_names[row.person_type],
+                seat_names[row.seating_position],
+                sev_names[row.severity],
+                row.unit_id,
+                row.date_of_birth.isoformat() if row.date_of_birth else "",
+                "" if row.reported_age is None else str(row.reported_age),
+                row.crash_date.isoformat() if row.crash_date else "",
+                row.crash_time or "",
+                row.unit_type,
+                row.vehicle_make,
+                row.vehicle_model,
+                "" if row.vehicle_year is None else str(row.vehicle_year),
+            ]
+            if len(keep) < len(canon):
+                record = [record[i] for i in keep]
+            # csv writes the None of an absent attribute as an empty field
+            record += map(row.raw_attributes.get, extra_keys)
             writer.writerow(record)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .ingest import (
     InputFileError,
+    MemoTable,
     PersonRow,
     PersonType,
     SeverityClass,
@@ -186,17 +187,37 @@ def build_vehicle_samples(
     for keys in crash_units.values():
         keys.sort(key=lambda k: (units[k][0].unit_vin, k[1]))
 
+    # the interacting-slot columns, three per slot, and each unit's levels
+    # when it fills another unit's slot
+    slot_names = [
+        f"Interacting{part}{slot}"
+        for slot in range(1, cfg.n_interacting_slots + 1)
+        for part in ("UnitType", "VehicleModel", "VehicleYear")
+    ]
+    slot_levels: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for key, persons in units.items():
+        lead = persons[0]
+        slot_levels[key] = (
+            lead.unit_type or MISSING_LEVEL,
+            lead.vehicle_model or MISSING_LEVEL,
+            str(lead.vehicle_year) if lead.vehicle_year else MISSING_LEVEL,
+        )
+    floats = MemoTable(_parse_float)
+    hours = MemoTable(_time_of_day_hours)
+    skipped: list[tuple[str, str]] = []
+    excluded: list[tuple[str, str]] = []
+
     samples: list[VehicleSample] = []
     for key in sorted(units):
         persons = units[key]
         drivers = [p for p in persons if p.person_type is PersonType.DRIVER]
         if len(drivers) != 1:
-            log.warning("unit %s skipped: %d drivers after curation", key, len(drivers))
+            skipped.append(key)
             continue
         driver = drivers[0]
         worst = max_severity(p.severity for p in persons)
         if worst is None:
-            log.info("unit %s excluded: all severities Unknown", key)
+            excluded.append(key)
             continue
 
         ages = [
@@ -217,7 +238,7 @@ def build_vehicle_samples(
             "VehicleYear": float(driver.vehicle_year) if driver.vehicle_year else None,
         }
         for attr in cfg.numeric_attrs:
-            numeric[attr] = _parse_float(driver.raw_attributes.get(attr, ""))
+            numeric[attr] = floats[driver.raw_attributes.get(attr, "")]
         if "CrashMonth" in cfg.cyclical_periods:
             numeric["CrashMonth"] = float(driver.crash_date.month) if driver.crash_date else None
         if "CrashWeekDay" in cfg.cyclical_periods:
@@ -225,25 +246,16 @@ def build_vehicle_samples(
                 float(driver.crash_date.weekday()) if driver.crash_date else None
             )
         if "CrashTime24h" in cfg.cyclical_periods:
-            numeric["CrashTime24h"] = _time_of_day_hours(driver.crash_time)
+            numeric["CrashTime24h"] = hours[driver.crash_time]
 
         categorical: dict[str, str] = {"UnitType": driver.unit_type}
         for attr in cfg.categorical_attrs:
             categorical[attr] = driver.raw_attributes.get(attr, "").strip()
 
         others = [k for k in crash_units[key[0]] if k != key][: cfg.n_interacting_slots]
-        for slot in range(1, cfg.n_interacting_slots + 1):
-            if slot <= len(others):
-                lead = units[others[slot - 1]][0]
-                categorical[f"InteractingUnitType{slot}"] = lead.unit_type or MISSING_LEVEL
-                categorical[f"InteractingVehicleModel{slot}"] = lead.vehicle_model or MISSING_LEVEL
-                categorical[f"InteractingVehicleYear{slot}"] = (
-                    str(lead.vehicle_year) if lead.vehicle_year else MISSING_LEVEL
-                )
-            else:
-                categorical[f"InteractingUnitType{slot}"] = NONE_LEVEL
-                categorical[f"InteractingVehicleModel{slot}"] = NONE_LEVEL
-                categorical[f"InteractingVehicleYear{slot}"] = NONE_LEVEL
+        levels = [level for k in others for level in slot_levels[k]]
+        levels += [NONE_LEVEL] * (len(slot_names) - len(levels))
+        categorical.update(zip(slot_names, levels))
 
         samples.append(
             VehicleSample(
@@ -254,7 +266,19 @@ def build_vehicle_samples(
                 categorical_features=categorical,
             )
         )
+    if skipped:
+        log.warning("%d units skipped: not exactly one driver after curation (first: %s)",
+                    len(skipped), _first_keys(skipped))
+    if excluded:
+        log.info("%d units excluded: all severities Unknown (first: %s)",
+                 len(excluded), _first_keys(excluded))
     return samples
+
+
+def _first_keys(keys: Sequence[tuple[str, str]], n: int = 3) -> str:
+    """The first ``n`` unit keys, for a log line that counts many units."""
+    shown = ", ".join("/".join(key) for key in keys[:n])
+    return shown + (", ..." if len(keys) > n else "")
 
 
 def filter_passenger_vehicles(
@@ -266,11 +290,8 @@ def filter_passenger_vehicles(
     Interacting-unit slots keep all vehicle types; only the subject vehicle
     is filtered.
     """
-    return [
-        s
-        for s in samples
-        if _norm_type(s.categorical_features.get("UnitType", "")) in passenger_types
-    ]
+    passenger = MemoTable(lambda unit_type: _norm_type(unit_type) in passenger_types)
+    return [s for s in samples if passenger[s.categorical_features.get("UnitType", "")]]
 
 
 def drop_postcrash_features(
@@ -327,6 +348,19 @@ class PreprocessModel:
         return cls(**raw)
 
 
+def _numeric_column(samples: Sequence[VehicleSample], name: str) -> list[Optional[float]]:
+    return [s.numeric_features.get(name) for s in samples]
+
+
+def _categorical_column(samples: Sequence[VehicleSample], name: str) -> list[str]:
+    return [s.categorical_features.get(name, "") for s in samples]
+
+
+def _level(raw: str) -> str:
+    """The vocabulary level of a raw categorical value."""
+    return raw.strip() or MISSING_LEVEL
+
+
 def fit_preprocess(
     samples: Sequence[VehicleSample],
     config: Optional[AggregationConfig] = None,
@@ -349,11 +383,7 @@ def fit_preprocess(
     means: dict[str, float] = {}
     dropped: list[str] = []
     for name in plain_numeric + cyclical:
-        values = [
-            s.numeric_features[name]
-            for s in samples
-            if s.numeric_features.get(name) is not None
-        ]
+        values = [v for v in _numeric_column(samples, name) if v is not None]
         if not values:
             dropped.append(name)
             log.warning("numeric column %r is all-missing on training rows; dropped", name)
@@ -364,10 +394,8 @@ def fit_preprocess(
     # so a fully observed feature one-hots into exactly its observed levels
     vocabularies: dict[str, list[str]] = {}
     for name in categorical_names:
-        levels = {
-            s.categorical_features.get(name, "").strip() or MISSING_LEVEL for s in samples
-        }
-        vocabularies[name] = sorted(levels)
+        raw = set(_categorical_column(samples, name))
+        vocabularies[name] = sorted({_level(v) for v in raw})
 
     return PreprocessModel(
         numeric_order=[n for n in plain_numeric if n not in dropped],
@@ -464,28 +492,18 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
     columns: list[ColumnInfo] = []
     blocks: list[np.ndarray] = []
 
-    for name in model.numeric_order:
+    def imputed(name: str) -> np.ndarray:
         mean = model.numeric_means[name]
-        col = np.array(
-            [
-                s.numeric_features.get(name) if s.numeric_features.get(name) is not None else mean
-                for s in samples
-            ],
-            dtype=np.float64,
-        )
-        blocks.append(col[:, None])
+        return np.array([mean if v is None else v for v in _numeric_column(samples, name)],
+                        dtype=np.float64)
+
+    for name in model.numeric_order:
+        blocks.append(imputed(name)[:, None])
         columns.append(ColumnInfo(name=name, kind="numeric", source=name))
 
     for name in model.cyclical_order:
-        mean = model.numeric_means[name]
         period = model.cyclical_periods[name]
-        raw = np.array(
-            [
-                s.numeric_features.get(name) if s.numeric_features.get(name) is not None else mean
-                for s in samples
-            ],
-            dtype=np.float64,
-        )
+        raw = imputed(name)
         angle = 2.0 * math.pi * raw / period
         blocks.append(np.sin(angle)[:, None])
         columns.append(ColumnInfo(name=f"{name}#sin", kind="cyc_sin", source=name))
@@ -496,14 +514,13 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
     for name in model.categorical_order:
         vocab = model.vocabularies[name]
         index = {lvl: j for j, lvl in enumerate(vocab)}
+        raw = _categorical_column(samples, name)
+        code_of = {v: index.get(_level(v), -1) for v in set(raw)}
+        codes = np.array([code_of[v] for v in raw], dtype=np.intp)
+        rows = np.flatnonzero(codes >= 0)
+        unseen += n - rows.size
         block = np.zeros((n, len(vocab)), dtype=np.float64)
-        for i, s in enumerate(samples):
-            level = s.categorical_features.get(name, "").strip() or MISSING_LEVEL
-            j = index.get(level)
-            if j is None:
-                unseen += 1
-                continue
-            block[i, j] = 1.0
+        block[rows, codes[rows]] = 1.0
         blocks.append(block)
         for lvl in vocab:
             columns.append(ColumnInfo(name=f"{name}={lvl}", kind="onehot", source=name, level=lvl))

@@ -1,11 +1,19 @@
 import io
+import logging
 import math
 
 import numpy as np
 import pytest
 from fixture_curation import fixture_csv_bytes
 
-from crashsev.ingest import SeverityClass, curate, parse_person_rows
+from crashsev.ingest import (
+    PersonRow,
+    PersonType,
+    SeatingPosition,
+    SeverityClass,
+    curate,
+    parse_person_rows,
+)
 from crashsev.preprocess import (
     NON_SEVERE,
     SEVERE,
@@ -68,6 +76,27 @@ class TestBuildSamples:
     def test_all_unknown_unit_excluded(self, curated_rows):
         samples = build_vehicle_samples(curated_rows)
         assert not any(s.crash_id == "C24" for s in samples)
+
+    def test_excluded_units_logged_once_per_reason(self, caplog):
+        # four units with only Unknown severities and two without a driver:
+        # one line per reason, with the count and the first three keys
+        def person(unit, ptype, severity):
+            return PersonRow(crash_id="C1", unit_vin=f"V{unit}", unit_id=f"U{unit}",
+                             person_type=ptype, seating_position=SeatingPosition.FRONT_LEFT,
+                             severity=severity)
+
+        rows = [person(u, PersonType.DRIVER, SeverityClass.UNKNOWN) for u in range(4)]
+        rows += [person(u, PersonType.OCCUPANT, SeverityClass.FATAL) for u in (4, 5)]
+        rows.append(person(6, PersonType.DRIVER, SeverityClass.FATAL))
+        with caplog.at_level(logging.INFO, logger="crashsev.preprocess"):
+            samples = build_vehicle_samples(rows)
+        assert len(samples) == 1
+        lines = [(r.levelname, r.getMessage()) for r in caplog.records]
+        assert lines == [
+            ("WARNING", "2 units skipped: not exactly one driver after curation "
+                        "(first: C1/U4, C1/U5)"),
+            ("INFO", "4 units excluded: all severities Unknown (first: C1/U0, C1/U1, C1/U2, ...)"),
+        ]
 
     def test_occupant_age_summaries(self, curated_rows):
         samples = build_vehicle_samples(curated_rows)
@@ -201,6 +230,19 @@ class TestEncode:
         matrix = encode(test, model)
         block = matrix.X[0, [i for i, c in enumerate(matrix.columns) if c.source == "Belted"]]
         assert np.all(block == 0)
+
+    def test_unseen_count_counts_rows(self, caplog):
+        # three rows share one unseen value, and a fourth has another: four
+        train = [_sample(categorical={"Belted": "A"}), _sample(categorical={"Belted": "B"})]
+        model = fit_preprocess(train)
+        test = [_sample(categorical={"Belted": v}) for v in ("C", "A", "C", "C", " D ")]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="crashsev.preprocess"):
+            matrix = encode(test, model)
+        assert [r.getMessage() for r in caplog.records] == [
+            "encode: 4 categorical values outside the training vocabulary"]
+        assert matrix.X[:, [c.level == "A" for c in matrix.columns]].ravel().tolist() == [
+            0.0, 1.0, 0.0, 0.0, 0.0]
 
     def test_onehot_lossless_and_sums(self, rng):
         levels = ["a", "b", "c", "d"]
