@@ -859,7 +859,9 @@ def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None
 
     type_names = {t: t.value for t in PersonType}
     type_names.update({v: k for k, v in schema.person_type_values.items()})
+    # a blank seat reads back as Unknown only when written blank
     seat_names = {s: s.value for s in SeatingPosition}
+    seat_names[SeatingPosition.UNKNOWN] = ""
     if schema.front_left_values:
         seat_names[SeatingPosition.FRONT_LEFT] = min(schema.front_left_values)
     sev_names = {s: s.value for s in SeverityClass}

@@ -1,8 +1,23 @@
+import csv
 import io
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import pytest
-from fixture_curation import EXPECTED, ROWS, V_HONDA, expected_verdicts, fixture_csv_bytes
+from fixture_curation import (
+    EXPECTED,
+    ROWS,
+    V_BADCHECK,
+    V_HONDA,
+    V_NODECODE,
+    V_TESLA,
+    V_TOYOTA,
+    expected_verdicts,
+    fixture_csv_bytes,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crashsev.ingest import (
     ColumnSchema,
@@ -326,6 +341,68 @@ class TestCurationWorkflow:
         assert second.audit.rows_in == second.audit.rows_out == len(result.rows)
         assert second.audit.persons_reassigned == 0
         assert second.audit.units_removed == 0
+
+
+# generated person rows: units draw a crash, a VIN and whether they carry a
+# unit id; each person belongs to one unit, so a unit's persons share its VIN
+# and its crash's date
+_CRASH_DATES = {"C1": "2020-06-15", "C2": "03/02/2019"}
+_UNITS = st.lists(
+    st.tuples(st.sampled_from(sorted(_CRASH_DATES)),
+              st.sampled_from([V_HONDA, V_TOYOTA, V_TESLA, V_NODECODE, V_BADCHECK, ""]),
+              st.booleans()),
+    min_size=1, max_size=4,
+)
+_PERSONS = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.sampled_from(["Driver", " driver", "Occupant", "Passenger", "Pedestrian"]),
+        st.sampled_from(["Front Left Side", "FrontLeftSide", "Right Front", "Rear", "", "  "]),
+        st.sampled_from(["No Apparent Injury", "Possible Injury", "Fatal", "Unknown", ""]),
+        st.one_of(st.none(), st.integers(5, 95)),
+        st.one_of(st.none(), st.dates(min_value=date(1925, 1, 1), max_value=date(2021, 12, 31))),
+        st.booleans(),
+        st.sampled_from(["", "Rain", "Clear, dry"]),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def _person_csv(units, persons) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["CrashID", "UnitID", "VIN", "PersonType", "SeatingPosition", "Severity",
+                     "DateOfBirth", "Age", "CrashDate", "Weather"])
+    for unit, ptype, seat, severity, age, born, us_format, weather in persons:
+        crash, vin, has_id = units[unit % len(units)]
+        dob = "" if born is None else born.strftime("%m/%d/%Y" if us_format else "%Y-%m-%d")
+        writer.writerow([crash, f"U{unit % len(units)}" if has_id else "", vin, ptype, seat,
+                         severity, dob, "" if age is None else str(age), _CRASH_DATES[crash],
+                         weather])
+    return buf.getvalue().encode()
+
+
+class TestFixedPoint:
+    @settings(max_examples=300, deadline=None)
+    @given(units=_UNITS, persons=_PERSONS)
+    def test_curating_curated_output_changes_nothing(self, schema, decoder, units, persons):
+        # curate -> write -> parse -> curate -> write: the second pass removes
+        # and retypes nobody and writes the same bytes
+        parsed = parse_person_rows(io.BytesIO(_person_csv(units, persons)), schema)
+        assert not parsed.errors
+        first = curate(parsed.rows, decoder)
+        with tempfile.TemporaryDirectory() as tmp:
+            once, twice = Path(tmp) / "once.csv", Path(tmp) / "twice.csv"
+            write_curated_csv(first.rows, schema, once)
+            with open(once, "rb") as fh:
+                reparsed = parse_person_rows(fh, schema)
+            assert not reparsed.errors
+            second = curate(reparsed.rows, decoder)
+            write_curated_csv(second.rows, schema, twice)
+            assert twice.read_bytes() == once.read_bytes()
+        audit = second.audit
+        assert audit.rows_in == audit.rows_out == len(first.rows)
+        assert audit.units_removed == audit.persons_removed == audit.persons_reassigned == 0
 
 
 class TestSummary:

@@ -6,7 +6,9 @@ commands write for each input case below, plus the matrix and model of an
 levels unseen at fit time occur. A change to parsing, curation, the curated
 writer, aggregation or encoding must reproduce them byte for byte. Record
 again (``python tests/test_ingest_fixture.py``) only for a change that means
-to alter an output, and say which entries moved.
+to alter an output, and say which entries moved: writing a blank seating
+position as an empty field, not as ``Unknown``, changed the curated CSV of
+the ``edge`` case, the one case with blank seats.
 
 The inputs cover both date formats (``%Y-%m-%d`` and ``%m/%d/%Y``),
 whitespace-padded values, an unparseable date repeated on two lines, an
