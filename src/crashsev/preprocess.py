@@ -372,10 +372,10 @@ def fit_preprocess(
 
     numeric_names = sorted({n for s in samples for n in s.numeric_features})
     categorical_names = sorted({n for s in samples for n in s.categorical_features})
-    numeric_names, removed_num = drop_postcrash_features(numeric_names, cfg.postcrash_denylist)
-    categorical_names, removed_cat = drop_postcrash_features(
-        categorical_names, cfg.postcrash_denylist
-    )
+    _, removed = drop_postcrash_features(numeric_names + categorical_names,
+                                         cfg.postcrash_denylist)
+    numeric_names = [n for n in numeric_names if n not in removed]
+    categorical_names = [n for n in categorical_names if n not in removed]
 
     cyclical = [n for n in numeric_names if n in cfg.cyclical_periods]
     plain_numeric = [n for n in numeric_names if n not in cfg.cyclical_periods]
@@ -405,7 +405,7 @@ def fit_preprocess(
         vocabularies=vocabularies,
         cyclical_periods={n: cfg.cyclical_periods[n] for n in cyclical},
         dropped_numeric=dropped,
-        removed_postcrash=sorted(set(removed_num) | set(removed_cat)),
+        removed_postcrash=sorted(set(removed)),
     )
 
 

@@ -150,6 +150,21 @@ class TestFilterAndDenylist:
         assert removed == ["NumberOfFatalities"]
         assert kept == ["PostedSpeed", "Location"]
 
+    def test_fit_checks_the_denylist_once_over_all_columns(self, caplog):
+        # a categorical CrashSeverity goes without a "not present" warning,
+        # and each absent entry warns once
+        samples = [_sample(categorical={"CrashSeverity": "Fatal", "Belted": "Yes"}),
+                   _sample(categorical={"CrashSeverity": "Minor", "Belted": "No"})]
+        with caplog.at_level(logging.WARNING, logger="crashsev.preprocess"):
+            model = fit_preprocess(samples)
+        assert model.removed_postcrash == ["CrashSeverity"]
+        assert model.categorical_order == ["Belted"]
+        warned = [r.getMessage() for r in caplog.records if "denylist" in r.getMessage()]
+        assert sorted(warned) == sorted(
+            f"post-crash denylist entry {name!r} not present in schema"
+            for name in ("MostHarmfulEvent", "NumberOfFatalities", "NumberOfInjuries")
+        )
+
     def test_custom_denylist_extra_name(self):
         kept, removed = drop_postcrash_features(
             ["A", "B"], denylist=("B", "NumberOfFatalities")
