@@ -184,6 +184,7 @@ class TreeLearner:
 
     def __post_init__(self) -> None:
         _integer(self, "min_leaf", 1)
+        _check(self, "alpha_prune", 0.0 <= self.alpha_prune <= 1.0, "in [0, 1]")
 
     def label(self) -> str:
         return f"Tree(min_leaf={self.min_leaf},alpha={self.alpha_prune:g})"

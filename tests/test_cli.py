@@ -285,6 +285,10 @@ class TestInvalidPlan:
         ("univariate_alpha = []", "univariate_alpha = [0]"),
         ("ridge_lambda = [0.1, 1.0]", "ridge_lambda = [0.1, -1.0]"),
         ("tree_min_leaf = []\ntree_alpha = []", "tree_min_leaf = [0]\ntree_alpha = [0.05]"),
+        ("tree_min_leaf = []\ntree_alpha = []", "tree_min_leaf = [5]\ntree_alpha = [-1]"),
+        ("tree_min_leaf = []\ntree_alpha = []", "tree_min_leaf = [5]\ntree_alpha = [1.5]"),
+        ("tree_min_leaf = []\ntree_alpha = []", "tree_min_leaf = [5]\ntree_alpha = [NaN]"),
+        ("learner = ridge\nlambda = 1.0", "learner = tree\nalpha = -1"),
         ("forest_n_trees = []\nforest_min_leaf = []", "forest_n_trees = [0]\nforest_min_leaf = [5]"),
         ("forest_n_trees = []\nforest_min_leaf = []", "forest_n_trees = [10]\nforest_min_leaf = [4.5]"),
         ("learner = ridge\nlambda = 1.0", "learner = ridge\nlambda = -1"),
