@@ -439,14 +439,6 @@ class MemoTable(dict):
         return value
 
 
-# the canonical fields in the order parse_person_rows reads them
-_CANONICAL = (
-    "crash_id", "unit_vin", "person_type", "seating_position", "severity", "date_of_birth",
-    "reported_age", "crash_date", "crash_time", "unit_id", "unit_type", "vehicle_make",
-    "vehicle_model", "vehicle_year",
-)
-
-
 def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     """Read a UTF-8 CSV with a header into PersonRows.
 
@@ -471,14 +463,13 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     width = len(header)
     # a canonical field the header lacks reads the empty field appended at
     # index ``width`` of each record
-    canon_pos = [positions.get(schema.columns.get(canon, ""), width) for canon in _CANONICAL]
+    canon_pos = [positions.get(schema.columns.get(canon, ""), width)
+                 for canon in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
     fields = operator.itemgetter(*canon_pos)
     mapped = set(canon_pos)
     extra = [(name, i) for name, i in positions.items() if i not in mapped]
     extra_names = [name for name, _ in extra]
-    # two trailing indices keep the result a tuple for zero or one extra
-    # column; zip drops them
-    extra_fields = operator.itemgetter(*[i for _, i in extra], width, width)
+    extra_pos = [i for _, i in extra]
 
     # each distinct raw string is decoded once per call
     person_types = MemoTable(schema.person_type_of)
@@ -499,9 +490,9 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
             )
             continue
         record.append("")
-        (crash_id, unit_vin, person_type, seating_position, severity, date_of_birth,
-         reported_age, crash_date, crash_time, unit_id, unit_type, vehicle_make,
-         vehicle_model, vehicle_year) = fields(record)
+        (crash_id, unit_vin, person_type, seating_position, severity, unit_id, date_of_birth,
+         reported_age, crash_date, crash_time, unit_type, vehicle_make, vehicle_model,
+         vehicle_year) = fields(record)
         try:
             row = PersonRow(
                 crash_id=crash_id.strip(),
@@ -518,7 +509,7 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
                 vehicle_make=vehicle_make.strip(),
                 vehicle_model=vehicle_model.strip(),
                 vehicle_year=ints[vehicle_year],
-                raw_attributes=dict(zip(extra_names, extra_fields(record))),
+                raw_attributes=dict(zip(extra_names, map(record.__getitem__, extra_pos))),
                 line_number=line_number,
             )
         except (ValueError, KeyError) as exc:
