@@ -13,6 +13,7 @@ import json
 import logging
 import operator
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from datetime import date, datetime
 from enum import Enum
@@ -25,6 +26,7 @@ __all__ = [
     "PersonType",
     "SeatingPosition",
     "PersonRow",
+    "KeyedTuple",
     "VinVerdict",
     "VinStatus",
     "DecodedVehicle",
@@ -93,7 +95,35 @@ class SeatingPosition(Enum):
     UNKNOWN = "Unknown"
 
 
-@dataclass
+class KeyedTuple(Mapping):
+    """A read-only mapping of one tuple of values, keyed through an index
+    (key -> position) that every mapping built by one call shares. It holds
+    a row's or a sample's columns in a fraction of a dict's memory."""
+
+    __slots__ = ("_index", "_values")
+
+    def __init__(self, index: dict[str, int], values: tuple):
+        self._index = index
+        self._values = values
+
+    def __getitem__(self, key):
+        return self._values[self._index[key]]
+
+    def get(self, key, default=None):
+        i = self._index.get(key)
+        return default if i is None else self._values[i]
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+
+@dataclass(slots=True)
 class PersonRow:
     """One raw person-level record from the three-level crash report."""
 
@@ -112,7 +142,7 @@ class PersonRow:
     vehicle_model: str = ""
     vehicle_year: Optional[int] = None
     age_invalid: bool = False
-    raw_attributes: dict[str, str] = field(default_factory=dict)
+    raw_attributes: Mapping[str, str] = field(default_factory=dict)
     line_number: int = 0
 
     def __post_init__(self) -> None:
@@ -442,7 +472,9 @@ class MemoTable(dict):
 def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     """Read a UTF-8 CSV with a header into PersonRows.
 
-    Unknown columns are preserved in raw_attributes. Malformed lines are
+    Unknown columns are preserved, unstripped, in raw_attributes, a
+    KeyedTuple over one index per call. Equal field values share one string
+    object, so a row holds little beyond its own slots. Malformed lines are
     collected as ParseErrors, never silently dropped. A missing required
     column raises SchemaError naming the column.
     """
@@ -468,15 +500,18 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     fields = operator.itemgetter(*canon_pos)
     mapped = set(canon_pos)
     extra = [(name, i) for name, i in positions.items() if i not in mapped]
-    extra_names = [name for name, _ in extra]
+    extra_index = {name: j for j, (name, _) in enumerate(extra)}
     extra_pos = [i for _, i in extra]
 
-    # each distinct raw string is decoded once per call
+    # each distinct raw string is decoded once per call, and equal strings
+    # are kept as one shared object
     person_types = MemoTable(schema.person_type_of)
     seats = MemoTable(schema.seating_of)
     severities = MemoTable(schema.severity_of)
     dates = MemoTable(_parse_date)
     ints = MemoTable(_parse_int)
+    stripped = MemoTable(str.strip)
+    shared = MemoTable(str)
 
     rows: list[PersonRow] = []
     errors: list[ParseError] = []
@@ -495,21 +530,23 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
          vehicle_year) = fields(record)
         try:
             row = PersonRow(
-                crash_id=crash_id.strip(),
-                unit_vin=unit_vin.strip(),
+                crash_id=stripped[crash_id],
+                unit_vin=stripped[unit_vin],
                 person_type=person_types[person_type],
                 seating_position=seats[seating_position],
                 severity=severities[severity],
                 date_of_birth=dates[date_of_birth],
                 reported_age=ints[reported_age],
                 crash_date=dates[crash_date],
-                crash_time=crash_time.strip() or None,
-                unit_id=unit_id.strip(),
-                unit_type=unit_type.strip(),
-                vehicle_make=vehicle_make.strip(),
-                vehicle_model=vehicle_model.strip(),
+                crash_time=stripped[crash_time] or None,
+                unit_id=stripped[unit_id],
+                unit_type=stripped[unit_type],
+                vehicle_make=stripped[vehicle_make],
+                vehicle_model=stripped[vehicle_model],
                 vehicle_year=ints[vehicle_year],
-                raw_attributes=dict(zip(extra_names, map(record.__getitem__, extra_pos))),
+                raw_attributes=KeyedTuple(
+                    extra_index, tuple(map(shared.__getitem__, map(record.__getitem__, extra_pos)))
+                ),
                 line_number=line_number,
             )
         except (ValueError, KeyError) as exc:
