@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .ingest import (
     InputFileError,
+    KeyedTuple,
     MemoTable,
     PersonRow,
     PersonType,
@@ -65,15 +67,18 @@ def binarize_severity(s: SeverityClass) -> str:
     return NON_SEVERE
 
 
-@dataclass
+@dataclass(slots=True)
 class VehicleSample:
-    """One aggregated vehicle-level record with its binary severity target."""
+    """One aggregated vehicle-level record with its binary severity target.
+
+    The features are any mappings; build_vehicle_samples stores them as
+    KeyedTuples whose indexes all its samples share."""
 
     crash_id: str
     unit_vin: str
     target: str
-    numeric_features: dict[str, Optional[float]]
-    categorical_features: dict[str, str]
+    numeric_features: Mapping[str, Optional[float]]
+    categorical_features: Mapping[str, str]
 
     def __post_init__(self) -> None:
         occ = self.numeric_features.get("NumberOfOccupants")
@@ -194,16 +199,22 @@ def build_vehicle_samples(
         for slot in range(1, cfg.n_interacting_slots + 1)
         for part in ("UnitType", "VehicleModel", "VehicleYear")
     ]
+    year_levels = MemoTable(str)
     slot_levels: dict[tuple[str, str], tuple[str, str, str]] = {}
     for key, persons in units.items():
         lead = persons[0]
         slot_levels[key] = (
             lead.unit_type or MISSING_LEVEL,
             lead.vehicle_model or MISSING_LEVEL,
-            str(lead.vehicle_year) if lead.vehicle_year else MISSING_LEVEL,
+            year_levels[lead.vehicle_year] if lead.vehicle_year else MISSING_LEVEL,
         )
+    # equal values share one object: floats of equal ints or means (never
+    # -0.0 or NaN here), and each distinct raw string's parse or strip
+    as_float = MemoTable(float)
     floats = MemoTable(_parse_float)
     hours = MemoTable(_time_of_day_hours)
+    stripped = MemoTable(str.strip)
+    indexes: dict[tuple[str, ...], dict[str, int]] = {}
     skipped: list[tuple[str, str]] = []
     excluded: list[tuple[str, str]] = []
 
@@ -221,36 +232,36 @@ def build_vehicle_samples(
             continue
 
         ages = [
-            float(p.reported_age)
+            as_float[p.reported_age]
             for p in persons
             if p.reported_age is not None and not p.age_invalid
         ]
         numeric: dict[str, Optional[float]] = {
             "DriverAge": (
-                float(driver.reported_age)
+                as_float[driver.reported_age]
                 if driver.reported_age is not None and not driver.age_invalid
                 else None
             ),
             "OccupantsMinAge": min(ages) if ages else None,
-            "OccupantsMeanAge": sum(ages) / len(ages) if ages else None,
+            "OccupantsMeanAge": as_float[sum(ages) / len(ages)] if ages else None,
             "OccupantsMaxAge": max(ages) if ages else None,
-            "NumberOfOccupants": float(len(persons)),
-            "VehicleYear": float(driver.vehicle_year) if driver.vehicle_year else None,
+            "NumberOfOccupants": as_float[len(persons)],
+            "VehicleYear": as_float[driver.vehicle_year] if driver.vehicle_year else None,
         }
         for attr in cfg.numeric_attrs:
             numeric[attr] = floats[driver.raw_attributes.get(attr, "")]
         if "CrashMonth" in cfg.cyclical_periods:
-            numeric["CrashMonth"] = float(driver.crash_date.month) if driver.crash_date else None
+            numeric["CrashMonth"] = as_float[driver.crash_date.month] if driver.crash_date else None
         if "CrashWeekDay" in cfg.cyclical_periods:
             numeric["CrashWeekDay"] = (
-                float(driver.crash_date.weekday()) if driver.crash_date else None
+                as_float[driver.crash_date.weekday()] if driver.crash_date else None
             )
         if "CrashTime24h" in cfg.cyclical_periods:
             numeric["CrashTime24h"] = hours[driver.crash_time]
 
         categorical: dict[str, str] = {"UnitType": driver.unit_type}
         for attr in cfg.categorical_attrs:
-            categorical[attr] = driver.raw_attributes.get(attr, "").strip()
+            categorical[attr] = stripped[driver.raw_attributes.get(attr, "")]
 
         others = [k for k in crash_units[key[0]] if k != key][: cfg.n_interacting_slots]
         levels = [level for k in others for level in slot_levels[k]]
@@ -262,8 +273,8 @@ def build_vehicle_samples(
                 crash_id=key[0],
                 unit_vin=persons[0].unit_vin,
                 target=binarize_severity(worst),
-                numeric_features=numeric,
-                categorical_features=categorical,
+                numeric_features=_compact(numeric, indexes),
+                categorical_features=_compact(categorical, indexes),
             )
         )
     if skipped:
@@ -273,6 +284,16 @@ def build_vehicle_samples(
         log.info("%d units excluded: all severities Unknown (first: %s)",
                  len(excluded), _first_keys(excluded))
     return samples
+
+
+def _compact(features: dict, indexes: dict[tuple[str, ...], dict[str, int]]) -> KeyedTuple:
+    """``features`` as a KeyedTuple that shares its index, kept in
+    ``indexes``, with every other mapping of the same keys in the same order."""
+    keys = tuple(features)
+    index = indexes.get(keys)
+    if index is None:
+        index = indexes[keys] = {k: i for i, k in enumerate(keys)}
+    return KeyedTuple(index, tuple(features.values()))
 
 
 def _first_keys(keys: Sequence[tuple[str, str]], n: int = 3) -> str:
