@@ -507,11 +507,14 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
     """Apply a fitted PreprocessModel: impute, cyclical-transform, one-hot.
 
     Unseen categorical levels produce an all-zero block (counted and logged);
-    in-vocabulary encoding is lossless.
+    in-vocabulary encoding is lossless. ``X`` is allocated once, at its final
+    width, and each block is written into its own columns.
     """
     n = len(samples)
+    width = (len(model.numeric_order) + 2 * len(model.cyclical_order)
+             + sum(len(model.vocabularies[name]) for name in model.categorical_order))
+    X = np.zeros((n, width), dtype=np.float64)
     columns: list[ColumnInfo] = []
-    blocks: list[np.ndarray] = []
 
     def imputed(name: str) -> np.ndarray:
         mean = model.numeric_means[name]
@@ -519,16 +522,16 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
                         dtype=np.float64)
 
     for name in model.numeric_order:
-        blocks.append(imputed(name)[:, None])
+        X[:, len(columns)] = imputed(name)
         columns.append(ColumnInfo(name=name, kind="numeric", source=name))
 
     for name in model.cyclical_order:
         period = model.cyclical_periods[name]
         raw = imputed(name)
         angle = 2.0 * math.pi * raw / period
-        blocks.append(np.sin(angle)[:, None])
+        X[:, len(columns)] = np.sin(angle)
         columns.append(ColumnInfo(name=f"{name}#sin", kind="cyc_sin", source=name))
-        blocks.append(np.cos(angle)[:, None])
+        X[:, len(columns)] = np.cos(angle)
         columns.append(ColumnInfo(name=f"{name}#cos", kind="cyc_cos", source=name))
 
     unseen = 0
@@ -540,16 +543,13 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
         codes = np.array([code_of[v] for v in raw], dtype=np.intp)
         rows = np.flatnonzero(codes >= 0)
         unseen += n - rows.size
-        block = np.zeros((n, len(vocab)), dtype=np.float64)
-        block[rows, codes[rows]] = 1.0
-        blocks.append(block)
+        X[rows, len(columns) + codes[rows]] = 1.0
         for lvl in vocab:
             columns.append(ColumnInfo(name=f"{name}={lvl}", kind="onehot", source=name, level=lvl))
 
     if unseen:
         log.info("encode: %d categorical values outside the training vocabulary", unseen)
 
-    X = np.hstack(blocks) if blocks else np.empty((n, 0))
     y = np.array([1 if s.target == SEVERE else 0 for s in samples], dtype=np.int8)
     return FeatureMatrix(X, y, columns)
 
@@ -566,8 +566,10 @@ def save_matrix(matrix: FeatureMatrix, path) -> None:
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", matrix.n_cols, matrix.n_rows))
-        fh.write(matrix.X.astype("<f8").tobytes(order="C"))
-        fh.write(matrix.y.astype("<f8").tobytes())
+        # X's own buffer: no copy for a C-contiguous float64 X on a
+        # little-endian host
+        fh.write(np.ascontiguousarray(matrix.X, dtype="<f8"))
+        fh.write(matrix.y.astype("<f8"))
     desc = {
         "version": 1,
         "n_rows": matrix.n_rows,
@@ -582,7 +584,8 @@ def save_matrix(matrix: FeatureMatrix, path) -> None:
 
 def load_matrix(path) -> FeatureMatrix:
     """Read a matrix written by save_matrix; a file that is not one, is cut
-    short, or has an unreadable descriptor raises InputFileError."""
+    short, or has an unreadable descriptor raises InputFileError. The
+    payload is read straight into the returned ``X``."""
     path = str(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MATRIX_MAGIC))
@@ -598,8 +601,11 @@ def load_matrix(path) -> FeatureMatrix:
             raise InputFileError(
                 f"feature-matrix file {path} has {size} bytes; its header implies {expected}"
             )
-        X = np.frombuffer(fh.read(8 * n_rows * n_cols), dtype="<f8").reshape(n_rows, n_cols)
-        y = np.frombuffer(fh.read(8 * n_rows), dtype="<f8").astype(np.int8)
+        X = np.empty((n_rows, n_cols), dtype="<f8")
+        labels = np.empty(n_rows, dtype="<f8")
+        if fh.readinto(X) != X.nbytes or fh.readinto(labels) != labels.nbytes:
+            raise InputFileError(f"feature-matrix file {path} is truncated")
+    y = labels.astype(np.int8)
     try:
         with open(path + ".desc.json", "r", encoding="utf-8") as fh:
             desc = json.load(fh)
@@ -607,6 +613,6 @@ def load_matrix(path) -> FeatureMatrix:
             ColumnInfo(name=c["name"], kind=c["kind"], source=c["source"], level=c.get("level", ""))
             for c in desc["columns"]
         ]
-        return FeatureMatrix(X.copy(), y, columns)
+        return FeatureMatrix(X, y, columns)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputFileError(f"unreadable matrix descriptor {path}.desc.json: {exc!r}") from exc
