@@ -153,7 +153,8 @@ class AggregationConfig:
 
 
 def _time_of_day_hours(crash_time: Optional[str]) -> Optional[float]:
-    """'HH:MM' (or 'HH:MM:SS') to fractional hours."""
+    """'HH:MM' (or 'HH:MM:SS') to fractional hours; an hour outside 0-23 or
+    a minute outside 0-59 (such as the unknown-time code 99:99) is missing."""
     if not crash_time:
         return None
     parts = crash_time.strip().split(":")
@@ -162,14 +163,19 @@ def _time_of_day_hours(crash_time: Optional[str]) -> Optional[float]:
         minutes = int(parts[1]) if len(parts) > 1 else 0
     except (ValueError, IndexError):
         return None
+    if not (0 <= hours <= 23 and 0 <= minutes <= 59):
+        return None
     return hours + minutes / 60.0
 
 
 def _parse_float(value: str) -> Optional[float]:
+    """A finite float, or None: a blank, unparseable, NaN or infinite value
+    (1e400 overflows to inf) would poison its column's imputed mean."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         return None
+    return number if math.isfinite(number) else None
 
 
 def build_vehicle_samples(
@@ -584,8 +590,9 @@ def save_matrix(matrix: FeatureMatrix, path) -> None:
 
 def load_matrix(path) -> FeatureMatrix:
     """Read a matrix written by save_matrix; a file that is not one, is cut
-    short, or has an unreadable descriptor raises InputFileError. The
-    payload is read straight into the returned ``X``."""
+    short, holds a label other than 0.0 or 1.0, or has an unreadable
+    descriptor raises InputFileError. The payload is read straight into the
+    returned ``X``."""
     path = str(path)
     with open(path, "rb") as fh:
         magic = fh.read(len(MATRIX_MAGIC))
@@ -605,6 +612,8 @@ def load_matrix(path) -> FeatureMatrix:
         labels = np.empty(n_rows, dtype="<f8")
         if fh.readinto(X) != X.nbytes or fh.readinto(labels) != labels.nbytes:
             raise InputFileError(f"feature-matrix file {path} is truncated")
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        raise InputFileError(f"feature-matrix file {path} holds a label other than 0 or 1")
     y = labels.astype(np.int8)
     try:
         with open(path + ".desc.json", "r", encoding="utf-8") as fh:

@@ -1,16 +1,19 @@
 import csv
+import gc
 import io
 import json
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 from fixture_curation import DECODER_TABLE, fixture_csv_bytes
 
-from crashsev import orchestrate
+from crashsev import cli, orchestrate
 from crashsev.cli import main
 from crashsev.config import RunConfig
+from crashsev.learners import fit_ridge_logistic, save_model
 from crashsev.preprocess import load_matrix, save_matrix
 from crashsev.synth import planted_generator
 from crashsev.tune import enumerate_search_space
@@ -178,6 +181,42 @@ class TestPreprocessCommand:
         main(["preprocess", "--input", str(cur / "curated.csv"), "--out-dir", str(pre_a)])
         main(["preprocess", "--input", str(cur / "curated.csv"), "--out-dir", str(pre_b)])
         assert (pre_a / "matrix.csfm").read_bytes() == (pre_b / "matrix.csfm").read_bytes()
+
+
+class TestCollectorState:
+    """curate and preprocess run with the cyclic garbage collector paused,
+    and hand the caller back the collector state it had."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_commands_restore_the_callers_state(self, raw_csv, decoder_file, tmp_path,
+                                                monkeypatch, enabled):
+        seen = []
+        parse = cli.parse_person_rows
+        monkeypatch.setattr(cli, "parse_person_rows",
+                            lambda *a: seen.append(gc.isenabled()) or parse(*a))
+        (gc.enable if enabled else gc.disable)()
+        cur = tmp_path / "cur"
+        assert main(["curate", "--input", str(raw_csv), "--decoder-table",
+                     str(decoder_file), "--out-dir", str(cur)]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["preprocess", "--input", str(cur / "curated.csv"),
+                     "--out-dir", str(tmp_path / "pre")]) == 0
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
+
+    def test_exit_2_restores_the_callers_state(self, raw_csv, tmp_path):
+        gc.enable()
+        table = tmp_path / "decoder.json"
+        table.write_text("junk")
+        assert main(["curate", "--input", str(raw_csv), "--decoder-table", str(table),
+                     "--out-dir", str(tmp_path / "cur")]) == 2
+        assert gc.isenabled()
 
 
 class TestRunCommand:
@@ -349,6 +388,28 @@ class TestUnreadableInput:
         )
         cfg = run_config_ini(tmp_path, cut, tmp_path / "out")
         assert main(["--config", str(cfg), "run"]) == 2
+        _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["run", "explain"])
+    def test_matrix_with_a_non_binary_label_exits_2(self, synth_matrix_file, tmp_path, capsys,
+                                                    command):
+        bad = tmp_path / "bad.csfm"
+        data = bytearray(synth_matrix_file.read_bytes())
+        data[-8:] = struct.pack("<d", float("nan"))  # the last row's label
+        bad.write_bytes(bytes(data))
+        (tmp_path / "bad.csfm.desc.json").write_bytes(
+            (synth_matrix_file.parent / (synth_matrix_file.name + ".desc.json")).read_bytes()
+        )
+        if command == "run":
+            argv = ["--config", str(run_config_ini(tmp_path, bad, tmp_path / "out")), "run"]
+        else:
+            matrix = load_matrix(synth_matrix_file)
+            model = tmp_path / "model.json"
+            save_model(fit_ridge_logistic(matrix.X, matrix.y, 1.0,
+                                          column_names=[c.name for c in matrix.columns]), model)
+            argv = ["explain", "--model", str(model), "--matrix", str(bad),
+                    "--out-dir", str(tmp_path / "exp")]
+        assert main(argv) == 2
         _assert_one_line_error(capsys)
 
     def test_truncated_cv_checkpoint_exits_2(self, synth_matrix_file, tmp_path, capsys):

@@ -1,12 +1,14 @@
 import io
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
 from fixture_curation import fixture_csv_bytes
 
 from crashsev.ingest import (
+    InputFileError,
     PersonRow,
     PersonType,
     SeatingPosition,
@@ -22,6 +24,8 @@ from crashsev.preprocess import (
     FeatureMatrix,
     PreprocessModel,
     VehicleSample,
+    _parse_float,
+    _time_of_day_hours,
     binarize_severity,
     build_vehicle_samples,
     drop_postcrash_features,
@@ -130,6 +134,44 @@ class TestBuildSamples:
         s = next(x for x in samples if x.crash_id == "C01" and x.unit_vin.startswith("1HG"))
         assert s.numeric_features["CrashMonth"] == 6
         assert s.numeric_features["CrashTime24h"] == pytest.approx(14.5)
+
+
+class TestOutOfRangeFields:
+    @pytest.mark.parametrize("text", ["NaN", "nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_float_reads_as_missing(self, text):
+        assert _parse_float(text) is None
+
+    def test_finite_floats_keep_their_bits(self):
+        assert _parse_float(" 45") == 45.0
+        assert math.copysign(1.0, _parse_float("-0")) == -1.0
+        assert _parse_float("n/a") is None
+
+    @pytest.mark.parametrize("text", ["99:99", "-1:30", "24:00", "12:60", "7:-5"])
+    def test_out_of_range_time_reads_as_missing(self, text):
+        assert _time_of_day_hours(text) is None
+
+    def test_in_range_times(self):
+        assert _time_of_day_hours("0:00") == 0.0
+        assert _time_of_day_hours("23:59:30") == 23 + 59 / 60
+        assert _time_of_day_hours(" 7 ") == 7.0
+
+    def test_one_bad_value_does_not_poison_the_imputed_column(self):
+        # speeds 30, NaN and blank; times 10:00, 99:99 and blank
+        rows = [
+            PersonRow(crash_id="C1", unit_vin=f"V{u}", person_type=PersonType.DRIVER,
+                      seating_position=SeatingPosition.FRONT_LEFT, severity=SeverityClass.FATAL,
+                      crash_time=time, unit_type="Passenger Car",
+                      raw_attributes={"PostedSpeed": speed})
+            for u, (speed, time) in enumerate([("30", "10:00"), ("NaN", "99:99"), ("", None)])
+        ]
+        samples = build_vehicle_samples(rows)
+        model = fit_preprocess(samples)
+        assert model.numeric_means["PostedSpeed"] == 30.0
+        assert model.numeric_means["CrashTime24h"] == 10.0
+        matrix = encode(samples, model)
+        assert np.isfinite(matrix.X).all()
+        speed = matrix.X[:, matrix.group_columns("PostedSpeed")[0]]
+        assert speed.tolist() == [30.0, 30.0, 30.0]
 
 
 class TestFilterAndDenylist:
@@ -376,6 +418,41 @@ class TestPersistence:
         loaded = PreprocessModel.load(path)
         assert loaded == model
 
+    @pytest.mark.parametrize("X", [
+        # -0.0, NaNs (one with a payload and the sign bit), infinities, subnormals
+        np.array([[-0.0, np.nan, np.inf],
+                  [-np.inf, 5e-324, -2.5e-310],
+                  [np.frombuffer(struct.pack("<Q", 0xFFF8000000000001), "<f8")[0], 0.0, 1.0]]),
+        np.empty((3, 0)),
+    ], ids=["special-values", "no-columns"])
+    def test_matrix_bytes_equal_the_copying_writer(self, tmp_path, X):
+        # the payload the writer built with astype().tobytes() before it
+        # wrote X's own buffer
+        m = FeatureMatrix.from_arrays(X, [0, 1, 1])
+        expected = (b"CSFM1" + struct.pack("<QQ", m.n_cols, m.n_rows)
+                    + m.X.astype("<f8").tobytes(order="C") + m.y.astype("<f8").tobytes())
+        save_matrix(m, tmp_path / "m.csfm")
+        assert (tmp_path / "m.csfm").read_bytes() == expected
+        loaded = load_matrix(tmp_path / "m.csfm")
+        assert loaded.X.tobytes() == m.X.tobytes()
+
+    def test_loaded_x_is_one_writable_contiguous_array(self, tmp_path, rng):
+        m = FeatureMatrix.from_arrays(rng.standard_normal((5, 4)), [0, 1, 0, 1, 1])
+        save_matrix(m, tmp_path / "m.csfm")
+        X = load_matrix(tmp_path / "m.csfm").X
+        assert X.dtype == np.float64
+        assert X.flags.c_contiguous and X.flags.writeable and X.flags.owndata
+
+    @pytest.mark.parametrize("label", [2.5, float("nan"), -1.0, float("inf")])
+    def test_matrix_rejects_a_label_other_than_0_or_1(self, tmp_path, label):
+        path = tmp_path / "m.csfm"
+        save_matrix(FeatureMatrix.from_arrays(np.zeros((3, 2)), [0, 1, 0]), path)
+        data = bytearray(path.read_bytes())
+        data[-8:] = struct.pack("<d", label)  # the last row's label
+        path.write_bytes(bytes(data))
+        with pytest.raises(InputFileError, match="label"):
+            load_matrix(path)
+
     def test_matrix_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.csfm"
         path.write_bytes(b"NOPE!" + b"\0" * 16)
@@ -391,6 +468,21 @@ class TestSampleInvariants:
             hi = s.numeric_features.get("OccupantsMaxAge")
             if lo is not None and mid is not None and hi is not None:
                 assert lo <= mid <= hi
+
+    def test_rows_and_samples_have_no_instance_dict(self, curated_rows):
+        samples = build_vehicle_samples(curated_rows)
+        assert not hasattr(curated_rows[0], "__dict__")
+        assert not hasattr(samples[0], "__dict__")
+        assert not hasattr(_sample(), "__dict__")
+
+    def test_samples_of_one_call_share_their_feature_indexes(self, curated_rows):
+        samples = build_vehicle_samples(curated_rows)
+        first = samples[0]
+        for s in samples[1:]:
+            assert s.numeric_features._index is first.numeric_features._index
+            assert s.categorical_features._index is first.categorical_features._index
+        assert dict(first.numeric_features) == {k: first.numeric_features[k]
+                                                for k in first.numeric_features}
 
     def test_occupant_count_positive(self):
         with pytest.raises(ValueError):
