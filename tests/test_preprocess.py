@@ -481,8 +481,6 @@ class TestSampleInvariants:
         for s in samples[1:]:
             assert s.numeric_features._index is first.numeric_features._index
             assert s.categorical_features._index is first.categorical_features._index
-        assert dict(first.numeric_features) == {k: first.numeric_features[k]
-                                                for k in first.numeric_features}
 
     def test_occupant_count_positive(self):
         with pytest.raises(ValueError):
