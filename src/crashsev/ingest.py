@@ -702,7 +702,6 @@ class CurationAudit:
 class CurationResult:
     rows: list[PersonRow]
     audit: CurationAudit
-    vin_verdicts: dict[tuple[str, str], VinVerdict]
     removed_units: dict[tuple[str, str], str]
 
 
@@ -803,7 +802,7 @@ def curate(rows: list[PersonRow], decoder: DecoderClient) -> CurationResult:
 
     curated.sort(key=lambda r: (r.crash_id, r.unit_key[1], r.line_number))
     audit.rows_out = len(curated)
-    return CurationResult(rows=curated, audit=audit, vin_verdicts=verdicts, removed_units=removed_units)
+    return CurationResult(rows=curated, audit=audit, removed_units=removed_units)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,29 @@
 """The outer protocol: draw disjoint stratified training subsets, tune each,
 aggregate the winners' signatures by cross-subset stability, train the final
 model on the union of subsets, and evaluate once on the untouched holdout.
+
+A subset's only saved state is its stamped CV checkpoint,
+``subsets/subset_XX.cv.npz``, which stays on disk once the subset is done.
+A resumed run passes every subset back through ``run_rnk_cv``: a finished
+checkpoint comes back without a fit, and the subset's winner, BBC estimate
+and signature are recomputed from it deterministically. A checkpoint
+written for another plan, grid, class weighting or matrix is refused.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import learners as L
-from .ingest import InputFileError
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import Signature, StabilityTable, stability_select
-from .stats import PerformanceEstimate, RocCurve, auc_roc, bootstrap_auc_ci, roc_curve
+from .stats import PerformanceEstimate, auc_roc, bootstrap_auc_ci, roc_curve
 from .tune import (
     CVPlan,
     ModelConfig,
@@ -33,7 +38,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "SubsetPlan",
-    "SubsetResult",
     "FinalRun",
     "ProtocolError",
     "HoldoutViolation",
@@ -56,6 +60,10 @@ class SubsetPlan:
     subset_size: int = 55_000
     seed: int = 0
     disjoint: bool = True
+
+    def __post_init__(self) -> None:
+        if self.subset_size < 1:
+            raise ValueError(f"subset_size must be at least 1, not {self.subset_size}")
 
 
 def _per_class_allocation(labels: np.ndarray, subset_size: int) -> dict:
@@ -123,46 +131,13 @@ def draw_subsets(labels, plan: SubsetPlan) -> tuple[list[np.ndarray], np.ndarray
 
 
 @dataclass
-class SubsetResult:
-    """Everything the report needs from one subset's tuning run."""
-
-    index: int
-    winner: dict
-    winner_id: int
-    winner_pooled_auc: float
-    estimate: dict
-    signature: list[str]
-    signature_method: str
-    signature_hyperparameters: dict
-    folds_completed: int
-    fitted_models: int
-    stopped_early: bool
-    dropped: dict
-    n_rows: int
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
-    @classmethod
-    def load(cls, path) -> "SubsetResult":
-        """Read a subset checkpoint; a corrupt one raises InputFileError."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return cls(**json.load(fh))
-        except (json.JSONDecodeError, UnicodeDecodeError, TypeError) as exc:
-            raise InputFileError(f"unreadable subset checkpoint {path}: {exc}") from exc
-
-
-@dataclass
 class FinalRun:
     stable_features: list[str]
     stability: StabilityTable
-    subset_results: list[SubsetResult]
     final_model: object
     train_auc: float
     holdout_auc: float
     holdout_estimate: PerformanceEstimate
-    roc: RocCurve
     report: dict
     train_indices: np.ndarray = field(repr=False, default=None)
     holdout_indices: np.ndarray = field(repr=False, default=None)
@@ -218,6 +193,14 @@ def run_protocol(
     if np.intersect1d(union, holdout).size:
         raise ProtocolError("internal error: holdout overlaps training rows")
 
+    for c in np.unique(labels):
+        fewest = min(int(np.count_nonzero(labels[idx] == c)) for idx in subsets)
+        if fewest < cv_plan.k:
+            raise ProtocolError(
+                f"a subset holds {fewest} rows of class {c.item()!r}, fewer than the "
+                f"{cv_plan.k} folds; use larger subsets or fewer folds"
+            )
+
     subset_dir = None
     if out_dir is not None:
         subset_dir = Path(out_dir) / "subsets"
@@ -228,23 +211,9 @@ def run_protocol(
     matrix._row_hook = tracker
 
     try:
-        subset_results: list[SubsetResult] = []
+        subset_records: list[dict] = []
         signatures: list[Signature] = []
         for s, subset_idx in enumerate(subsets):
-            result_path = subset_dir / f"subset_{s:02d}.json" if subset_dir else None
-            if resume and result_path is not None and result_path.exists():
-                sub = SubsetResult.load(result_path)
-                subset_results.append(sub)
-                signatures.append(
-                    Signature(
-                        selected=sub.signature,
-                        method=sub.signature_method,
-                        hyperparameters=sub.signature_hyperparameters,
-                    )
-                )
-                log.info("subset %d loaded from checkpoint", s + 1)
-                continue
-
             sub_matrix = matrix.take_rows(subset_idx)
             plan_s = replace(cv_plan, seed=spawn_seed(cv_plan.seed, "subset", s))
             checkpoint = subset_dir / f"subset_{s:02d}.cv.npz" if subset_dir else None
@@ -260,29 +229,22 @@ def run_protocol(
             )
             winner, estimate = select_winner(cv_result)
             signature = _refit_winner_signature(winner, sub_matrix)
-            sub = SubsetResult(
-                index=s,
-                winner=winner.to_dict(),
-                winner_id=winner.config_id,
-                winner_pooled_auc=cv_result.pooled_auc(winner.config_id),
-                estimate=estimate.to_dict(),
-                signature=list(signature.selected),
-                signature_method=signature.method,
-                signature_hyperparameters=dict(signature.hyperparameters),
-                folds_completed=cv_result.folds_completed,
-                fitted_models=cv_result.fitted_models,
-                stopped_early=cv_result.stopped_early,
-                dropped={str(k): v for k, v in sorted(cv_result.dropped.items())},
-                n_rows=int(subset_idx.size),
-            )
-            subset_results.append(sub)
+            subset_records.append({
+                "index": s,
+                "winner": winner.to_dict(),
+                "winner_id": winner.config_id,
+                "winner_pooled_auc": cv_result.pooled_auc(winner.config_id),
+                "estimate": estimate.to_dict(),
+                "signature": list(signature.selected),
+                "signature_method": signature.method,
+                "signature_hyperparameters": dict(signature.hyperparameters),
+                "folds_completed": cv_result.folds_completed,
+                "fitted_models": cv_result.fitted_models,
+                "stopped_early": cv_result.stopped_early,
+                "dropped": {str(k): v for k, v in sorted(cv_result.dropped.items())},
+                "n_rows": int(subset_idx.size),
+            })
             signatures.append(signature)
-            if result_path is not None:
-                with open(result_path, "w", encoding="utf-8") as fh:
-                    json.dump(sub.to_dict(), fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-                if checkpoint is not None and checkpoint.exists():
-                    checkpoint.unlink()
             log.info(
                 "subset %d/%d: winner %s, corrected AUC %.4f, %d stable-candidate features",
                 s + 1, subset_plan.n_subsets, winner.label(), estimate.point,
@@ -330,7 +292,7 @@ def run_protocol(
         "subset_plan": asdict(subset_plan),
         "cv_plan": asdict(cv_plan),
         "stability_threshold": stability_threshold,
-        "subsets": [s.to_dict() for s in subset_results],
+        "subsets": subset_records,
         "stability": stability.to_dict(),
         "stable_features": list(stable),
         "final": {
@@ -344,20 +306,18 @@ def run_protocol(
             "roc_points": _thin_points(roc.fpr, roc.tpr, 2000),
         },
         "counts": {
-            "fitted_models_total": sum(s.fitted_models for s in subset_results),
-            "fitted_models_per_subset": [s.fitted_models for s in subset_results],
+            "fitted_models_total": sum(s["fitted_models"] for s in subset_records),
+            "fitted_models_per_subset": [s["fitted_models"] for s in subset_records],
         },
     }
 
     return FinalRun(
         stable_features=list(stable),
         stability=stability,
-        subset_results=subset_results,
         final_model=model,
         train_auc=train_auc,
         holdout_auc=holdout_auc,
         holdout_estimate=estimate,
-        roc=roc,
         report=report,
         train_indices=union,
         holdout_indices=holdout,

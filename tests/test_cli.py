@@ -303,6 +303,7 @@ def _assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestInvalidPlan:
@@ -311,6 +312,8 @@ class TestInvalidPlan:
         ("bbc_boot = 150", "bbc_boot = 50"),
         ("bbc_boot = 150", "bbc_ci = 1.5"),
         ("subset_size = 350", "subset_size = many"),
+        ("subset_size = 350", "subset_size = 0"),
+        ("subset_size = 350", "subset_size = -5"),
         ("[paths]", "paths"),
         ("threshold = 0.75", "threshold = 1.5"),
         ("threshold = 0.75", "threshold = 0"),
@@ -368,6 +371,18 @@ class TestInvalidPlan:
                                                "n_subsets = 5\nsubset_size = 499"))
         assert main(["--config", str(cfg), "run"]) == 2
         _assert_one_line_error(capsys)
+        assert (out_dir / "progress.jsonl").read_text() == ""
+        assert not (out_dir / "subsets").exists()
+
+    def test_subset_with_fewer_rows_of_a_class_than_folds_exits_2_before_tuning(
+            self, synth_matrix_file, tmp_path, capsys):
+        # 30-row subsets hold 3 of the matrix's 235 positives, too few for 4 folds
+        out_dir = tmp_path / "out"
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        cfg.write_text(cfg.read_text().replace("subset_size = 350", "subset_size = 30"))
+        assert main(["--config", str(cfg), "run"]) == 2
+        err = _assert_one_line_error(capsys)
+        assert "3 rows of class 1" in err and "4 folds" in err
         assert (out_dir / "progress.jsonl").read_text() == ""
         assert not (out_dir / "subsets").exists()
 
@@ -438,35 +453,31 @@ class TestUnreadableInput:
         assert main(["--config", str(cfg), "--resume", "run"]) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("finished", [False, True], ids=["killed", "finished"])
     def test_cv_checkpoint_of_another_seed_exits_2(self, synth_matrix_file, tmp_path, capsys,
-                                                    monkeypatch):
+                                                    monkeypatch, finished):
         out_dir = tmp_path / "out"
         cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
-        calls = {"n": 0}
+        if finished:
+            assert main(["--config", str(cfg), "run"]) == 0
+        else:
+            calls = {"n": 0}
 
-        def kill_in_fold_two(record):
-            calls["n"] += 1
-            if calls["n"] == 4:
-                raise KeyboardInterrupt("simulated kill")
+            def kill_in_fold_two(record):
+                calls["n"] += 1
+                if calls["n"] == 4:
+                    raise KeyboardInterrupt("simulated kill")
 
-        real_run = orchestrate.run_rnk_cv
-        monkeypatch.setattr(orchestrate, "run_rnk_cv",
-                            lambda *a, **kw: real_run(*a, **{**kw, "progress": kill_in_fold_two}))
-        with pytest.raises(KeyboardInterrupt):
-            main(["--config", str(cfg), "run"])
-        monkeypatch.setattr(orchestrate, "run_rnk_cv", real_run)
+            real_run = orchestrate.run_rnk_cv
+            monkeypatch.setattr(orchestrate, "run_rnk_cv", lambda *a, **kw: real_run(
+                *a, **{**kw, "progress": kill_in_fold_two}))
+            with pytest.raises(KeyboardInterrupt):
+                main(["--config", str(cfg), "run"])
+            monkeypatch.setattr(orchestrate, "run_rnk_cv", real_run)
         assert (out_dir / "subsets" / "subset_00.cv.npz").exists()
         capsys.readouterr()
         assert main(["--config", str(cfg), "--seed", "7", "--resume", "run"]) == 2
-        _assert_one_line_error(capsys)
-
-    def test_bad_subset_checkpoint_exits_2(self, synth_matrix_file, tmp_path, capsys):
-        out_dir = tmp_path / "out"
-        (out_dir / "subsets").mkdir(parents=True)
-        (out_dir / "subsets" / "subset_00.json").write_text('{"index": 0, "winner"')
-        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
-        assert main(["--config", str(cfg), "--resume", "run"]) == 2
-        _assert_one_line_error(capsys)
+        assert "written for another plan" in _assert_one_line_error(capsys)
 
     def test_corrupt_report_exits_2(self, tmp_path, capsys):
         (tmp_path / "report.json").write_text('{"search_space": {"total_enu')

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import crashsev.orchestrate as orch
+import crashsev.tune as tune
 from crashsev.learners import naive_baseline
 from crashsev.preprocess import FeatureMatrix
 from crashsev.selection import Signature
@@ -45,6 +46,17 @@ def small_plans(seed_a=11, seed_b=22):
         SubsetPlan(n_subsets=4, subset_size=400, seed=seed_a),
         CVPlan(k=4, seed=seed_b, bbc_boot=150),
     )
+
+
+# (subset, fold) after whose checkpoint a run of small_plans() can be killed:
+# early stopping ends the subsets after 3, 2, 2 and 2 of their 4 folds
+KILL_POINTS = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+
+
+@pytest.fixture(scope="module")
+def clean_report(small_matrix):
+    subset_plan, cv_plan = small_plans()
+    return run_protocol(small_matrix, subset_plan, small_space(), cv_plan).report
 
 
 class TestDrawSubsets:
@@ -199,9 +211,10 @@ class TestProtocol:
             run_protocol(small_matrix, subset_plan, space, cv_plan, out_dir=crash_dir)
         monkeypatch.setattr(orch, "run_rnk_cv", real_run)
 
-        assert (crash_dir / "subsets" / "subset_00.json").exists()
-        assert (crash_dir / "subsets" / "subset_01.json").exists()
-        assert not (crash_dir / "subsets" / "subset_02.json").exists()
+        assert sorted(p.name for p in (clean_dir / "subsets").iterdir()) == [
+            f"subset_{s:02d}.cv.npz" for s in range(4)]
+        assert sorted(p.name for p in (crash_dir / "subsets").iterdir()) == [
+            "subset_00.cv.npz", "subset_01.cv.npz"]
 
         resumed = run_protocol(
             small_matrix, subset_plan, space, cv_plan, out_dir=crash_dir, resume=True
@@ -209,6 +222,32 @@ class TestProtocol:
         assert json.dumps(resumed.report, sort_keys=True) == json.dumps(
             clean.report, sort_keys=True
         )
+
+    def test_kill_points_are_every_fold_of_the_clean_run(self, clean_report):
+        assert KILL_POINTS == [(s, f) for s, sub in enumerate(clean_report["subsets"])
+                               for f in range(sub["folds_completed"])]
+
+    @pytest.mark.parametrize("subset, fold", KILL_POINTS)
+    def test_kill_after_any_fold_then_resume_matches(self, small_matrix, clean_report,
+                                                      tmp_path, monkeypatch, subset, fold):
+        subset_plan, cv_plan = small_plans()
+        space = small_space()
+        real_save = tune.CVResult.save
+
+        def save_then_kill(state, path, stamp):
+            real_save(state, path, stamp)
+            if path.name == f"subset_{subset:02d}.cv.npz" and state.folds_completed == fold + 1:
+                raise KeyboardInterrupt("simulated kill")
+
+        monkeypatch.setattr(tune.CVResult, "save", save_then_kill)
+        with pytest.raises(KeyboardInterrupt):
+            run_protocol(small_matrix, subset_plan, space, cv_plan, out_dir=tmp_path)
+        monkeypatch.setattr(tune.CVResult, "save", real_save)
+
+        resumed = run_protocol(small_matrix, subset_plan, space, cv_plan, out_dir=tmp_path,
+                               resume=True)
+        assert json.dumps(resumed.report, sort_keys=True) == json.dumps(
+            clean_report, sort_keys=True)
 
     def test_fitted_model_accounting_in_report(self, small_matrix):
         subset_plan, cv_plan = small_plans()
