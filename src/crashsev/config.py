@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -112,6 +113,9 @@ class RunConfig:
                     w_neg, w_pos = (float(v) for v in weights.split(","))
                 except ValueError as exc:
                     raise ConfigError(f"bad class_weights {weights!r}") from exc
+                if not all(math.isfinite(v) and v > 0 for v in (w_neg, w_pos)):
+                    raise ConfigError(f"class_weights must be two finite positive numbers, "
+                                      f"not {weights!r}")
                 cfg.class_weights = (w_neg, w_pos)
 
         if parser.has_section("subsets"):

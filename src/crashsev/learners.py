@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc, expit
+from scipy.special import chdtrc
 
 from .ingest import InputFileError
 from .rng import substream
+from .stats import LOGISTIC_MAX_ITER, _newton_logistic_many
 
 log = logging.getLogger(__name__)
 
@@ -83,10 +84,10 @@ def fit_ridge_logistic(
     lam: float,
     class_weights: Optional[tuple[float, float]] = None,
     column_names: Optional[Sequence[str]] = None,
-    max_iter: int = 200,
-    grad_tol: float = 1e-8,
+    max_iter: int = LOGISTIC_MAX_ITER,
 ) -> LinearModel:
-    """Weighted ridge logistic fit by IRLS with step halving.
+    """Weighted ridge logistic fit, a one-row batch of the Newton solver that
+    also fits the likelihood-ratio tests' models (``stats._newton_logistic_many``).
 
     Minimizes mean weighted negative log-likelihood + (lam/2)||w||^2 on
     standardized columns; the intercept is unpenalized. The weighted mean
@@ -108,46 +109,10 @@ def fit_ridge_logistic(
     means = w @ X
     scales = np.sqrt(w @ (X - means) ** 2)
     scales = np.where(scales > 0, scales, 1.0)
-    Xs = (X - means) / scales
-    A = np.column_stack([np.ones(n), Xs])
+    A = np.column_stack([np.ones(n), (X - means) / scales])
     pen = np.r_[0.0, np.full(p, lam)]
-    yf = y.astype(np.float64)
-
-    def objective(beta: np.ndarray) -> float:
-        eta = A @ beta
-        nll = float(np.dot(w, np.logaddexp(0.0, eta) - yf * eta))
-        return nll + 0.5 * float(pen @ (beta * beta))
-
-    beta = np.zeros(p + 1)
-    obj = objective(beta)
-    converged = False
-    for _ in range(max_iter):
-        eta = A @ beta
-        mu = expit(eta)
-        grad = A.T @ (w * (yf - mu)) - pen * beta
-        if np.abs(grad).max() < grad_tol:
-            converged = True
-            break
-        wgt = w * mu * (1.0 - mu)
-        hess = (A * wgt[:, None]).T @ A + np.diag(pen) + 1e-12 * np.eye(p + 1)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            break
-        t = 1.0
-        new_obj = objective(beta + t * step)
-        for _half in range(30):
-            if math.isfinite(new_obj) and new_obj <= obj + 1e-12:
-                break
-            t *= 0.5
-            new_obj = objective(beta + t * step)
-        else:
-            break
-        beta = beta + t * step
-        if abs(obj - new_obj) < 1e-12 * (1.0 + abs(new_obj)):
-            converged = True
-            break
-        obj = new_obj
+    betas, _, conv = _newton_logistic_many(A[None], y, w, pen=pen, max_iter=max_iter)
+    beta, converged = betas[0], bool(conv[0])
 
     if not converged:
         log.warning("ridge logistic did not converge (lam=%g): flagged", lam)

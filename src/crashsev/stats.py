@@ -71,7 +71,6 @@ class PValue:
 class RocCurve:
     fpr: np.ndarray
     tpr: np.ndarray
-    auc: float
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def roc_curve(scores, labels) -> RocCurve:
     fp = (s.size - below)[::-1] - tp
     tpr = np.r_[0.0, tp / npos]
     fpr = np.r_[0.0, fp / nneg]
-    return RocCurve(fpr=fpr, tpr=tpr, auc=auc_roc(s, labels))
+    return RocCurve(fpr=fpr, tpr=tpr)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +202,14 @@ def _newton_logistic_many(
     y: np.ndarray,
     w: np.ndarray,
     beta0: np.ndarray | None = None,
+    pen: np.ndarray | None = None,
+    max_iter: int = LOGISTIC_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fit C logistic models sharing (y, w): A is (C, n, m).
 
-    Returns (beta (C, m), loglik (C,), converged (C,) bool). Convergence is
+    ``pen`` (m,) adds the ridge term 0.5 * sum(pen * beta**2) to each row's
+    objective. Returns (beta (C, m), -objective (C,), converged (C,) bool);
+    without ``pen`` the second item is the log-likelihood. Convergence is
     gradient norm < 1e-8 or objective change < 1e-10 relative; iteration
     exhaustion or numerical breakdown leaves converged False. Each row's fit
     depends on that row alone, so a test gives the same bits in any batch.
@@ -215,16 +218,22 @@ def _newton_logistic_many(
     yf = np.asarray(y, dtype=np.float64)
     beta = np.zeros((C, m)) if beta0 is None else np.array(beta0, dtype=np.float64)
     At = A.transpose(0, 2, 1)
-    ridge = 1e-12 * np.eye(m)
+    ridge = 1e-12 * np.eye(m) if pen is None else np.diag(pen) + 1e-12 * np.eye(m)
+
+    def objective(eta: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        nll = _nll_many(eta, yf, w)
+        return nll if pen is None else nll + 0.5 * np.einsum("cm,m->c", beta * beta, pen)
 
     eta = _eta_many(A, beta)
-    obj = _nll_many(eta, yf, w)
+    obj = objective(eta, beta)
     done = np.zeros(C, dtype=bool)
     failed = np.zeros(C, dtype=bool)
 
-    for _ in range(LOGISTIC_MAX_ITER):
+    for _ in range(max_iter):
         mu = expit(eta)
         grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
+        if pen is not None:
+            grad -= pen * beta
         done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
         if bool(np.all(done | failed)):
             break
@@ -239,7 +248,7 @@ def _newton_logistic_many(
                 t = np.where(worse, t * 0.5, t)
             new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
             new_eta = _eta_many(A, new_beta)
-            new_obj = _nll_many(new_eta, yf, w)
+            new_obj = objective(new_eta, new_beta)
             worse = active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
             if not worse.any():
                 break

@@ -378,6 +378,11 @@ class CVPlan:
             raise ValueError(f"bbc_boot must be at least {MIN_BBC_BOOT}")
         if not 0.0 < self.bbc_ci < 1.0:
             raise ValueError("bbc_ci must lie strictly between 0 and 1")
+        for name in ("drop_margin", "stop_epsilon"):
+            value = getattr(self, name)
+            _check(self, name, value is None or 0.0 <= value < math.inf,
+                   "none or finite and nonnegative")
+        _check(self, "drop_min_folds", self.drop_min_folds >= 1, "at least 1")
 
     @property
     def folds_per_repeat(self) -> int:

@@ -340,6 +340,14 @@ class TestInvalidPlan:
         ("folds = 4", "folds = 4\nfold = 3"),
         ("[stability]", "[stabilty]"),
         ("max_workers = 1", "max_workers = 0"),
+        ("bbc_boot = 150", "bbc_boot = 150\ndrop_margin = -0.5\ndrop_min_folds = 1"),
+        ("bbc_boot = 150", "bbc_boot = 150\ndrop_margin = nan"),
+        ("bbc_boot = 150", "bbc_boot = 150\ndrop_min_folds = 0"),
+        ("bbc_boot = 150", "bbc_boot = 150\nstop_epsilon = -1"),
+        ("bbc_boot = 150", "bbc_boot = 150\nstop_epsilon = nan"),
+        ("max_workers = 1", "max_workers = 1\nclass_weights = 0,0"),
+        ("max_workers = 1", "max_workers = 1\nclass_weights = nan,1"),
+        ("max_workers = 1", "max_workers = 1\nclass_weights = -1,1"),
     ])
     def test_bad_settings_exit_2_at_load(self, synth_matrix_file, tmp_path, capsys, old, new):
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
@@ -354,6 +362,12 @@ class TestInvalidPlan:
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
         assert main(["--config", str(cfg), "run", "--folds", "1"]) == 2
         _assert_one_line_error(capsys)
+
+    def test_negative_drop_margin_override_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
+        assert main(["--config", str(cfg), "run", "--drop-margin", "-1"]) == 2
+        _assert_one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_bad_worker_count_flag_exits_2(self, synth_matrix_file, tmp_path, capsys):
         cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")

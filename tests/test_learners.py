@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from crashsev import learners
 from crashsev.ingest import InputFileError
@@ -99,6 +100,84 @@ class TestRidge:
         model = fit_ridge_logistic(np.empty((y.size, 0)), y, lam=1.0)
         scores = predict_scores(model, np.empty((10, 0)))
         assert np.allclose(scores, scores[0])
+
+
+def _reference_ridge(X, y, lam, class_weights=None):
+    """The ridge fit as its own IRLS loop with step halving, stopped at a
+    relative objective change below 1e-12 or within 200 iterations: the
+    reference that ``fit_ridge_logistic`` must match to 1e-12. Returns
+    (intercept + weights, converged)."""
+    n, p = X.shape
+    w = class_weight_vector(y, class_weights)
+    w = w / w.sum()
+    means = w @ X
+    scales = np.sqrt(w @ (X - means) ** 2)
+    scales = np.where(scales > 0, scales, 1.0)
+    A = np.column_stack([np.ones(n), (X - means) / scales])
+    pen = np.r_[0.0, np.full(p, lam)]
+    yf = y.astype(np.float64)
+
+    def objective(beta):
+        eta = A @ beta
+        return float(np.dot(w, np.logaddexp(0.0, eta) - yf * eta)) + 0.5 * float(pen @ (beta * beta))
+
+    beta = np.zeros(p + 1)
+    obj = objective(beta)
+    for _ in range(200):
+        mu = expit(A @ beta)
+        grad = A.T @ (w * (yf - mu)) - pen * beta
+        if np.abs(grad).max() < 1e-8:
+            return beta, True
+        hess = (A * (w * mu * (1.0 - mu))[:, None]).T @ A + np.diag(pen) + 1e-12 * np.eye(p + 1)
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            return beta, False
+        t = 1.0
+        new_obj = objective(beta + step)
+        for _half in range(30):
+            if np.isfinite(new_obj) and new_obj <= obj + 1e-12:
+                break
+            t *= 0.5
+            new_obj = objective(beta + t * step)
+        else:
+            return beta, False
+        beta = beta + t * step
+        if abs(obj - new_obj) < 1e-12 * (1.0 + abs(new_obj)):
+            return beta, True
+        obj = new_obj
+    return beta, False
+
+
+def _assert_same_ridge(X, y, lam, class_weights=None):
+    model = fit_ridge_logistic(X, y, lam, class_weights)
+    want, converged = _reference_ridge(X, y, lam, class_weights)
+    assert model.converged == converged
+    assert abs(model.intercept - want[0]) <= 1e-12
+    assert np.abs(model.weights - want[1:]).max(initial=0.0) <= 1e-12
+
+
+class TestRidgeEqualsReference:
+    @pytest.mark.parametrize("n", [60, 300, 1125, 4000])
+    def test_grid(self, n):
+        rng = np.random.default_rng(n)
+        for p in (0, 1, 6, 30):
+            for onehot in (False, True):
+                X = rng.standard_normal((n, p))
+                if onehot:
+                    # a one-hot block is collinear with the intercept
+                    X = np.hstack([X, np.eye(5)[rng.integers(0, 5, n)]])
+                coef = 0.8 * rng.standard_normal(X.shape[1])
+                y = (rng.random(n) < 1 / (1 + np.exp(-(X @ coef - 1.0)))).astype(int)
+                y[:2] = (0, 1)
+                for lam in (1e-4, 1e-2, 1.0, 100.0):
+                    for class_weights in (None, (1.0, 1.0), (1.0, 3.0)):
+                        _assert_same_ridge(X, y, lam, class_weights)
+
+    @pytest.mark.parametrize("lam", [1e-4, 1.0])
+    def test_separable(self, lam):
+        X = np.linspace(-1, 1, 40)[:, None]
+        _assert_same_ridge(X, (X[:, 0] > 0).astype(int), lam)
 
 
 class TestTree:
