@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import gc
+import importlib
 import json
 import logging
 import sys
@@ -17,17 +18,7 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import ConfigError, RunConfig
-from .explain import (
-    export_summary_plot,
-    linear_shap,
-    permutation_importance,
-    variable_importance,
-    write_importance_csv,
-)
 from .ingest import (
     ColumnSchema,
     DisabledDecoder,
@@ -39,8 +30,6 @@ from .ingest import (
     summarize_dataset,
     write_curated_csv,
 )
-from .learners import LinearModel, load_model, save_model
-from .orchestrate import HoldoutViolation, ProtocolError, run_protocol
 from .preprocess import (
     AggregationConfig,
     build_vehicle_samples,
@@ -51,8 +40,47 @@ from .preprocess import (
     save_matrix,
 )
 from .rng import spawn_seed
-from .selection import StabilityTable
-from .tune import enumerate_search_space
+
+# The modelling names that run, explain and report use, by module. curate and
+# preprocess never touch them, so they are bound into this module on first use
+# (by main, or by ``cli.<name>`` from outside) and those commands do not pay for
+# importing the modelling stack and scipy.
+_MODELLING_NAMES = {
+    "config": ("ConfigError", "RunConfig"),
+    "explain": ("export_summary_plot", "linear_shap", "permutation_importance",
+                "variable_importance", "write_importance_csv"),
+    "learners": ("LinearModel", "load_model", "save_model"),
+    "orchestrate": ("HoldoutViolation", "ProtocolError", "run_protocol"),
+    "selection": ("StabilityTable",),
+    "tune": ("enumerate_search_space",),
+}
+_LAZY = {name for names in _MODELLING_NAMES.values() for name in names}
+
+
+def _load_modelling() -> None:
+    """Bind every modelling name into this module. A name already bound, such
+    as a wrapper a caller set on ``cli.<name>``, is kept."""
+    bound = globals()
+    for module, names in _MODELLING_NAMES.items():
+        owner = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            bound.setdefault(name, getattr(owner, name))
+
+
+def __getattr__(name: str):
+    """Serve ``cli.<name>`` for a modelling name, loading them all on first use."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_modelling()
+    return globals()[name]
+
+
+def _loaded(*names: str) -> tuple:
+    """The named modelling exception classes that are bound. One that is not
+    was never imported by the command that ran, so it cannot have raised it."""
+    bound = globals()
+    return tuple(bound[name] for name in names if name in bound)
+
 
 log = logging.getLogger(__name__)
 
@@ -156,11 +184,14 @@ def cmd_curate(args) -> int:
 
     with open(args.input, "rb") as fh:
         parsed = parse_person_rows(fh, schema)
+    quarantine = args.out_dir / "quarantine.csv"
     if parsed.errors:
-        with open(args.out_dir / "quarantine.csv", "w", encoding="utf-8", newline="") as fh:
+        with open(quarantine, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["line_number", "message", "raw"])
             writer.writerows([err.line_number, err.message, err.raw] for err in parsed.errors)
+    else:
+        quarantine.unlink(missing_ok=True)  # an earlier run's, into the same directory
 
     result = curate(parsed.rows, decoder)
     if not result.audit.conservation_holds():
@@ -426,18 +457,20 @@ def main(argv=None) -> int:
         "explain": cmd_explain,
         "report": cmd_report,
     }
+    if args.command not in ("curate", "preprocess"):
+        _load_modelling()
     try:
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, ConfigError, FileNotFoundError, InputFileError) as exc:
+    except (SchemaError, *_loaded("ConfigError"), FileNotFoundError, InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (HoldoutViolation,) as exc:
+    except _loaded("HoldoutViolation") as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ProtocolError as exc:
+    except _loaded("ProtocolError") as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

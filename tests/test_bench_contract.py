@@ -115,3 +115,40 @@ def test_every_cv_lasso_fit_goes_through_the_traced_name(monkeypatch):
     run_rnk_cv(FeatureMatrix.from_arrays(X, y), configs, plan)
     assert sorted(spans) == [0.5] * 3 + [1.0] * 3  # one per penalty and fold
     assert fits == [1] * len(spans)
+
+
+def test_a_wrapper_set_on_cli_before_main_is_the_one_run_calls(tmp_path, monkeypatch):
+    # the tracer looks a modelling name up on crashsev.cli and sets its wrapper
+    # there before main runs; main's own loading of those names must keep it
+    import crashsev.cli as cli
+    from crashsev.preprocess import save_matrix
+    from crashsev.synth import planted_generator
+
+    for name in cli._LAZY:  # as in a fresh process, where nothing bound them yet
+        monkeypatch.delattr(cli, name, raising=False)
+    assert not cli._LAZY & vars(cli).keys()
+    gen = planted_generator(n_features=6, n_informative=2, effect=0.8, prevalence=0.2)
+    save_matrix(gen.matrix(600, seed=1), tmp_path / "matrix.csfm")
+    config = tmp_path / "run.ini"
+    config.write_text(
+        f"[paths]\nmatrix = {tmp_path / 'matrix.csfm'}\nout_dir = {tmp_path / 'out'}\n"
+        "[subsets]\nn_subsets = 2\nsubset_size = 200\n"
+        "[cv]\nfolds = 3\nbbc_boot = 100\n"
+        "[search]\nses_kmax = []\nses_alpha = []\nlasso_penalty = []\nunivariate_alpha = []\n"
+        "epilogi_threshold = []\ninclude_no_selector = true\nridge_lambda = [1.0]\n"
+        "tree_min_leaf = []\ntree_alpha = []\nforest_n_trees = []\nforest_min_leaf = []\n"
+        "declared_total =\n"
+        "[stability]\nthreshold = 0.5\n[final]\nlearner = ridge\nlambda = 1.0\n"
+        "[run]\nseed = 3\nmax_workers = 1\n"
+    )
+    calls = []
+    real = cli.run_protocol
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", wrapper)
+    assert cli.main(["--config", str(config), "run"]) == 0
+    assert calls == [1]
+    assert cli.run_protocol is wrapper

@@ -2,8 +2,12 @@ import csv
 import gc
 import io
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +161,23 @@ class TestCurateCommand:
         assert next(csv.reader([unknown[2]])) == [
             "C3", "1HGCM82633A004352", 'Dri"ver, x', "Front Left Side", "Fatal"]
 
+    def test_clean_rerun_removes_an_earlier_quarantine(self, raw_csv, decoder_file, tmp_path,
+                                                       capsys):
+        bad = tmp_path / "partial.csv"
+        bad.write_text(
+            "CrashID,VIN,PersonType,SeatingPosition,Severity\n"
+            "C1,1HGCM82633A004352,Driver,Front Left Side,Fatal\n"
+            "C2,V,Driver\n"
+        )
+        out = tmp_path / "o"
+        assert main(["curate", "--input", str(bad), "--decoder-table",
+                     str(decoder_file), "--out-dir", str(out)]) == 0
+        assert (out / "quarantine.csv").exists()
+        assert main(["curate", "--input", str(raw_csv), "--decoder-table",
+                     str(decoder_file), "--out-dir", str(out)]) == 0
+        assert "0 lines quarantined" in capsys.readouterr().out
+        assert not (out / "quarantine.csv").exists()
+
 
 class TestPreprocessCommand:
     def test_end_to_end_from_curated(self, raw_csv, decoder_file, tmp_path, capsys):
@@ -217,6 +238,76 @@ class TestCollectorState:
         assert main(["curate", "--input", str(raw_csv), "--decoder-table", str(table),
                      "--out-dir", str(tmp_path / "cur")]) == 2
         assert gc.isenabled()
+
+
+# Run in a fresh interpreter, so no other test has bound the modelling names yet.
+_INGEST_ONLY = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    import crashsev.cli as cli
+
+    raw, decoder, bad, tmp = map(Path, sys.argv[1:])
+    codes = {
+        "curate": cli.main(["curate", "--input", str(raw), "--decoder-table", str(decoder),
+                            "--out-dir", str(tmp / "cur")]),
+        "preprocess": cli.main(["preprocess", "--input", str(tmp / "cur" / "curated.csv"),
+                                "--out-dir", str(tmp / "pre")]),
+        "curate_missing_column": cli.main(["curate", "--input", str(bad),
+                                           "--out-dir", str(tmp / "bad")]),
+        "preprocess_missing_column": cli.main(["preprocess", "--input", str(bad),
+                                               "--out-dir", str(tmp / "bad")]),
+    }
+
+    def fail(*args):
+        raise RuntimeError("planted")
+
+    cli.curate = fail
+    try:
+        cli.main(["curate", "--input", str(raw), "--out-dir", str(tmp / "cur")])
+    except RuntimeError as exc:
+        codes["unexpected"] = str(exc)
+    print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+""")
+
+
+class TestModellingImports:
+    """curate and preprocess load no modelling module; the modelling names
+    stay reachable as cli.<name>."""
+
+    MODELLING = ("scipy", "crashsev.config", "crashsev.explain", "crashsev.learners",
+                 "crashsev.orchestrate", "crashsev.selection", "crashsev.tune",
+                 "crashsev.stats")
+
+    def test_curate_and_preprocess_import_no_modelling_module(self, raw_csv, decoder_file,
+                                                              tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("CrashID,PersonType\nC1,Driver\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", _INGEST_ONLY, str(raw_csv), str(decoder_file), str(bad),
+             str(tmp_path)],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == {
+            "curate": 0,
+            "preprocess": 0,
+            "curate_missing_column": 2,
+            "preprocess_missing_column": 2,
+            "unexpected": "planted",
+        }
+        assert [m for m in result["modules"] if m in self.MODELLING] == []
+
+    def test_modelling_names_resolve_on_the_module(self):
+        assert cli.run_protocol is orchestrate.run_protocol
+        assert cli.RunConfig is RunConfig
+        from crashsev.cli import ProtocolError
+        assert ProtocolError is orchestrate.ProtocolError
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            cli.no_such_name
 
 
 class TestRunCommand:
