@@ -14,6 +14,7 @@ fitted as batched likelihood-ratio tests.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
@@ -173,6 +174,13 @@ def ses_select(
 # LASSO logistic regression by cyclic coordinate descent
 
 
+# Unit roundoff of float64.
+_UNIT_ROUNDOFF = 2.0 ** -53
+# Added to each norm in the screen's error bound; it covers the absolute
+# error of products that underflow, which the relative bound omits.
+_UNDERFLOW_FLOOR = 2.0 ** -480
+
+
 def _lasso_cd(
     X: np.ndarray,
     y: np.ndarray,
@@ -185,12 +193,43 @@ def _lasso_cd(
 
     Quadratic majorization (IRLS working response) with cyclic coordinate
     descent and soft thresholding; the intercept is unpenalized.
+
+    A zero coefficient is visited only when a screen cannot show that its
+    step leaves it at zero; a skipped step is one that would change
+    nothing, so the result is the same, bit for bit, as visiting every
+    coordinate. Each sweep starts from one product, c = X'(w*r)/n, which
+    estimates every column's correlation with the residual, and keeps it
+    current by subtracting step * X'(w*x_k)/n (the weighted Gram column,
+    Friedman, Hastie & Tibshirani 2010) when coefficient k moves. The step
+    at a zero coefficient j computes num_j as the rounded dot product
+    w'(x_j*r)/n and keeps zero when |num_j| <= lam, so it is skipped when
+    |c_j| + slack_j < lam, where slack_j bounds |num_j - c_j|.
+
+    The bound (standard model of rounding, Higham 2002, ch. 3): a dot
+    product of n terms, in any summation order, errs by at most about n*u
+    times the sum of the terms' magnitudes, u = 2^-53, and by Cauchy-Schwarz
+    that sum is at most ||x_j|| ||w*r|| / n. Adding the errors of c's
+    product, of each Gram column, of each update to c and to r, and of the
+    step's own dot product gives
+
+        |num_j - c_j| <= (1 + 2^-8) (3n + 2p + 8) u ||x_j|| R / n,
+
+    while (3n + 2p + 16) u <= 2^-10, where R = ||w*r|| at the sweep's start
+    plus |step| ||w*x_k|| for each move since. slack_j is twice that, with
+    u's factor rounded up to 3n + 2p + 16, which also covers the rounding of
+    the norms and of the test; every norm gains _UNDERFLOW_FLOOR. The
+    condition holds below about 10^12 rows (the paper's matrix has 2.3M);
+    past it nothing is skipped. A NaN or an overflow fails the test.
     """
     n, p = X.shape
     yf = y.astype(np.float64)
     ybar = yf.mean()
     beta = np.zeros(p)
     b0 = float(np.log(ybar / (1.0 - ybar))) if 0.0 < ybar < 1.0 else 0.0
+    factor = 2.0 * (3 * n + 2 * p + 16) * _UNIT_ROUNDOFF
+    if factor > 2.0 ** -9:
+        factor = math.inf
+    col_slack = (factor * (np.sqrt(np.einsum("ij,ij->j", X, X)) + _UNDERFLOW_FLOOR) / n).tolist()
 
     converged = False
     for _ in range(max_outer):
@@ -199,20 +238,35 @@ def _lasso_cd(
         w = np.clip(mu * (1.0 - mu), 1e-5, None)
         z = eta + (yf - mu) / w
         wsum = w.sum()
-        denom = (w[:, None] * X * X).sum(axis=0) / n
+        denom = ((w[:, None] * X * X).sum(axis=0) / n).tolist()
+        gram: dict[int, tuple[np.ndarray, float]] = {}  # k -> (X'(w*x_k)/n, ||w*x_k||)
 
         r = z - eta  # residual of the working response
         inner_done = False
         for _sweep in range(max_inner):
+            wr = w * r
+            c = X.T @ wr / n
+            bound = math.sqrt(float(wr @ wr)) + _UNDERFLOW_FLOOR
             delta = 0.0
             for j in range(p):
-                bj = beta[j]
-                num = float(w @ (X[:, j] * r)) / n + denom[j] * bj
-                new = float(np.sign(num) * max(abs(num) - lam, 0.0)) / denom[j] if denom[j] > 0 else 0.0
+                bj = float(beta[j])
+                if bj == 0.0 and abs(c[j]) + col_slack[j] * bound < lam:
+                    continue
+                d = denom[j]
+                num = float(w @ (X[:, j] * r)) / n + d * bj
+                # np.sign(-0.0) is +0.0; adding 0.0 gives copysign that sign
+                new = math.copysign(max(abs(num) - lam, 0.0), num + 0.0) / d if d > 0 else 0.0
                 if new != bj:
-                    r -= X[:, j] * (new - bj)
+                    step = new - bj
+                    r -= X[:, j] * step
                     beta[j] = new
-                    delta = max(delta, abs(new - bj))
+                    delta = max(delta, abs(step))
+                    if j not in gram:
+                        wx = w * X[:, j]
+                        gram[j] = (X.T @ wx / n, math.sqrt(float(wx @ wx)) + _UNDERFLOW_FLOOR)
+                    column, weighted_norm = gram[j]
+                    c -= step * column
+                    bound += abs(step) * weighted_norm
             shift = float(w @ r) / wsum
             if shift != 0.0:
                 b0 += shift

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from crashsev import selection
 from crashsev.preprocess import FeatureMatrix
@@ -128,6 +131,140 @@ class TestLasso:
         design = lasso_design(m)
         for pen in (0.25, 1.0, 1.75):
             assert lasso_select(m, pen, design) == lasso_select(m, pen)
+
+
+def _reference_lasso_cd(X, y, lam, max_outer=100, max_inner=1000, tol=1e-7):
+    """The unscreened kernel: every coordinate takes the exact update on
+    every sweep. ``selection._lasso_cd`` must return the same bytes."""
+    n, p = X.shape
+    yf = y.astype(np.float64)
+    ybar = yf.mean()
+    beta = np.zeros(p)
+    b0 = float(np.log(ybar / (1.0 - ybar))) if 0.0 < ybar < 1.0 else 0.0
+
+    converged = False
+    for _ in range(max_outer):
+        eta = b0 + X @ beta
+        mu = expit(eta)
+        w = np.clip(mu * (1.0 - mu), 1e-5, None)
+        z = eta + (yf - mu) / w
+        wsum = w.sum()
+        denom = (w[:, None] * X * X).sum(axis=0) / n
+
+        r = z - eta
+        inner_done = False
+        for _sweep in range(max_inner):
+            delta = 0.0
+            for j in range(p):
+                bj = beta[j]
+                num = float(w @ (X[:, j] * r)) / n + denom[j] * bj
+                new = float(np.sign(num) * max(abs(num) - lam, 0.0)) / denom[j] if denom[j] > 0 else 0.0
+                if new != bj:
+                    r -= X[:, j] * (new - bj)
+                    beta[j] = new
+                    delta = max(delta, abs(new - bj))
+            shift = float(w @ r) / wsum
+            if shift != 0.0:
+                b0 += shift
+                r -= shift
+                delta = max(delta, abs(shift))
+            if delta < tol:
+                inner_done = True
+                break
+        new_eta = b0 + X @ beta
+        if inner_done and float(np.max(np.abs(new_eta - eta))) < tol * 10:
+            converged = True
+            break
+    return beta, b0, converged
+
+
+def _first_sweep_nums(X, y):
+    """|num_j| of each coordinate against the intercept-only start: what the
+    first sweep computes for j when no earlier coordinate has moved."""
+    n, p = X.shape
+    yf = y.astype(np.float64)
+    ybar = yf.mean()
+    b0 = float(np.log(ybar / (1.0 - ybar))) if 0.0 < ybar < 1.0 else 0.0
+    eta = b0 + X @ np.zeros(p)
+    mu = expit(eta)
+    w = np.clip(mu * (1.0 - mu), 1e-5, None)
+    r = (eta + (yf - mu) / w) - eta
+    return [abs(float(w @ (X[:, j] * r)) / n) for j in range(p)]
+
+
+@st.composite
+def _lasso_problems(draw):
+    """A design with duplicate, constant and one-hot columns and column
+    scales from 1e-6 to 1e6, labels drawn from a planted logit, and a
+    penalty that is a fraction of the largest first-sweep |num_j| or lies
+    at, or one ulp either side of, one of them."""
+    n = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["numeric", "duplicate", "constant", "one_hot"]),
+                              min_size=1, max_size=6)):
+        if kind == "duplicate" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+        elif kind == "constant":
+            cols.append(np.full(n, draw(st.sampled_from([0.0, 1.0, -2.5, 1e-6, 1e6]))))
+        elif kind == "one_hot":
+            levels = draw(st.integers(2, 4))
+            cols.extend(np.eye(levels)[rng.integers(0, levels, n)].T)
+        else:
+            cols.append(10.0 ** draw(st.integers(-6, 6)) * rng.standard_normal(n))
+    X = np.column_stack(cols)
+    if draw(st.booleans()):
+        X = lasso_design(FeatureMatrix.from_arrays(X, np.zeros(n, dtype=int))).Xs
+    spread = X.std(axis=0)
+    unit = (X - X.mean(axis=0)) / np.where(spread > 0, spread, 1.0)
+    y = (rng.random(n) < expit(unit @ rng.normal(0.0, 1.5, X.shape[1]) - 0.5)).astype(int)
+
+    nums = _first_sweep_nums(X, y)
+    where = draw(st.sampled_from(["fraction", "at", "below", "above"]))
+    if where == "fraction":
+        lam = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0, 1.1])) * max(nums)
+    else:
+        lam = nums[draw(st.integers(0, len(nums) - 1))]
+        if where != "at":
+            lam = float(np.nextafter(lam, 0.0 if where == "below" else np.inf))
+    return X, y, lam
+
+
+class TestLassoScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(_lasso_problems())
+    def test_screened_kernel_matches_the_unscreened_bit_for_bit(self, problem):
+        # a small budget keeps diverging (separable) fits short; equality
+        # holds at any budget
+        X, y, lam = problem
+        beta, b0, converged = selection._lasso_cd(X, y, lam, max_outer=6, max_inner=60)
+        ref_beta, ref_b0, ref_converged = _reference_lasso_cd(X, y, lam, max_outer=6, max_inner=60)
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert float(b0).hex() == float(ref_b0).hex()
+        assert converged == ref_converged
+
+    def test_screen_skips_most_zero_coordinate_steps(self):
+        # a sparse fit on 40 columns: the unscreened kernel reads every
+        # column on every sweep, the screened one little beyond the active set
+        m, _ = planted_matrix(seed=3, n=600, p=40, k=3)
+        design = lasso_design(m)
+        lam = design.lam_max / 2.0
+        reads = {}
+        for name, kernel in [("screened", selection._lasso_cd), ("reference", _reference_lasso_cd)]:
+            X = design.Xs.view(_ColumnReads)
+            X.reads = 0
+            reads[name] = (kernel(X, m.y, lam)[0].tobytes(), X.reads)
+        assert reads["screened"][0] == reads["reference"][0]
+        assert reads["screened"][1] * 4 < reads["reference"][1], reads
+
+
+class _ColumnReads(np.ndarray):
+    """A design that counts its reads of one whole column, X[:, j]."""
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], int):
+            self.reads += 1
+        return super().__getitem__(key)
 
 
 class TestUnivariate:
