@@ -480,8 +480,18 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     """
     if isinstance(stream, (bytes, bytearray)):
         stream = io.BytesIO(stream)
-    if hasattr(stream, "read") and isinstance(stream.read(0), bytes):
-        stream = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    if not (hasattr(stream, "read") and isinstance(stream.read(0), bytes)):
+        return _parse_text(stream, schema)
+    # the caller owns the binary stream: detach, never close, the wrapper
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    try:
+        return _parse_text(text, schema)
+    finally:
+        text.detach()
+
+
+def _parse_text(stream, schema: ColumnSchema) -> ParseResult:
+    """``parse_person_rows`` on a stream of text."""
     reader = csv.reader(stream)
     try:
         header = next(reader)

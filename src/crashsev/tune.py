@@ -439,7 +439,8 @@ class CVResult:
         unreadable checkpoint, or one whose stamp is not ``stamp``, raises
         InputFileError."""
         try:
-            with np.load(path) as data:
+            # np.load(path) leaves its own handle open when the zip is unreadable
+            with open(path, "rb") as fh, np.load(fh) as data:
                 meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
                 state = {name: data[name].copy() if name in data.files else meta[name]
                          for name in _CHECKPOINT_STATE}

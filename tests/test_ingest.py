@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import tempfile
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -106,6 +108,31 @@ class TestParse:
         )
         result = parse_person_rows(io.BytesIO(csv.encode()), schema)
         assert result.rows[0].raw_attributes == {"Weather": "Rain"}
+
+    def test_callers_file_stays_open_and_nothing_leaks(self, schema, tmp_path):
+        # the text wrapper around a binary handle is detached, not left for
+        # the collector, which would close the caller's file and warn
+        path = tmp_path / "persons.csv"
+        path.write_bytes(b"CrashID,VIN,PersonType,SeatingPosition,Severity\n"
+                         b"C1,V,Driver,Front Left Side,Fatal\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(path, "rb") as fh:
+                result = parse_person_rows(fh, schema)
+                gc.collect()
+                assert not fh.closed
+            gc.collect()
+        assert len(result.rows) == 1
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_missing_column_still_leaves_the_callers_file_open(self, schema, tmp_path):
+        path = tmp_path / "persons.csv"
+        path.write_bytes(b"CrashID,PersonType,SeatingPosition,Severity\n")
+        with open(path, "rb") as fh:
+            with pytest.raises(SchemaError):
+                parse_person_rows(fh, schema)
+            gc.collect()
+            assert not fh.closed
 
 
 class TestValidateVin:
