@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from lasso_reference import first_sweep_nums
 from scipy.special import expit
 
 from crashsev.preprocess import FeatureMatrix
@@ -63,20 +64,6 @@ def _one_hot():
 DESIGNS = {"planted": _planted, "planted_correlated": _planted_correlated, "one_hot": _one_hot}
 
 
-def _first_sweep_num0(Xs, y) -> float:
-    """|num_0| of the kernel's first coordinate step: column 0 is visited
-    first, so it sees the residual of the intercept-only start."""
-    n, p = Xs.shape
-    yf = y.astype(np.float64)
-    ybar = yf.mean()
-    b0 = float(np.log(ybar / (1.0 - ybar)))
-    eta = b0 + Xs @ np.zeros(p)
-    mu = expit(eta)
-    w = np.clip(mu * (1.0 - mu), 1e-5, None)
-    r = (eta + (yf - mu) / w) - eta
-    return abs(float(w @ (Xs[:, 0] * r)) / n)
-
-
 def _cases():
     """(design, label) -> (standardized design, labels, lambda)."""
     cases = {}
@@ -85,7 +72,7 @@ def _cases():
         design = lasso_design(FeatureMatrix.from_arrays(X, y))
         for penalty in PENALTIES:
             cases[name, f"penalty={penalty}"] = (design.Xs, y, penalty * design.lam_max / 2.0)
-        cases[name, "lambda=|num_0|"] = (design.Xs, y, _first_sweep_num0(design.Xs, y))
+        cases[name, "lambda=|num_0|"] = (design.Xs, y, first_sweep_nums(design.Xs, y)[0])
     return cases
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from lasso_reference import first_sweep_nums, reference_lasso_cd
 from scipy.special import expit
 
 from crashsev import selection
@@ -133,65 +134,6 @@ class TestLasso:
             assert lasso_select(m, pen, design) == lasso_select(m, pen)
 
 
-def _reference_lasso_cd(X, y, lam, max_outer=100, max_inner=1000, tol=1e-7):
-    """The unscreened kernel: every coordinate takes the exact update on
-    every sweep. ``selection._lasso_cd`` must return the same bytes."""
-    n, p = X.shape
-    yf = y.astype(np.float64)
-    ybar = yf.mean()
-    beta = np.zeros(p)
-    b0 = float(np.log(ybar / (1.0 - ybar))) if 0.0 < ybar < 1.0 else 0.0
-
-    converged = False
-    for _ in range(max_outer):
-        eta = b0 + X @ beta
-        mu = expit(eta)
-        w = np.clip(mu * (1.0 - mu), 1e-5, None)
-        z = eta + (yf - mu) / w
-        wsum = w.sum()
-        denom = (w[:, None] * X * X).sum(axis=0) / n
-
-        r = z - eta
-        inner_done = False
-        for _sweep in range(max_inner):
-            delta = 0.0
-            for j in range(p):
-                bj = beta[j]
-                num = float(w @ (X[:, j] * r)) / n + denom[j] * bj
-                new = float(np.sign(num) * max(abs(num) - lam, 0.0)) / denom[j] if denom[j] > 0 else 0.0
-                if new != bj:
-                    r -= X[:, j] * (new - bj)
-                    beta[j] = new
-                    delta = max(delta, abs(new - bj))
-            shift = float(w @ r) / wsum
-            if shift != 0.0:
-                b0 += shift
-                r -= shift
-                delta = max(delta, abs(shift))
-            if delta < tol:
-                inner_done = True
-                break
-        new_eta = b0 + X @ beta
-        if inner_done and float(np.max(np.abs(new_eta - eta))) < tol * 10:
-            converged = True
-            break
-    return beta, b0, converged
-
-
-def _first_sweep_nums(X, y):
-    """|num_j| of each coordinate against the intercept-only start: what the
-    first sweep computes for j when no earlier coordinate has moved."""
-    n, p = X.shape
-    yf = y.astype(np.float64)
-    ybar = yf.mean()
-    b0 = float(np.log(ybar / (1.0 - ybar))) if 0.0 < ybar < 1.0 else 0.0
-    eta = b0 + X @ np.zeros(p)
-    mu = expit(eta)
-    w = np.clip(mu * (1.0 - mu), 1e-5, None)
-    r = (eta + (yf - mu) / w) - eta
-    return [abs(float(w @ (X[:, j] * r)) / n) for j in range(p)]
-
-
 @st.composite
 def _lasso_problems(draw):
     """A design with duplicate, constant and one-hot columns and column
@@ -219,7 +161,7 @@ def _lasso_problems(draw):
     unit = (X - X.mean(axis=0)) / np.where(spread > 0, spread, 1.0)
     y = (rng.random(n) < expit(unit @ rng.normal(0.0, 1.5, X.shape[1]) - 0.5)).astype(int)
 
-    nums = _first_sweep_nums(X, y)
+    nums = first_sweep_nums(X, y)
     where = draw(st.sampled_from(["fraction", "at", "below", "above"]))
     if where == "fraction":
         lam = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 0.9, 1.0, 1.1])) * max(nums)
@@ -238,7 +180,7 @@ class TestLassoScreen:
         # holds at any budget
         X, y, lam = problem
         beta, b0, converged = selection._lasso_cd(X, y, lam, max_outer=6, max_inner=60)
-        ref_beta, ref_b0, ref_converged = _reference_lasso_cd(X, y, lam, max_outer=6, max_inner=60)
+        ref_beta, ref_b0, ref_converged = reference_lasso_cd(X, y, lam, max_outer=6, max_inner=60)
         assert beta.tobytes() == ref_beta.tobytes()
         assert float(b0).hex() == float(ref_b0).hex()
         assert converged == ref_converged
@@ -250,7 +192,7 @@ class TestLassoScreen:
         design = lasso_design(m)
         lam = design.lam_max / 2.0
         reads = {}
-        for name, kernel in [("screened", selection._lasso_cd), ("reference", _reference_lasso_cd)]:
+        for name, kernel in [("screened", selection._lasso_cd), ("reference", reference_lasso_cd)]:
             X = design.Xs.view(_ColumnReads)
             X.reads = 0
             reads[name] = (kernel(X, m.y, lam)[0].tobytes(), X.reads)
