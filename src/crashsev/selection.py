@@ -220,6 +220,12 @@ def _lasso_cd(
     the norms and of the test; every norm gains _UNDERFLOW_FLOOR. The
     condition holds below about 10^12 rows (the paper's matrix has 2.3M);
     past it nothing is skipped. A NaN or an overflow fails the test.
+
+    The screen costs one full pass over X per sweep, for c, and one per
+    coefficient that moves in an outer iteration, for its Gram column. A
+    sweep that cannot skip anything, because lam is 0 or no coefficient is
+    zero when it starts, does none of that work and runs the exact steps
+    alone.
     """
     n, p = X.shape
     yf = y.astype(np.float64)
@@ -244,13 +250,17 @@ def _lasso_cd(
         r = z - eta  # residual of the working response
         inner_done = False
         for _sweep in range(max_inner):
-            wr = w * r
-            c = X.T @ wr / n
-            bound = math.sqrt(float(wr @ wr)) + _UNDERFLOW_FLOOR
+            # only a coefficient that is zero when the sweep starts can be
+            # skipped, and none can be at lam = 0
+            screen = lam > 0.0 and not beta.all()
+            if screen:
+                wr = w * r
+                c = X.T @ wr / n
+                bound = math.sqrt(float(wr @ wr)) + _UNDERFLOW_FLOOR
             delta = 0.0
             for j in range(p):
                 bj = float(beta[j])
-                if bj == 0.0 and abs(c[j]) + col_slack[j] * bound < lam:
+                if screen and bj == 0.0 and abs(c[j]) + col_slack[j] * bound < lam:
                     continue
                 d = denom[j]
                 num = float(w @ (X[:, j] * r)) / n + d * bj
@@ -261,12 +271,13 @@ def _lasso_cd(
                     r -= X[:, j] * step
                     beta[j] = new
                     delta = max(delta, abs(step))
-                    if j not in gram:
-                        wx = w * X[:, j]
-                        gram[j] = (X.T @ wx / n, math.sqrt(float(wx @ wx)) + _UNDERFLOW_FLOOR)
-                    column, weighted_norm = gram[j]
-                    c -= step * column
-                    bound += abs(step) * weighted_norm
+                    if screen:
+                        if j not in gram:
+                            wx = w * X[:, j]
+                            gram[j] = (X.T @ wx / n, math.sqrt(float(wx @ wx)) + _UNDERFLOW_FLOOR)
+                        column, weighted_norm = gram[j]
+                        c -= step * column
+                        bound += abs(step) * weighted_norm
             shift = float(w @ r) / wsum
             if shift != 0.0:
                 b0 += shift

@@ -199,14 +199,33 @@ class TestLassoScreen:
         assert reads["screened"][0] == reads["reference"][0]
         assert reads["screened"][1] * 4 < reads["reference"][1], reads
 
+    def test_unpenalized_fit_does_no_screen_work(self):
+        # at lam = 0 nothing can be skipped, so the kernel forms neither
+        # X'(w*r) nor a Gram column, and reads each column as the reference does
+        m, _ = planted_matrix(seed=5, n=400, p=12, k=4)
+        design = lasso_design(m)
+        reads = {}
+        for name, kernel in [("screened", selection._lasso_cd), ("reference", reference_lasso_cd)]:
+            X = design.Xs.view(_ColumnReads)
+            X.reads = X.transposes = 0
+            reads[name] = (kernel(X, m.y, 0.0, max_outer=3)[0].tobytes(), X.reads, X.transposes)
+        assert reads["screened"] == reads["reference"]
+        assert reads["screened"][2] == 0
+
 
 class _ColumnReads(np.ndarray):
-    """A design that counts its reads of one whole column, X[:, j]."""
+    """A design that counts its reads of one whole column, X[:, j], and of
+    its transpose."""
 
     def __getitem__(self, key):
         if isinstance(key, tuple) and len(key) == 2 and isinstance(key[1], int):
             self.reads += 1
         return super().__getitem__(key)
+
+    @property
+    def T(self):
+        self.transposes = getattr(self, "transposes", 0) + 1
+        return super().T
 
 
 class TestUnivariate:
