@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"crashsev {__version__}")
     parser.add_argument("--config", type=Path, help="run configuration file (INI)")
     parser.add_argument("--seed", type=int, help="override the root seed")
-    parser.add_argument("--max-workers", type=int, help="worker pool size")
+    parser.add_argument("--max-workers", type=int, help="worker pool size (overrides config)")
     parser.add_argument("--resume", action="store_true", help="resume from checkpoints")
     parser.add_argument("--dry-run", action="store_true",
                         help="validate configuration and print the plan without running")
@@ -132,10 +132,6 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="run the full subset/tune/stability protocol")
     p_run.add_argument("--matrix", type=Path, help="feature matrix (overrides config)")
     p_run.add_argument("--out-dir", type=Path, help="output directory (overrides config)")
-    p_run.add_argument("--folds", type=int)
-    p_run.add_argument("--drop-margin", type=float)
-    p_run.add_argument("--drop-min-folds", type=int)
-    p_run.add_argument("--stop-epsilon", type=float)
 
     p_explain = sub.add_parser("explain", help="attributions for a saved final model")
     p_explain.add_argument("--model", type=Path, required=True)
@@ -263,26 +259,10 @@ def cmd_run(args) -> int:
     cfg = RunConfig.load(args.config)
     if args.seed is not None:
         cfg = cfg.with_seed(args.seed)
-    if args.max_workers is not None:
-        cfg.max_workers = args.max_workers
-    if cfg.max_workers < 1:
-        raise ConfigError(f"max_workers must be at least 1, not {cfg.max_workers}")
-    overrides = {
-        "k": args.folds,
-        "drop_margin": args.drop_margin,
-        "drop_min_folds": args.drop_min_folds,
-        "stop_epsilon": args.stop_epsilon,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    if overrides:
-        try:
-            cfg.cv_plan = replace(cfg.cv_plan, **overrides)
-        except ValueError as exc:
-            raise ConfigError(f"bad CV override: {exc}") from exc
-    if args.matrix:
-        cfg.matrix_path = args.matrix
-    if args.out_dir:
-        cfg.out_dir = args.out_dir
+    # the flags that override the file pass the same checks as its values
+    overrides = {"max_workers": args.max_workers, "matrix_path": args.matrix,
+                 "out_dir": args.out_dir}
+    cfg = replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
 
     space = enumerate_search_space(cfg.grid)
     if args.dry_run:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,33 +32,91 @@ class ConfigError(Exception):
     """The run configuration is missing or malformed."""
 
 
-_SEARCH_LIST_KEYS = (
-    "ses_kmax",
-    "ses_alpha",
-    "lasso_penalty",
-    "univariate_alpha",
-    "epilogi_threshold",
-    "ridge_lambda",
-    "tree_min_leaf",
-    "tree_alpha",
-    "forest_n_trees",
-    "forest_min_leaf",
-)
+_DEFAULT = object()  # a reader's answer that leaves its field at the default
 
-# the keys each section may hold; any other section or key is an error
-_SECTION_KEYS = {
-    "paths": {"matrix", "out_dir"},
-    "run": {"seed", "max_workers", "class_weights"},
-    "subsets": {"n_subsets", "subset_size", "disjoint"},
-    "cv": {"folds", "repeats", "n_complete", "drop_margin", "drop_min_folds", "stop_epsilon",
-           "bbc_boot", "bbc_ci"},
-    "search": {*_SEARCH_LIST_KEYS, "include_no_selector", "declared_total"},
-    "stability": {"threshold"},
-    "final": {"learner", "lambda", "min_leaf", "alpha", "n_trees"},
+
+def _or_default(read):
+    """``read``, with an empty value meaning the field's default."""
+    return lambda text: read(text) if text else _DEFAULT
+
+
+def _or_none(read):
+    """``read``, with ``none`` meaning None and an empty value the default."""
+    return lambda text: None if text == "none" else _or_default(read)(text)
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {text!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+
+
+def _numbers(text: str) -> list:
+    try:
+        values = json.loads(text)
+    except json.JSONDecodeError:
+        values = None
+    if not isinstance(values, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
+    ):
+        raise ValueError("not a JSON list of numbers")
+    return values
+
+
+def _class_weights(text: str) -> Optional[tuple[float, float]]:
+    if text in ("", "balanced"):
+        return None
+    if text == "none":
+        return (1.0, 1.0)
+    weights = tuple(float(v) for v in text.split(","))
+    if len(weights) != 2 or not all(math.isfinite(v) and v > 0 for v in weights):
+        raise ValueError(f"class_weights must be two finite positive numbers, not {text!r}")
+    return weights
+
+
+# Every key a run file may hold: (section, key) -> (what it sets: the run, a
+# plan, the grid or the final learner; the field it sets there; the function
+# that reads its text). Any other section or key is an error, and a key the
+# file leaves out keeps its field's default.
+_KEYS = {
+    ("paths", "matrix"): ("run", "matrix_path", _or_default(Path)),
+    ("paths", "out_dir"): ("run", "out_dir", _or_default(Path)),
+    ("run", "seed"): ("run", "seed", int),
+    ("run", "max_workers"): ("run", "max_workers", int),
+    ("run", "class_weights"): ("run", "class_weights", _class_weights),
+    ("subsets", "n_subsets"): ("subsets", "n_subsets", int),
+    ("subsets", "subset_size"): ("subsets", "subset_size", int),
+    ("subsets", "disjoint"): ("subsets", "disjoint", _boolean),
+    ("cv", "folds"): ("cv", "k", int),
+    ("cv", "repeats"): ("cv", "repeats", int),
+    ("cv", "n_complete"): ("cv", "n_complete", _or_default(int)),
+    ("cv", "drop_margin"): ("cv", "drop_margin", _or_none(float)),
+    ("cv", "drop_min_folds"): ("cv", "drop_min_folds", int),
+    ("cv", "stop_epsilon"): ("cv", "stop_epsilon", _or_none(float)),
+    ("cv", "bbc_boot"): ("cv", "bbc_boot", int),
+    ("cv", "bbc_ci"): ("cv", "bbc_ci", float),
+    **{("search", f.name): ("search", f.name, _numbers) for f in fields(SearchGrid)
+       if f.name not in ("include_no_selector", "declared_total")},
+    ("search", "include_no_selector"): ("search", "include_no_selector", _boolean),
+    ("search", "declared_total"): ("search", "declared_total",
+                                   lambda text: int(text) if text else None),
+    ("stability", "threshold"): ("run", "stability_threshold", float),
+    ("final", "learner"): ("final", "learner", str),
+    **{("final", key): ("final", key, _or_default(float))
+       for key in ("lambda", "min_leaf", "alpha", "n_trees")},
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+# each final learner's class, and the [final] keys it reads -> (its argument,
+# the default)
+_FINAL_LEARNERS = {
+    "ridge": (RidgeLearner, {"lambda": ("lam", 1.0)}),
+    "tree": (TreeLearner, {"min_leaf": ("min_leaf", 5), "alpha": ("alpha_prune", 0.05)}),
+    "forest": (ForestLearner, {"n_trees": ("n_trees", 100), "min_leaf": ("min_leaf", 5)}),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     matrix_path: Optional[Path] = None
     out_dir: Path = Path("out")
@@ -72,115 +130,44 @@ class RunConfig:
     final_learner_spec: dict = field(default_factory=lambda: {"learner": "ridge", "lambda": 1.0})
     raw: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # a setting the run cannot use fails here, before any subset is drawn
+        if self.max_workers < 1:
+            raise ConfigError(f"max_workers must be at least 1, not {self.max_workers}")
+        enumerate_search_space(self.grid)
+        check_stability_plan(self.subset_plan.n_subsets, self.stability_threshold)
+        self.final_learner()
+
     @classmethod
     def load(cls, path) -> "RunConfig":
         """Parse a config file; a malformed or out-of-range value raises
         ConfigError."""
         parser = configparser.ConfigParser()
+        values: dict = {"run": {}, "subsets": {}, "cv": {}, "search": {}, "final": {}}
         try:
             if not parser.read(path):
                 raise ConfigError(f"cannot read config file {path}")
-            return cls._from_parser(parser)
+            raw = {s: dict(parser.items(s)) for s in parser.sections()}
+            for section, items in raw.items():
+                if section not in _SECTIONS:
+                    raise ConfigError(f"unknown section [{section}]")
+                for key, text in items.items():
+                    if (section, key) not in _KEYS:
+                        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+                    target, name, read = _KEYS[section, key]
+                    try:
+                        value = read(text)
+                    except ValueError as exc:
+                        raise ValueError(f"[{section}] {key}: {exc}") from exc
+                    if value is not _DEFAULT:
+                        values[target][name] = value
+            if "final" in raw:
+                values["run"]["final_learner_spec"] = {"learner": "ridge", **values["final"]}
+            cfg = cls(subset_plan=SubsetPlan(**values["subsets"]), cv_plan=CVPlan(**values["cv"]),
+                      grid=SearchGrid(**values["search"]), raw=raw, **values["run"])
+            return cfg.with_seed(cfg.seed)
         except (ValueError, configparser.Error) as exc:
             raise ConfigError(f"bad config file {path}: {' '.join(str(exc).split())}") from exc
-
-    @classmethod
-    def _from_parser(cls, parser: configparser.ConfigParser) -> "RunConfig":
-        cfg = cls()
-        cfg.raw = {s: dict(parser.items(s)) for s in parser.sections()}
-        for name, items in cfg.raw.items():
-            if name not in _SECTION_KEYS:
-                raise ConfigError(f"unknown section [{name}]")
-            unknown = sorted(set(items) - _SECTION_KEYS[name])
-            if unknown:
-                raise ConfigError(f"unknown key {unknown[0]!r} in section [{name}]")
-
-        if parser.has_section("paths"):
-            p = parser["paths"]
-            cfg.matrix_path = Path(p["matrix"]) if p.get("matrix") else None
-            if p.get("out_dir"):
-                cfg.out_dir = Path(p["out_dir"])
-
-        if parser.has_section("run"):
-            r = parser["run"]
-            cfg.seed = r.getint("seed", cfg.seed)
-            cfg.max_workers = r.getint("max_workers", cfg.max_workers)
-            weights = r.get("class_weights", "balanced").strip()
-            if weights == "none":
-                cfg.class_weights = (1.0, 1.0)
-            elif weights and weights != "balanced":
-                try:
-                    w_neg, w_pos = (float(v) for v in weights.split(","))
-                except ValueError as exc:
-                    raise ConfigError(f"bad class_weights {weights!r}") from exc
-                if not all(math.isfinite(v) and v > 0 for v in (w_neg, w_pos)):
-                    raise ConfigError(f"class_weights must be two finite positive numbers, "
-                                      f"not {weights!r}")
-                cfg.class_weights = (w_neg, w_pos)
-
-        if parser.has_section("subsets"):
-            s = parser["subsets"]
-            cfg.subset_plan = SubsetPlan(
-                n_subsets=s.getint("n_subsets", 4),
-                subset_size=s.getint("subset_size", 55_000),
-                disjoint=s.getboolean("disjoint", True),
-            )
-
-        cv_kwargs: dict = {}
-        if parser.has_section("cv"):
-            c = parser["cv"]
-            cv_kwargs["k"] = c.getint("folds", 10)
-            cv_kwargs["repeats"] = c.getint("repeats", 1)
-            if c.get("n_complete"):
-                cv_kwargs["n_complete"] = c.getint("n_complete")
-            if c.get("drop_margin", "").strip() == "none":
-                cv_kwargs["drop_margin"] = None
-            elif c.get("drop_margin"):
-                cv_kwargs["drop_margin"] = c.getfloat("drop_margin")
-            cv_kwargs["drop_min_folds"] = c.getint("drop_min_folds", 3)
-            if c.get("stop_epsilon", "").strip() == "none":
-                cv_kwargs["stop_epsilon"] = None
-            elif c.get("stop_epsilon"):
-                cv_kwargs["stop_epsilon"] = c.getfloat("stop_epsilon")
-            cv_kwargs["bbc_boot"] = c.getint("bbc_boot", 500)
-            cv_kwargs["bbc_ci"] = c.getfloat("bbc_ci", 0.95)
-        cfg.cv_plan = CVPlan(**cv_kwargs)
-
-        if parser.has_section("search"):
-            s = parser["search"]
-            grid_dict: dict = {}
-            for key in _SEARCH_LIST_KEYS:
-                if s.get(key) is not None:
-                    try:
-                        values = json.loads(s[key])
-                    except json.JSONDecodeError:
-                        values = None
-                    if not isinstance(values, list) or not all(
-                        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values
-                    ):
-                        raise ConfigError(f"search.{key} is not a JSON list of numbers")
-                    grid_dict[key] = values
-            if s.get("include_no_selector") is not None:
-                grid_dict["include_no_selector"] = s.getboolean("include_no_selector")
-            if s.get("declared_total", "").strip():
-                grid_dict["declared_total"] = s.getint("declared_total")
-            elif "declared_total" in s:
-                grid_dict["declared_total"] = None
-            cfg.grid = SearchGrid.from_dict(grid_dict) if grid_dict else SearchGrid()
-        enumerate_search_space(cfg.grid)  # an out-of-range value fails here, as in [final]
-
-        if parser.has_section("stability"):
-            cfg.stability_threshold = parser["stability"].getfloat("threshold", 0.75)
-        check_stability_plan(cfg.subset_plan.n_subsets, cfg.stability_threshold)
-
-        if parser.has_section("final"):
-            f = parser["final"]
-            cfg.final_learner_spec = {"learner": f.get("learner", "ridge")}
-            for key in ("lambda", "min_leaf", "alpha", "n_trees"):
-                if f.get(key):
-                    cfg.final_learner_spec[key] = float(f[key])
-        cfg.final_learner()  # an unknown learner or a bad value fails here, before any draw
-        return cfg.with_seed(cfg.seed)
 
     def with_seed(self, seed: int) -> "RunConfig":
         """This configuration under root seed ``seed``: the subset and CV
@@ -193,17 +180,17 @@ class RunConfig:
         )
 
     def final_learner(self):
-        spec = self.final_learner_spec
-        kind = spec.get("learner", "ridge")
-        if kind == "ridge":
-            return RidgeLearner(lam=float(spec.get("lambda", 1.0)))
-        if kind == "tree":
-            return TreeLearner(
-                min_leaf=spec.get("min_leaf", 5), alpha_prune=float(spec.get("alpha", 0.05))
-            )
-        if kind == "forest":
-            return ForestLearner(n_trees=spec.get("n_trees", 100), min_leaf=spec.get("min_leaf", 5))
-        raise ConfigError(f"unknown final learner {kind!r}")
+        """The learner the final model is fitted with. An unknown learner, or
+        a ``[final]`` key the learner does not read, raises ConfigError."""
+        spec = dict(self.final_learner_spec)
+        kind = spec.pop("learner", "ridge")
+        if kind not in _FINAL_LEARNERS:
+            raise ConfigError(f"unknown final learner {kind!r}")
+        learner, reads = _FINAL_LEARNERS[kind]
+        unread = sorted(set(spec) - set(reads))
+        if unread:
+            raise ConfigError(f"final learner {kind!r} does not read [final] {unread[0]}")
+        return learner(**{arg: spec.get(key, default) for key, (arg, default) in reads.items()})
 
     def dump(self) -> dict:
         """The configuration as the run report records it. The file's

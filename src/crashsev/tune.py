@@ -280,15 +280,6 @@ class SearchGrid:
     forest_min_leaf: list = field(default_factory=lambda: [4, 5])
     declared_total: Optional[int] = 738
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SearchGrid":
-        grid = cls()
-        for key, value in raw.items():
-            if not hasattr(grid, key):
-                raise ValueError(f"unknown search-grid key {key!r}")
-            setattr(grid, key, value)
-        return grid
-
 
 @dataclass
 class SearchSpace:

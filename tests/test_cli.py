@@ -16,7 +16,7 @@ from fixture_curation import DECODER_TABLE, fixture_csv_bytes
 
 from crashsev import cli, orchestrate
 from crashsev.cli import main
-from crashsev.config import RunConfig
+from crashsev.config import ConfigError, RunConfig
 from crashsev.learners import fit_ridge_logistic, save_model
 from crashsev.preprocess import load_matrix, save_matrix
 from crashsev.synth import planted_generator
@@ -400,6 +400,7 @@ def _assert_one_line_error(capsys):
 class TestInvalidPlan:
     @pytest.mark.parametrize("old, new", [
         ("folds = 4", "folds = 3\nn_complete = 5"),
+        ("folds = 4", "folds = 1"),
         ("bbc_boot = 150", "bbc_boot = 50"),
         ("bbc_boot = 150", "bbc_ci = 1.5"),
         ("subset_size = 350", "subset_size = many"),
@@ -428,6 +429,10 @@ class TestInvalidPlan:
         ("learner = ridge\nlambda = 1.0", "learner = tree\nmin_leaf = 2.5"),
         ("learner = ridge\nlambda = 1.0", "learner = forest\nn_trees = 0"),
         ("learner = ridge", "learner = svm"),
+        # a [final] key the chosen learner does not read
+        ("learner = ridge\nlambda = 1.0", "learner = ridge\nlambda = 1.0\nmin_leaf = 3\nn_trees = 7"),
+        ("learner = ridge\nlambda = 1.0", "learner = tree\nlambda = 1.0"),
+        ("learner = ridge\nlambda = 1.0", "learner = forest\nalpha = 0.05"),
         ("folds = 4", "folds = 4\nfold = 3"),
         ("[stability]", "[stabilty]"),
         ("max_workers = 1", "max_workers = 0"),
@@ -446,17 +451,6 @@ class TestInvalidPlan:
         assert main(["--config", str(cfg), "--dry-run", "run"]) == 2
         _assert_one_line_error(capsys)
         assert main(["--config", str(cfg), "run"]) == 2
-        _assert_one_line_error(capsys)
-        assert not (tmp_path / "out").exists()
-
-    def test_bad_fold_override_exits_2(self, synth_matrix_file, tmp_path, capsys):
-        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
-        assert main(["--config", str(cfg), "run", "--folds", "1"]) == 2
-        _assert_one_line_error(capsys)
-
-    def test_negative_drop_margin_override_exits_2(self, synth_matrix_file, tmp_path, capsys):
-        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
-        assert main(["--config", str(cfg), "run", "--drop-margin", "-1"]) == 2
         _assert_one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
@@ -686,6 +680,12 @@ class TestUsageErrors:
     def test_run_without_config_exits_3(self):
         assert main(["run"]) == 3
 
+    def test_cv_flag_exits_3(self, synth_matrix_file, tmp_path):
+        # every [cv] setting lives in the config file; run has no flag for one
+        cfg = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "out")
+        assert main(["--config", str(cfg), "run", "--folds", "4"]) == 3
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunConfigParsing:
     def test_parses_plans_and_grid(self, synth_matrix_file, tmp_path):
@@ -713,6 +713,12 @@ class TestRunConfigParsing:
         cfg = RunConfig.load(path)
         assert enumerate_search_space(cfg.grid).summary()["total_enumerated"] == 476
         assert cfg.final_learner().label() == "Ridge(lambda=1)"
+
+    def test_load_refuses_zero_workers(self, synth_matrix_file, tmp_path):
+        path = run_config_ini(tmp_path, synth_matrix_file, tmp_path / "o")
+        path.write_text(path.read_text().replace("max_workers = 1", "max_workers = 0"))
+        with pytest.raises(ConfigError, match="max_workers"):
+            RunConfig.load(path)
 
     def test_dump_covers_raw_sections(self, synth_matrix_file, tmp_path):
         cfg = RunConfig.load(run_config_ini(tmp_path, synth_matrix_file, tmp_path / "o"))
