@@ -142,7 +142,10 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         """Parse a config file; a malformed or out-of-range value raises
         ConfigError."""
-        parser = configparser.ConfigParser()
+        # no header can name the empty section, so a [DEFAULT] section, whose
+        # keys configparser would copy into every other section, reads as an
+        # ordinary section and is refused as unknown
+        parser = configparser.ConfigParser(default_section="")
         values: dict = {"run": {}, "subsets": {}, "cv": {}, "search": {}, "final": {}}
         try:
             if not parser.read(path):

@@ -41,6 +41,7 @@ __all__ = [
     "PreprocessModel",
     "ColumnInfo",
     "FeatureMatrix",
+    "EncodedMatrix",
     "binarize_severity",
     "build_vehicle_samples",
     "filter_passenger_vehicles",
@@ -509,17 +510,66 @@ class FeatureMatrix:
         return FeatureMatrix(self.X[:, cols], self.y, [self.columns[i] for i in cols])
 
 
-def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureMatrix:
+class EncodedMatrix:
+    """An encoded matrix in compact form, one array per source feature.
+
+    ``values`` holds the leading numeric, sin and cos columns of ``X``, one
+    imputed float64 vector each, in column order. ``codes`` holds each
+    categorical group as (its first column, one level code per row), where a
+    code indexes the group's vocabulary and -1 marks a level outside it (an
+    all-zero block). ``_expand`` writes rows of the dense row-major ``X`` from
+    them; nothing else builds that layout.
+    """
+
+    def __init__(self, values: list[np.ndarray], codes: list[tuple[int, np.ndarray]],
+                 y: np.ndarray, columns: list[ColumnInfo]):
+        self.values = values
+        self.codes = codes
+        self.y = y
+        self.columns = columns
+        self.n_rows = int(y.size)
+        self.n_cols = len(columns)
+
+    def group_names(self) -> list[str]:
+        return list(dict.fromkeys(c.source for c in self.columns))
+
+    def _expand(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Write rows ``start`` to ``start + len(out)`` of ``X`` into ``out``
+        and return it."""
+        stop = start + out.shape[0]
+        out.fill(0.0)
+        for j, column in enumerate(self.values):
+            out[:, j] = column[start:stop]
+        for first, codes in self.codes:
+            block = codes[start:stop]
+            rows = np.flatnonzero(block >= 0)
+            out[rows, first + block[rows]] = 1.0
+        return out
+
+    def row_blocks(self):
+        """``X`` in consecutive blocks of at most ``SAVE_BLOCK_ROWS`` rows,
+        each expanded into the same buffer, which the next block overwrites."""
+        step = max(1, min(SAVE_BLOCK_ROWS, self.n_rows))
+        buffer = np.empty((step, self.n_cols), dtype=np.float64)
+        for start in range(0, self.n_rows, step):
+            yield self._expand(start, buffer[: min(step, self.n_rows - start)])
+
+    @property
+    def X(self) -> np.ndarray:
+        """The dense ``X``, expanded whole."""
+        return self._expand(0, np.empty((self.n_rows, self.n_cols), dtype=np.float64))
+
+
+def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> EncodedMatrix:
     """Apply a fitted PreprocessModel: impute, cyclical-transform, one-hot.
 
     Unseen categorical levels produce an all-zero block (counted and logged);
-    in-vocabulary encoding is lossless. ``X`` is allocated once, at its final
-    width, and each block is written into its own columns.
+    in-vocabulary encoding is lossless. The result is compact: one vector per
+    numeric, sin and cos column and one vector of level codes per categorical
+    feature, which save_matrix expands a block of rows at a time.
     """
-    n = len(samples)
-    width = (len(model.numeric_order) + 2 * len(model.cyclical_order)
-             + sum(len(model.vocabularies[name]) for name in model.categorical_order))
-    X = np.zeros((n, width), dtype=np.float64)
+    values: list[np.ndarray] = []
+    codes: list[tuple[int, np.ndarray]] = []
     columns: list[ColumnInfo] = []
 
     def imputed(name: str) -> np.ndarray:
@@ -528,16 +578,14 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
                         dtype=np.float64)
 
     for name in model.numeric_order:
-        X[:, len(columns)] = imputed(name)
+        values.append(imputed(name))
         columns.append(ColumnInfo(name=name, kind="numeric", source=name))
 
     for name in model.cyclical_order:
         period = model.cyclical_periods[name]
-        raw = imputed(name)
-        angle = 2.0 * math.pi * raw / period
-        X[:, len(columns)] = np.sin(angle)
+        angle = 2.0 * math.pi * imputed(name) / period
+        values += [np.sin(angle), np.cos(angle)]
         columns.append(ColumnInfo(name=f"{name}#sin", kind="cyc_sin", source=name))
-        X[:, len(columns)] = np.cos(angle)
         columns.append(ColumnInfo(name=f"{name}#cos", kind="cyc_cos", source=name))
 
     unseen = 0
@@ -546,10 +594,9 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
         index = {lvl: j for j, lvl in enumerate(vocab)}
         raw = _categorical_column(samples, name)
         code_of = {v: index.get(_level(v), -1) for v in set(raw)}
-        codes = np.array([code_of[v] for v in raw], dtype=np.intp)
-        rows = np.flatnonzero(codes >= 0)
-        unseen += n - rows.size
-        X[rows, len(columns) + codes[rows]] = 1.0
+        group = np.array([code_of[v] for v in raw], dtype=np.int32)
+        unseen += int(np.count_nonzero(group < 0))
+        codes.append((len(columns), group))
         for lvl in vocab:
             columns.append(ColumnInfo(name=f"{name}={lvl}", kind="onehot", source=name, level=lvl))
 
@@ -557,24 +604,36 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> FeatureM
         log.info("encode: %d categorical values outside the training vocabulary", unseen)
 
     y = np.array([1 if s.target == SEVERE else 0 for s in samples], dtype=np.int8)
-    return FeatureMatrix(X, y, columns)
+    return EncodedMatrix(values, codes, y, columns)
 
 
 # ---------------------------------------------------------------------------
 # Matrix persistence: magic "CSFM1", little-endian counts, float64 payload
 
 MATRIX_MAGIC = b"CSFM1"
+# Rows of an EncodedMatrix that save_matrix expands and writes at a time; its
+# one buffer of this many rows stands in for the whole dense X.
+SAVE_BLOCK_ROWS = 4096
 
 
-def save_matrix(matrix: FeatureMatrix, path) -> None:
-    """Binary columnar file plus a sidecar .desc.json descriptor."""
+def save_matrix(matrix: FeatureMatrix | EncodedMatrix, path) -> None:
+    """Write ``matrix`` as load_matrix reads it: the magic ``CSFM1``, the
+    column and row counts as little-endian uint64, ``X`` as row-major
+    little-endian float64, then the labels as float64; plus a sidecar
+    ``.desc.json`` describing every column (name, kind, source, level).
+
+    A FeatureMatrix's ``X`` is written from its own buffer. An EncodedMatrix
+    is expanded and written ``SAVE_BLOCK_ROWS`` rows at a time, so its dense
+    ``X`` is never held."""
     path = str(path)
+    blocks = matrix.row_blocks() if isinstance(matrix, EncodedMatrix) else [matrix.X]
     with open(path, "wb") as fh:
         fh.write(MATRIX_MAGIC)
         fh.write(struct.pack("<QQ", matrix.n_cols, matrix.n_rows))
-        # X's own buffer: no copy for a C-contiguous float64 X on a
-        # little-endian host
-        fh.write(np.ascontiguousarray(matrix.X, dtype="<f8"))
+        for block in blocks:
+            # the block's own buffer: no copy for C-contiguous float64 on a
+            # little-endian host
+            fh.write(block.astype("<f8", copy=False))
         fh.write(matrix.y.astype("<f8"))
     desc = {
         "version": 1,

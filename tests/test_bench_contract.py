@@ -152,3 +152,36 @@ def test_a_wrapper_set_on_cli_before_main_is_the_one_run_calls(tmp_path, monkeyp
     assert cli.main(["--config", str(config), "run"]) == 0
     assert calls == [1]
     assert cli.run_protocol is wrapper
+
+
+def test_one_preprocess_encodes_once_and_saves_once(tmp_path, monkeypatch, curation_csv):
+    # the traced pass times encoding in the preprocess.encode and
+    # preprocess.save spans, one each, and takes preprocess.samples and
+    # preprocess.columns from what encode returns
+    import crashsev.cli as cli
+    from crashsev.preprocess import load_matrix
+
+    counts = {target: count for target, _, count in _load_tracer()._counts_table()}
+    encoded, saved = [], []
+    real_encode, real_save = cli.encode, cli.save_matrix
+
+    def encode(*args, **kwargs):
+        encoded.append(real_encode(*args, **kwargs))
+        return encoded[-1]
+
+    def save(matrix, path):
+        saved.append(matrix)
+        real_save(matrix, path)
+
+    monkeypatch.setattr(cli, "encode", encode)
+    monkeypatch.setattr(cli, "save_matrix", save)
+    (tmp_path / "persons.csv").write_bytes(curation_csv)
+    assert cli.main(["curate", "--input", str(tmp_path / "persons.csv"),
+                     "--out-dir", str(tmp_path / "curated")]) == 0
+    assert cli.main(["preprocess", "--input", str(tmp_path / "curated" / "curated.csv"),
+                     "--out-dir", str(tmp_path / "encoded")]) == 0
+    assert len(encoded) == 1 and len(saved) == 1 and saved[0] is encoded[0]
+    matrix = load_matrix(tmp_path / "encoded" / "matrix.csfm")
+    assert matrix.n_rows > 0
+    assert counts["cli.encode"](encoded[0], ()) == {"samples": matrix.n_rows,
+                                                   "columns": matrix.n_cols}

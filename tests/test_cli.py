@@ -686,6 +686,16 @@ class TestUsageErrors:
         assert main(["--config", str(cfg), "run", "--folds", "4"]) == 3
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nseed = 5\n",  # once read as an empty file with seed 0
+        "[DEFAULT]\nseed = 5\n[cv]\nfolds = 3\n",  # once "unknown key 'seed' in section [cv]"
+    ], ids=["alone", "beside-a-section"])
+    def test_default_section_exits_2_naming_it(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg), "--dry-run", "run"]) == 2
+        assert "[DEFAULT]" in _assert_one_line_error(capsys)
+
 
 class TestRunConfigParsing:
     def test_parses_plans_and_grid(self, synth_matrix_file, tmp_path):

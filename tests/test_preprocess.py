@@ -2,10 +2,17 @@ import io
 import logging
 import math
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from fixture_curation import fixture_csv_bytes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import crashsev.preprocess as preprocess
 
 from crashsev.ingest import (
     InputFileError,
@@ -29,6 +36,7 @@ from crashsev.preprocess import (
     binarize_severity,
     build_vehicle_samples,
     drop_postcrash_features,
+    _level,
     encode,
     filter_passenger_vehicles,
     fit_preprocess,
@@ -170,7 +178,7 @@ class TestOutOfRangeFields:
         assert model.numeric_means["CrashTime24h"] == 10.0
         matrix = encode(samples, model)
         assert np.isfinite(matrix.X).all()
-        speed = matrix.X[:, matrix.group_columns("PostedSpeed")[0]]
+        speed = matrix.X[:, [c.name for c in matrix.columns].index("PostedSpeed")]
         assert speed.tolist() == [30.0, 30.0, 30.0]
 
 
@@ -458,6 +466,129 @@ class TestPersistence:
         path.write_bytes(b"NOPE!" + b"\0" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_matrix(path)
+
+
+# special values a float64 round trip could lose: signed zeros, subnormals,
+# the extremes, infinities and NaN
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+# names and levels with the characters a descriptor format could trip on
+_TEXT = st.text(alphabet=st.one_of(st.sampled_from(',"\'=#\\\n '), st.characters()), max_size=8)
+
+
+@st.composite
+def _feature_matrices(draw):
+    n, width = draw(st.integers(0, 6)), draw(st.integers(0, 5))
+    X = np.array(draw(st.lists(_FLOATS, min_size=n * width, max_size=n * width)),
+                 dtype=np.float64).reshape(n, width)
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    kinds = st.sampled_from(["numeric", "onehot", "cyc_sin", "cyc_cos"])
+    columns = [ColumnInfo(name=draw(_TEXT), kind=draw(kinds), source=draw(_TEXT),
+                          level=draw(_TEXT)) for _ in range(width)]
+    return FeatureMatrix(X, y, columns)
+
+
+class TestMatrixRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(m=_feature_matrices())
+    def test_load_after_save_returns_the_matrix(self, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.csfm"
+            save_matrix(m, path)
+            loaded = load_matrix(path)
+        assert loaded.X.shape == m.X.shape
+        assert loaded.X.tobytes() == m.X.tobytes()  # bit for bit, NaN payloads too
+        assert loaded.y.tolist() == m.y.tolist()
+        assert loaded.columns == m.columns
+
+
+def _mixed_samples(n: int, locations: int = 7) -> list[VehicleSample]:
+    """``n`` samples with plain and cyclical numbers, some missing, and two
+    categorical features; every third sample's Belted level is "Z"."""
+    return [
+        _sample(
+            target=SEVERE if i % 4 == 0 else NON_SEVERE,
+            numeric={"NumberOfOccupants": float(1 + i % 3),
+                     "Age": None if i % 5 == 0 else float(17 + i % 60),
+                     "CrashTime24h": None if i % 7 == 3 else 5.0 * i % 24 + 0.25},
+            categorical={"Belted": "Z" if i % 3 == 0 else "Yes" if i % 3 == 1
+                         else "" if i % 6 == 2 else " No ",
+                         "Location": f"L{i % locations}"},
+        )
+        for i in range(n)
+    ]
+
+
+def _model_without_z(samples: list[VehicleSample]) -> PreprocessModel:
+    """A model fitted on the samples whose Belted level is not "Z", so that
+    "Z" is outside its vocabulary."""
+    return fit_preprocess([s for s in samples if s.categorical_features["Belted"] != "Z"])
+
+
+def _dense_reference(samples: list[VehicleSample], model: PreprocessModel) -> np.ndarray:
+    """``X`` built whole, one column at a time, as the encoder that held the
+    dense matrix built it."""
+    def imputed(name):
+        mean = model.numeric_means[name]
+        return np.array([mean if s.numeric_features.get(name) is None
+                         else s.numeric_features.get(name) for s in samples], dtype=np.float64)
+
+    columns = [imputed(name) for name in model.numeric_order]
+    for name in model.cyclical_order:
+        angle = 2.0 * math.pi * imputed(name) / model.cyclical_periods[name]
+        columns += [np.sin(angle), np.cos(angle)]
+    for name in model.categorical_order:
+        levels = [_level(s.categorical_features.get(name, "")) for s in samples]
+        columns += [np.array([float(v == lvl) for v in levels]) for lvl in model.vocabularies[name]]
+    return np.column_stack(columns)
+
+
+class TestBlockWrite:
+    BLOCK = 4
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_blocks_write_the_bytes_of_the_dense_matrix(self, tmp_path, monkeypatch, caplog, n):
+        monkeypatch.setattr(preprocess, "SAVE_BLOCK_ROWS", self.BLOCK)
+        samples = _mixed_samples(n)
+        model = _model_without_z(_mixed_samples(40))
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="crashsev.preprocess"):
+            encoded = encode(samples, model)
+            save_matrix(encoded, tmp_path / "blocks.csfm")
+        save_matrix(FeatureMatrix(_dense_reference(samples, model), encoded.y, encoded.columns),
+                    tmp_path / "dense.csfm")
+        for name in ("{}.csfm", "{}.csfm.desc.json"):
+            written = (tmp_path / name.format("blocks")).read_bytes()
+            assert written == (tmp_path / name.format("dense")).read_bytes(), name
+        assert encoded.X.tobytes() == load_matrix(tmp_path / "blocks.csfm").X.tobytes()
+        # one line for the whole matrix, counting the "Z" of every third row
+        assert [r.getMessage() for r in caplog.records] == [
+            f"encode: {len(range(0, n, 3))} categorical values outside the training vocabulary"]
+
+    def test_encode_and_save_peak_below_half_the_dense_matrix(self, tmp_path, monkeypatch):
+        # the compact form, encode's temporaries and one block buffer at a
+        # time, against the dense float64 X that the writer never holds
+        monkeypatch.setattr(preprocess, "SAVE_BLOCK_ROWS", 256)
+        samples = _mixed_samples(4000, locations=40)
+        model = _model_without_z(samples)
+        tracemalloc.start()
+        try:
+            encoded = encode(samples, model)
+            save_matrix(encoded, tmp_path / "m.csfm")
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            save_matrix(encoded, tmp_path / "again.csfm")
+            save_peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 8 * encoded.n_rows * encoded.n_cols
+        assert encoded.n_rows >= 3 * 256 and encoded.n_cols > 40
+        assert peak < dense_bytes / 2
+        assert save_peak < dense_bytes / 2
 
 
 class TestSampleInvariants:
