@@ -14,7 +14,7 @@ import logging
 import operator
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime
 from enum import Enum
 from typing import Iterable, Optional, Protocol
@@ -306,18 +306,25 @@ class InputFileError(ValueError):
     """An input file exists but is corrupt, truncated or of the wrong format."""
 
 
-REQUIRED_COLUMNS = ("crash_id", "unit_vin", "person_type", "seating_position", "severity")
-OPTIONAL_COLUMNS = (
-    "unit_id",
-    "date_of_birth",
-    "reported_age",
-    "crash_date",
-    "crash_time",
-    "unit_type",
-    "vehicle_make",
-    "vehicle_model",
-    "vehicle_year",
-)
+# Every canonical field and its default CSV header, in the order that
+# parse_person_rows reads the fields and write_curated_csv writes them
+DEFAULT_COLUMNS = {
+    "crash_id": "CrashID",
+    "unit_vin": "VIN",
+    "person_type": "PersonType",
+    "seating_position": "SeatingPosition",
+    "severity": "Severity",
+    "unit_id": "UnitID",
+    "date_of_birth": "DateOfBirth",
+    "reported_age": "Age",
+    "crash_date": "CrashDate",
+    "crash_time": "CrashTime",
+    "unit_type": "UnitType",
+    "vehicle_make": "VehicleMake",
+    "vehicle_model": "VehicleModel",
+    "vehicle_year": "VehicleYear",
+}
+REQUIRED_COLUMNS = tuple(DEFAULT_COLUMNS)[:5]
 
 _DEFAULT_PERSON_TYPES = {
     "driver": PersonType.DRIVER,
@@ -342,7 +349,7 @@ _DEFAULT_SEVERITIES = {
 
 @dataclass
 class ColumnSchema:
-    """Maps canonical fields to CSV headers and raw values to enums."""
+    """Maps every canonical field to its CSV header, and raw values to enums."""
 
     columns: dict[str, str]
     person_type_values: dict[str, PersonType] = field(
@@ -355,24 +362,7 @@ class ColumnSchema:
 
     @classmethod
     def default(cls) -> "ColumnSchema":
-        return cls(
-            columns={
-                "crash_id": "CrashID",
-                "unit_vin": "VIN",
-                "unit_id": "UnitID",
-                "person_type": "PersonType",
-                "seating_position": "SeatingPosition",
-                "severity": "Severity",
-                "date_of_birth": "DateOfBirth",
-                "reported_age": "Age",
-                "crash_date": "CrashDate",
-                "crash_time": "CrashTime",
-                "unit_type": "UnitType",
-                "vehicle_make": "VehicleMake",
-                "vehicle_model": "VehicleModel",
-                "vehicle_year": "VehicleYear",
-            }
-        )
+        return cls(columns=dict(DEFAULT_COLUMNS))
 
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
@@ -382,9 +372,8 @@ class ColumnSchema:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)  # a JSONDecodeError is a ValueError
-            columns = dict(cls.default().columns)
-            columns.update(raw.get("columns", {}))
-            schema = cls(columns=columns)
+            schema = cls.default()
+            schema.columns.update(raw.get("columns", {}))
             if "person_type_values" in raw:
                 schema.person_type_values = {
                     k.casefold(): PersonType(v) for k, v in raw["person_type_values"].items()
@@ -470,7 +459,8 @@ class MemoTable(dict):
 
 
 def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
-    """Read a UTF-8 CSV with a header into PersonRows.
+    """Read a UTF-8 CSV with a header, from binary stream ``stream``, into
+    PersonRows.
 
     Unknown columns are preserved, unstripped, in raw_attributes, a
     KeyedTuple over one index per call. Equal field values share one string
@@ -478,21 +468,16 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     collected as ParseErrors, never silently dropped. A missing required
     column raises SchemaError naming the column.
     """
-    if isinstance(stream, (bytes, bytearray)):
-        stream = io.BytesIO(stream)
-    if not (hasattr(stream, "read") and isinstance(stream.read(0), bytes)):
-        return _parse_text(stream, schema)
     # the caller owns the binary stream: detach, never close, the wrapper
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     try:
-        return _parse_text(text, schema)
+        return _parse_records(csv.reader(text), schema)
     finally:
         text.detach()
 
 
-def _parse_text(stream, schema: ColumnSchema) -> ParseResult:
-    """``parse_person_rows`` on a stream of text."""
-    reader = csv.reader(stream)
+def _parse_records(reader, schema: ColumnSchema) -> ParseResult:
+    """``parse_person_rows`` on a csv reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -505,8 +490,7 @@ def _parse_text(stream, schema: ColumnSchema) -> ParseResult:
     width = len(header)
     # a canonical field the header lacks reads the empty field appended at
     # index ``width`` of each record
-    canon_pos = [positions.get(schema.columns.get(canon, ""), width)
-                 for canon in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
+    canon_pos = [positions.get(schema.columns[canon], width) for canon in DEFAULT_COLUMNS]
     fields = operator.itemgetter(*canon_pos)
     mapped = set(canon_pos)
     extra = [(name, i) for name, i in positions.items() if i not in mapped]
@@ -696,13 +680,8 @@ class CurationAudit:
 
     def to_dict(self) -> dict:
         return {
-            "rows_in": self.rows_in,
-            "rows_out": self.rows_out,
-            "units_removed": self.units_removed,
+            **asdict(self),
             "unit_removal_reasons": dict(sorted(self.unit_removal_reasons.items())),
-            "persons_in_removed_units": self.persons_in_removed_units,
-            "persons_reassigned": self.persons_reassigned,
-            "persons_removed": self.persons_removed,
             "person_removal_reasons": dict(sorted(self.person_removal_reasons.items())),
             "conservation_holds": self.conservation_holds(),
         }
@@ -791,24 +770,19 @@ def curate(rows: list[PersonRow], decoder: DecoderClient) -> CurationResult:
     curated: list[PersonRow] = []
     for key in sorted(units):
         persons = units[key]
-        if key in removed_units:
-            audit.units_removed += 1
-            audit.unit_removal_reasons[removed_units[key]] += 1
-            audit.persons_in_removed_units += len(persons)
-            continue
-        persons = [verify_age(p) for p in persons]
-        outcome = reconcile_unit_persons(persons)
-        audit.persons_reassigned += outcome.reassigned
-        if outcome.unit_removed:
-            removed_units[key] = outcome.removal_reason or "reconciliation"
-            audit.units_removed += 1
-            audit.unit_removal_reasons[removed_units[key]] += 1
-            audit.persons_in_removed_units += len(persons)
-            continue
-        for _, reason in outcome.removed_persons:
-            audit.persons_removed += 1
-            audit.person_removal_reasons[reason] += 1
-        curated.extend(outcome.persons)
+        if key not in removed_units:
+            outcome = reconcile_unit_persons([verify_age(p) for p in persons])
+            audit.persons_reassigned += outcome.reassigned
+            if not outcome.unit_removed:
+                for _, reason in outcome.removed_persons:
+                    audit.persons_removed += 1
+                    audit.person_removal_reasons[reason] += 1
+                curated.extend(outcome.persons)
+                continue
+            removed_units[key] = outcome.removal_reason
+        audit.units_removed += 1
+        audit.unit_removal_reasons[removed_units[key]] += 1
+        audit.persons_in_removed_units += len(persons)
 
     curated.sort(key=lambda r: (r.crash_id, r.unit_key[1], r.line_number))
     audit.rows_out = len(curated)
@@ -832,14 +806,8 @@ class SummaryReport:
 
     def to_dict(self) -> dict:
         return {
-            "n_persons": self.n_persons,
-            "n_units": self.n_units,
-            "n_crashes": self.n_crashes,
-            "crash_severity_shares": self.crash_severity_shares,
+            **asdict(self),
             "occupants_per_vehicle": {str(k): v for k, v in sorted(self.occupants_per_vehicle.items())},
-            "mean_occupant_age": self.mean_occupant_age,
-            "mean_driver_age": self.mean_driver_age,
-            "mean_units_per_crash": self.mean_units_per_crash,
         }
 
 
@@ -890,9 +858,7 @@ def summarize_dataset(rows: list[PersonRow]) -> SummaryReport:
 def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None:
     """Write curated rows back out in the input schema (re-curation is a no-op)."""
     extra_keys = sorted({k for r in rows for k in r.raw_attributes})
-    canon = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-    keep = [i for i, c in enumerate(canon) if c in schema.columns]
-    header = [schema.columns[canon[i]] for i in keep] + extra_keys
+    header = [schema.columns[canon] for canon in DEFAULT_COLUMNS] + extra_keys
 
     type_names = {t: t.value for t in PersonType}
     type_names.update({v: k for k, v in schema.person_type_values.items()})
@@ -908,7 +874,7 @@ def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            # the canonical fields in REQUIRED_COLUMNS + OPTIONAL_COLUMNS order
+            # the canonical fields in DEFAULT_COLUMNS order
             record = [
                 row.crash_id,
                 row.unit_vin,
@@ -925,8 +891,6 @@ def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None
                 row.vehicle_model,
                 "" if row.vehicle_year is None else str(row.vehicle_year),
             ]
-            if len(keep) < len(canon):
-                record = [record[i] for i in keep]
             # csv writes the None of an absent attribute as an empty field
             record += map(row.raw_attributes.get, extra_keys)
             writer.writerow(record)
