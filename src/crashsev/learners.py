@@ -324,6 +324,24 @@ def _node_arrays(nodes: dict) -> dict[str, np.ndarray]:
     return {name: np.asarray(nodes[name], dtype=dtype) for name, dtype in _NODE_DTYPES.items()}
 
 
+def _loaded_node_arrays(nodes: dict, n_columns: int) -> dict[str, np.ndarray]:
+    """The node arrays of a tree read from a file, refused with ValueError
+    unless ``predict`` can walk them: ``_grow_tree`` puts a split's children
+    after it, so requiring that rules out a walk that loops or leaves the
+    arrays."""
+    arrays = _node_arrays(nodes)
+    n = len(arrays["column"])
+    if n == 0 or any(len(a) != n for a in arrays.values()):
+        raise ValueError("tree node arrays are empty or of unequal lengths")
+    at = np.flatnonzero(arrays["column"] >= 0)
+    for child in (arrays["left"][at], arrays["right"][at]):
+        if np.any((child <= at) | (child >= n)):
+            raise ValueError("a tree split's child is not a later node")
+    if at.size and arrays["column"][at].max() >= n_columns:
+        raise ValueError("a tree split reads a column outside column_names")
+    return arrays
+
+
 def fit_decision_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -546,15 +564,16 @@ def _model_from_dict(raw: dict):
         )
     if kind == "tree":
         return TreeModel(
-            **_node_arrays(raw["nodes"]),
+            **_loaded_node_arrays(raw["nodes"], len(raw["column_names"])),
             min_leaf=int(raw["min_leaf"]),
             alpha_prune=raw["alpha_prune"],
             class_weights=cw,
             column_names=raw["column_names"],
         )
     if kind == "forest":
+        n_columns = len(raw["column_names"])
         trees = [
-            TreeModel(**_node_arrays(t), min_leaf=int(raw["min_leaf"]),
+            TreeModel(**_loaded_node_arrays(t, n_columns), min_leaf=int(raw["min_leaf"]),
                       alpha_prune=None, class_weights=cw, column_names=raw["column_names"])
             for t in raw["trees"]
         ]

@@ -452,6 +452,20 @@ class TestNaiveAndScoring:
             predict_scores(model, X, column_names=["wrong"] + [f"c{i}" for i in range(1, 6)])
 
 
+def _tree_file(kind="tree", **nodes):
+    """A version-2 model file holding one split on column "a" (nodes 0, 1,
+    2), with ``nodes`` replacing node arrays."""
+    arrays = {"column": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+              "right": [2, -1, -1], "prob": [0.5, 0.0, 1.0], "n_samples": [4, 2, 2], **nodes}
+    raw = {"version": 2, "kind": kind, "column_names": ["a"], "min_leaf": 1,
+           "alpha_prune": None, "class_weights": None}
+    if kind == "tree":
+        raw["nodes"] = arrays
+    else:
+        raw.update(trees=[arrays], n_trees=1, seed=0, mtry=1)
+    return json.dumps(raw)
+
+
 class TestSerialization:
     def test_linear_roundtrip(self, planted, tmp_path):
         X, y = planted
@@ -500,8 +514,24 @@ class TestSerialization:
                     "alpha_prune": 0.1, "class_weights": None, "column_names": ["a"]}),
         json.dumps({"version": 2, "kind": "tree"}),
         json.dumps({"version": 2, "kind": "bagged"}),
+        # node arrays predict cannot walk: a cycle, a child past the arrays,
+        # a split on a column the model does not name, unequal or no arrays
+        _tree_file(left=[0, -1, -1]),
+        _tree_file(column=[0, 0, -1], left=[1, 0, -1], right=[2, 2, -1]),
+        _tree_file(kind="forest", left=[0, -1, -1]),
+        _tree_file(right=[3, -1, -1]),
+        _tree_file(kind="forest", left=[-1, -1, -1]),
+        _tree_file(column=[1, -1, -1]),
+        _tree_file(prob=[0.5, 0.0]),
+        _tree_file(column=[], threshold=[], left=[], right=[], prob=[], n_samples=[]),
     ])
     def test_unreadable_model_file_raises_input_file_error(self, tmp_path, text):
         (tmp_path / "m.json").write_text(text)
         with pytest.raises(InputFileError):
             load_model(tmp_path / "m.json")
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_consistent_node_arrays_load(self, tmp_path, kind):
+        (tmp_path / "m.json").write_text(_tree_file(kind=kind))
+        model = load_model(tmp_path / "m.json")
+        assert model.predict(np.array([[0.0], [1.0]])).tolist() == [0.0, 1.0]
