@@ -218,6 +218,7 @@ def cmd_preprocess(args) -> int:
         return EXIT_INPUT
 
     samples = build_vehicle_samples(parsed.rows, agg)
+    del parsed  # nothing reads the rows again: free them before encoding
     if not args.no_vehicle_filter:
         samples = filter_passenger_vehicles(samples, agg.passenger_types)
     if not samples:
@@ -444,7 +445,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, *_loaded("ConfigError"), FileNotFoundError, InputFileError) as exc:
+    except (SchemaError, *_loaded("ConfigError"), FileNotFoundError, IsADirectoryError,
+            InputFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except _loaded("HoldoutViolation") as exc:

@@ -466,12 +466,23 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
     KeyedTuple over one index per call. Equal field values share one string
     object, so a row holds little beyond its own slots. Malformed lines are
     collected as ParseErrors, never silently dropped. A missing required
-    column raises SchemaError naming the column.
+    column raises SchemaError naming the column; bytes that are not UTF-8,
+    or a field longer than csv's limit, raise InputFileError naming the line.
     """
     # the caller owns the binary stream: detach, never close, the wrapper
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
+    reader = csv.reader(text)
     try:
-        return _parse_records(csv.reader(text), schema)
+        return _parse_records(reader, schema)
+    except UnicodeDecodeError as exc:
+        # the wrapper decodes ahead of the reader, so find the line from the
+        # start: only a line that is not UTF-8 changes on a replacing decode
+        stream.seek(0)
+        line = next(n for n, raw in enumerate(stream, start=1)
+                    if raw.decode("utf-8", "replace").encode("utf-8") != raw)
+        raise InputFileError(f"input line {line} is not UTF-8: {exc.reason}") from exc
+    except csv.Error as exc:
+        raise InputFileError(f"input line {reader.line_num}: {exc}") from exc
     finally:
         text.detach()
 

@@ -17,6 +17,7 @@ from fixture_curation import DECODER_TABLE, fixture_csv_bytes
 from crashsev import cli, orchestrate
 from crashsev.cli import main
 from crashsev.config import ConfigError, RunConfig
+from crashsev.ingest import PersonRow
 from crashsev.learners import fit_ridge_logistic, save_model
 from crashsev.preprocess import load_matrix, save_matrix
 from crashsev.synth import planted_generator
@@ -202,6 +203,33 @@ class TestPreprocessCommand:
         main(["preprocess", "--input", str(cur / "curated.csv"), "--out-dir", str(pre_a)])
         main(["preprocess", "--input", str(cur / "curated.csv"), "--out-dir", str(pre_b)])
         assert (pre_a / "matrix.csfm").read_bytes() == (pre_b / "matrix.csfm").read_bytes()
+
+
+    def test_parsed_rows_are_freed_before_encoding(self, raw_csv, decoder_file, tmp_path,
+                                                   monkeypatch):
+        cur = tmp_path / "cur"
+        assert main(["curate", "--input", str(raw_csv), "--decoder-table",
+                     str(decoder_file), "--out-dir", str(cur)]) == 0
+        parsed_ids, alive = set(), []
+        parse, encode = cli.parse_person_rows, cli.encode
+
+        def recording_parse(*args):
+            result = parse(*args)
+            parsed_ids.update(map(id, result.rows))
+            return result
+
+        def counting_encode(*args):
+            # the rows have no weak references; a freed row is no live object
+            alive.append(sum(isinstance(o, PersonRow) and id(o) in parsed_ids
+                             for o in gc.get_objects()))
+            return encode(*args)
+
+        monkeypatch.setattr(cli, "parse_person_rows", recording_parse)
+        monkeypatch.setattr(cli, "encode", counting_encode)
+        assert main(["preprocess", "--input", str(cur / "curated.csv"),
+                     "--out-dir", str(tmp_path / "pre")]) == 0
+        assert len(parsed_ids) == 26
+        assert alive == [0]
 
 
 class TestCollectorState:
@@ -594,11 +622,44 @@ class TestUnreadableInput:
         "{}",
         json.dumps({"version": 1, "kind": "tree", "root": {"prob": 0.5, "n": 4}, "min_leaf": 1,
                     "alpha_prune": 0.1, "class_weights": None, "column_names": ["x0"]}),
+        # node 0 is its own left child: predict would walk that cycle forever
+        json.dumps({"version": 2, "kind": "tree", "min_leaf": 1, "alpha_prune": 0.1,
+                    "class_weights": None, "column_names": ["f00"],
+                    "nodes": {"column": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
+                              "left": [0, -1, -1], "right": [2, -1, -1],
+                              "prob": [0.5, 0.0, 1.0], "n_samples": [4, 2, 2]}}),
     ])
     def test_unreadable_model_exits_2(self, synth_matrix_file, tmp_path, capsys, text):
         (tmp_path / "model.json").write_text(text)
         assert main(["explain", "--model", str(tmp_path / "model.json"),
                      "--matrix", str(synth_matrix_file), "--out-dir", str(tmp_path / "exp")]) == 2
+        _assert_one_line_error(capsys)
+
+
+    @pytest.mark.parametrize("command", ["curate", "preprocess"])
+    @pytest.mark.parametrize("bad_line", [
+        b"C9,1HGCM82633A004352,Driver,Front Left Side,Fatal\xff",
+        b"C9," + b"V" * (csv.field_size_limit() + 1) + b",Driver,Front Left Side,Fatal",
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_malformed_person_csv_exits_2_naming_the_line(self, tmp_path, capsys, command,
+                                                          bad_line):
+        # past the first chunk that the text decoder reads ahead
+        good = [b"C%d,1HGCM82633A004352,Driver,Front Left Side,Fatal" % i for i in range(400)]
+        path = tmp_path / "persons.csv"
+        path.write_bytes(b"\n".join([b"CrashID,VIN,PersonType,SeatingPosition,Severity",
+                                     *good, bad_line, *good]) + b"\n")
+        assert main([command, "--input", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "line 402" in _assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["curate", "--input", "{dir}", "--out-dir", "{out}"],
+        ["curate", "--input", "{csv}", "--schema", "{dir}", "--out-dir", "{out}"],
+        ["explain", "--model", "{dir}", "--matrix", "{matrix}", "--out-dir", "{out}"],
+    ], ids=["curate-input", "curate-schema", "explain-model"])
+    def test_directory_path_exits_2(self, raw_csv, synth_matrix_file, tmp_path, capsys, argv):
+        paths = {"dir": tmp_path, "out": tmp_path / "o", "csv": raw_csv,
+                 "matrix": synth_matrix_file}
+        assert main([arg.format(**paths) for arg in argv]) == 2
         _assert_one_line_error(capsys)
 
 

@@ -26,6 +26,7 @@ from crashsev.ingest import (
     DecodedVehicle,
     DecoderUnavailable,
     DisabledDecoder,
+    InputFileError,
     PersonRow,
     PersonType,
     SchemaError,
@@ -108,6 +109,14 @@ class TestParse:
         )
         result = parse_person_rows(io.BytesIO(csv.encode()), schema)
         assert result.rows[0].raw_attributes == {"Weather": "Rain"}
+
+    def test_bytes_that_are_not_utf8_raise_naming_their_line(self, schema):
+        # line 2 holds U+FFFD itself, which a replacing decode also produces
+        data = ("CrashID,VIN,PersonType,SeatingPosition,Severity\n"
+                "C1,V\ufffd,Driver,Front Left Side,Fatal\n").encode()
+        data += b"C2,V\xe9,Driver,Front Left Side,Fatal\n"
+        with pytest.raises(InputFileError, match="line 3 is not UTF-8"):
+            parse_person_rows(io.BytesIO(data), schema)
 
     def test_callers_file_stays_open_and_nothing_leaks(self, schema, tmp_path):
         # the text wrapper around a binary handle is detached, not left for
