@@ -204,7 +204,6 @@ class TestPreprocessCommand:
         main(["preprocess", "--input", str(cur / "curated.csv"), "--out-dir", str(pre_b)])
         assert (pre_a / "matrix.csfm").read_bytes() == (pre_b / "matrix.csfm").read_bytes()
 
-
     def test_parsed_rows_are_freed_before_encoding(self, raw_csv, decoder_file, tmp_path,
                                                    monkeypatch):
         cur = tmp_path / "cur"
@@ -634,7 +633,6 @@ class TestUnreadableInput:
         assert main(["explain", "--model", str(tmp_path / "model.json"),
                      "--matrix", str(synth_matrix_file), "--out-dir", str(tmp_path / "exp")]) == 2
         _assert_one_line_error(capsys)
-
 
     @pytest.mark.parametrize("command", ["curate", "preprocess"])
     @pytest.mark.parametrize("bad_line", [
