@@ -44,7 +44,7 @@ from .rng import spawn_seed
 # The modelling names that run, explain and report use, by module. curate and
 # preprocess never touch them, so they are bound into this module on first use
 # (by main, or by ``cli.<name>`` from outside) and those commands do not pay for
-# importing the modelling stack and scipy.
+# importing the modelling stack.
 _MODELLING_NAMES = {
     "config": ("ConfigError", "RunConfig"),
     "explain": ("export_summary_plot", "linear_shap", "permutation_importance",

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .ingest import InputFileError
 from .rng import substream
-from .stats import LOGISTIC_MAX_ITER, _newton_logistic_many
+from .stats import LOGISTIC_MAX_ITER, _newton_logistic_many, chi2_sf
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +191,7 @@ def _chi2_split_pvalue(y_left: np.ndarray, y_right: np.ndarray) -> float:
     if margins == 0:
         return 1.0
     stat = n * (a * d - b * c) ** 2 / margins
-    return float(chdtrc(1, stat))
+    return float(chi2_sf(1, stat))
 
 
 def _gini_mass(w: np.ndarray, pos: np.ndarray) -> np.ndarray:

@@ -20,10 +20,9 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .preprocess import FeatureMatrix
-from .stats import NullFit, PValue, bh_select, fit_null_logistic, lrt_ci_test_many
+from .stats import NullFit, PValue, bh_select, expit, fit_null_logistic, lrt_ci_test_many
 
 log = logging.getLogger(__name__)
 

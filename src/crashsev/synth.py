@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .preprocess import FeatureMatrix
 from .rng import substream
+from .stats import expit
 
 __all__ = ["PlantedGenerator", "planted_generator"]
 

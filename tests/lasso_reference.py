@@ -2,7 +2,8 @@
 that ``selection._lasso_cd`` must match byte for byte."""
 
 import numpy as np
-from scipy.special import expit
+
+from crashsev.stats import expit
 
 
 def reference_lasso_cd(X, y, lam, max_outer=100, max_inner=1000, tol=1e-7):

@@ -326,6 +326,15 @@ class TestModellingImports:
         }
         assert [m for m in result["modules"] if m in self.MODELLING] == []
 
+    def test_modelling_stack_loads_no_scipy_module(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = ("import sys; from crashsev import cli; cli._load_modelling(); "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_modelling_names_resolve_on_the_module(self):
         assert cli.run_protocol is orchestrate.run_protocol
         assert cli.RunConfig is RunConfig

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from crashsev.stats import (
     auc_roc,
     bbc_correct,
     bh_select,
+    chi2_sf,
+    expit,
     lrt_ci_test,
     lrt_ci_test_many,
     roc_curve,
@@ -202,6 +206,51 @@ class TestLrtRecorded:
             want = lrt_ci_test(xs[i], y)
             assert batch[i].converged
             assert batch[i].value == pytest.approx(want.value, abs=LRT_GATE)
+
+
+class TestChi2Sf:
+    def test_matches_scipy_where_its_value_is_normal(self):
+        from scipy.stats import chi2  # the reference, imported by the tests alone
+
+        x = np.concatenate([[0.0, 1e-12], np.geomspace(1e-9, 1500.0, 400),
+                            np.linspace(0.0, 1500.0, 301)])
+        for df in range(1, 41):
+            want = chi2.sf(x, df)
+            normal = want >= np.finfo(np.float64).tiny
+            np.testing.assert_allclose(chi2_sf(df, x)[normal], want[normal], rtol=1e-12, atol=0,
+                                       err_msg=f"df={df}")
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 8])
+    def test_edges(self, df):
+        got = chi2_sf(df, np.array([-1.0, 0.0, np.inf, np.nan, 1e300]))
+        assert got[:3].tolist() == [1.0, 1.0, 0.0]
+        assert np.isnan(got[3]) and got[4] == 0.0
+        assert isinstance(chi2_sf(df, 2.0), float)
+
+    def test_one_degree_is_the_normal_two_sided_tail(self):
+        assert chi2_sf(1, 1.959963984540054 ** 2) == pytest.approx(0.05, rel=1e-14)
+
+    @pytest.mark.parametrize("df", [0, -1, 1.5, 2.0, True, None])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError, match="positive integer"):
+            chi2_sf(df, 1.0)
+
+
+class TestExpit:
+    def test_within_4_ulp_of_scipy(self):
+        from scipy.special import expit as reference  # imported by the tests alone
+
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.linspace(-760.0, 760.0, 300_001),
+                            20.0 * rng.standard_normal(100_000)])
+        want = reference(x)
+        assert np.all(np.abs(expit(x) - want) <= 4 * np.spacing(want))
+
+    def test_keeps_nan_and_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(np.array([-1000.0, 1000.0, np.nan]))
+        assert got[:2].tolist() == [0.0, 1.0] and np.isnan(got[2])
 
 
 def brute_force_bh(pvalues, alpha):
