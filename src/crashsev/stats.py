@@ -333,11 +333,15 @@ class NullFit:
 
 
 def fit_null_logistic(y, z=None) -> NullFit:
-    """Fit the reduced model y ~ Z once, for reuse as the LRT null."""
+    """Fit the reduced model y ~ Z once, for reuse as the LRT null. Its design
+    is C-ordered like a row of a batch, so it gives the same bits either way."""
     yf = np.asarray(y, dtype=np.float64)
     n = yf.size
-    base = np.column_stack([np.ones(n), _z_block(z, n)])
-    beta, ll, conv = _newton_logistic_many(base[None, :, :], yf, np.ones(n))
+    zc = _z_block(z, n)
+    base = np.empty((1, n, 1 + zc.shape[1]))
+    base[0, :, 0] = 1.0
+    base[0, :, 1:] = zc
+    beta, ll, conv = _newton_logistic_many(base, yf, np.ones(n))
     return NullFit(beta=beta[0], loglik=float(ll[0]), converged=bool(conv[0]))
 
 

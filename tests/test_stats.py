@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from crashsev.stats import (
     bh_select,
     chi2_sf,
     expit,
+    fit_null_logistic,
     lrt_ci_test,
     lrt_ci_test_many,
     roc_curve,
@@ -21,6 +23,7 @@ from crashsev.stats import (  # internal, checked against pair counting
     _sorted_tie_groups,
     _weighted_aucs,
 )
+from crashsev.stats import _newton_logistic_many  # internal, the batched Newton solve
 from crashsev.synth import planted_generator
 
 
@@ -206,6 +209,25 @@ class TestLrtRecorded:
             want = lrt_ci_test(xs[i], y)
             assert batch[i].converged
             assert batch[i].value == pytest.approx(want.value, abs=LRT_GATE)
+
+
+class TestNullFitLayout:
+    def test_a_null_gives_the_same_bits_alone_or_in_a_batch(self):
+        # every conditioning set of width 1-3 over planted_ses-sized data
+        gen = planted_generator(n_features=11, n_informative=7, effect=1.5, prevalence=1 / 51)
+        m = gen.matrix(1500, seed=1)
+        n = m.n_rows
+        for width in (1, 2, 3):
+            sets = list(combinations(range(m.n_cols), width))
+            A = np.empty((len(sets), n, 1 + width))  # C-ordered, as batches are
+            A[:, :, 0] = 1.0
+            for i, cols in enumerate(sets):
+                A[i, :, 1:] = m.X[:, cols]
+            beta, loglik, converged = _newton_logistic_many(A, m.y, np.ones(n))
+            for i, cols in enumerate(sets):
+                alone = fit_null_logistic(m.y, m.X[:, cols])
+                assert alone.beta.tobytes() == beta[i].tobytes(), cols
+                assert alone.loglik == loglik[i] and alone.converged == converged[i], cols
 
 
 class TestChi2Sf:
