@@ -551,12 +551,15 @@ def _model_from_dict(raw: dict):
     kind = raw["kind"]
     cw = tuple(raw["class_weights"]) if raw.get("class_weights") else None
     if kind == "linear":
+        n_columns = len(raw["column_names"])
+        arrays = {name: np.array(raw[name], dtype=np.float64)
+                  for name in ("weights", "means", "scales")}
+        if any(a.shape != (n_columns,) for a in arrays.values()):
+            raise ValueError("a linear model needs one weight, mean and scale per column name")
         return LinearModel(
             column_names=raw["column_names"],
-            weights=np.array(raw["weights"], dtype=np.float64),
+            **arrays,
             intercept=float(raw["intercept"]),
-            means=np.array(raw["means"], dtype=np.float64),
-            scales=np.array(raw["scales"], dtype=np.float64),
             lam=float(raw["lambda"]),
             class_weights=cw,
             converged=bool(raw["converged"]),

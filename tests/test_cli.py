@@ -630,6 +630,11 @@ class TestUnreadableInput:
         "{}",
         json.dumps({"version": 1, "kind": "tree", "root": {"prob": 0.5, "n": 4}, "min_leaf": 1,
                     "alpha_prune": 0.1, "class_weights": None, "column_names": ["x0"]}),
+        # two column names but one weight: explain's matmul would fail
+        json.dumps({"version": 2, "kind": "linear", "column_names": ["f00", "f01"],
+                    "weights": [1.0], "intercept": 0.0, "means": [0.0, 0.0],
+                    "scales": [1.0, 1.0], "lambda": 1.0, "class_weights": None,
+                    "converged": True}),
         # node 0 is its own left child: predict would walk that cycle forever
         json.dumps({"version": 2, "kind": "tree", "min_leaf": 1, "alpha_prune": 0.1,
                     "class_weights": None, "column_names": ["f00"],

@@ -466,6 +466,15 @@ def _tree_file(kind="tree", **nodes):
     return json.dumps(raw)
 
 
+def _linear_file(**arrays):
+    """A version-2 linear model file over columns "a" and "b", with
+    ``arrays`` replacing its weights, means or scales."""
+    raw = {"version": 2, "kind": "linear", "column_names": ["a", "b"], "weights": [0.5, -1.0],
+           "intercept": 0.1, "means": [0.0, 1.0], "scales": [1.0, 2.0], "lambda": 1.0,
+           "class_weights": None, "converged": True, **arrays}
+    return json.dumps(raw)
+
+
 class TestSerialization:
     def test_linear_roundtrip(self, planted, tmp_path):
         X, y = planted
@@ -524,11 +533,21 @@ class TestSerialization:
         _tree_file(column=[1, -1, -1]),
         _tree_file(prob=[0.5, 0.0]),
         _tree_file(column=[], threshold=[], left=[], right=[], prob=[], n_samples=[]),
+        # linear arrays that do not hold one value per column name
+        _linear_file(weights=[0.5]),
+        _linear_file(means=[0.0, 1.0, 2.0]),
+        _linear_file(scales=[[1.0, 2.0]]),
     ])
     def test_unreadable_model_file_raises_input_file_error(self, tmp_path, text):
         (tmp_path / "m.json").write_text(text)
         with pytest.raises(InputFileError):
             load_model(tmp_path / "m.json")
+
+    def test_consistent_linear_arrays_load(self, tmp_path):
+        (tmp_path / "m.json").write_text(_linear_file())
+        model = load_model(tmp_path / "m.json")
+        # 0.1 + 0.5 * (2 - 0) / 1 - 1.0 * (5 - 1) / 2
+        assert predict_scores(model, np.array([[2.0, 5.0]])) == pytest.approx([-0.9])
 
     @pytest.mark.parametrize("kind", ["tree", "forest"])
     def test_consistent_node_arrays_load(self, tmp_path, kind):
