@@ -176,10 +176,10 @@ def _without_cyclic_gc(command):
 def cmd_curate(args) -> int:
     schema = ColumnSchema.from_file(args.schema) if args.schema else ColumnSchema.default()
     decoder = StubDecoder.from_file(args.decoder_table) if args.decoder_table else DisabledDecoder()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-
     with open(args.input, "rb") as fh:
         parsed = parse_person_rows(fh, schema)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+
     quarantine = args.out_dir / "quarantine.csv"
     if parsed.errors:
         with open(quarantine, "w", encoding="utf-8", newline="") as fh:
@@ -209,12 +209,12 @@ def cmd_curate(args) -> int:
 def cmd_preprocess(args) -> int:
     schema = ColumnSchema.from_file(args.schema) if args.schema else ColumnSchema.default()
     agg = AggregationConfig.from_file(args.agg_config) if args.agg_config else AggregationConfig()
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-
     with open(args.input, "rb") as fh:
         parsed = parse_person_rows(fh, schema)
     if parsed.errors:
-        print(f"{len(parsed.errors)} malformed lines in curated input", file=sys.stderr)
+        first = parsed.errors[0]
+        print(f"error: {len(parsed.errors)} malformed lines in curated input, the first "
+              f"at line {first.line_number}: {first.message}", file=sys.stderr)
         return EXIT_INPUT
 
     samples = build_vehicle_samples(parsed.rows, agg)
@@ -222,11 +222,12 @@ def cmd_preprocess(args) -> int:
     if not args.no_vehicle_filter:
         samples = filter_passenger_vehicles(samples, agg.passenger_types)
     if not samples:
-        print("no vehicle samples after aggregation/filtering", file=sys.stderr)
+        print("error: no vehicle samples after aggregation/filtering", file=sys.stderr)
         return EXIT_INPUT
 
     model = fit_preprocess(samples, agg)
     matrix = encode(samples, model)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix(matrix, args.out_dir / "matrix.csfm")
     model.save(args.out_dir / "preprocess_model.json")
     positives = int(matrix.y.sum())
@@ -339,15 +340,15 @@ def cmd_run(args) -> int:
 def cmd_explain(args) -> int:
     model = load_model(args.model)
     matrix = load_matrix(args.matrix)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     # align the matrix to the model's training columns, by name
     name_to_idx = {c.name: i for i, c in enumerate(matrix.columns)}
     model_names = getattr(model, "column_names", [c.name for c in matrix.columns])
     missing = [n for n in model_names if n not in name_to_idx]
     if missing:
-        print(f"matrix lacks model columns: {', '.join(missing[:5])}", file=sys.stderr)
+        print(f"error: matrix lacks model columns: {', '.join(missing[:5])}", file=sys.stderr)
         return EXIT_INPUT
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     idx = [name_to_idx[n] for n in model_names]
     X = matrix.X[:, idx]
     columns = [matrix.columns[i] for i in idx]

@@ -667,12 +667,64 @@ class TestUnreadableInput:
         ["curate", "--input", "{dir}", "--out-dir", "{out}"],
         ["curate", "--input", "{csv}", "--schema", "{dir}", "--out-dir", "{out}"],
         ["explain", "--model", "{dir}", "--matrix", "{matrix}", "--out-dir", "{out}"],
-    ], ids=["curate-input", "curate-schema", "explain-model"])
+        ["preprocess", "--input", "{dir}", "--out-dir", "{out}"],
+    ], ids=["curate-input", "curate-schema", "explain-model", "preprocess-input"])
     def test_directory_path_exits_2(self, raw_csv, synth_matrix_file, tmp_path, capsys, argv):
         paths = {"dir": tmp_path, "out": tmp_path / "o", "csv": raw_csv,
                  "matrix": synth_matrix_file}
         assert main([arg.format(**paths) for arg in argv]) == 2
         _assert_one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["curate", "preprocess"])
+    def test_missing_input_exits_2_leaving_no_output_directory(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "o"
+        assert main([command, "--input", str(tmp_path / "absent.csv"),
+                     "--out-dir", str(out_dir)]) == 2
+        _assert_one_line_error(capsys)
+        assert not out_dir.exists()
+
+
+class TestRefusalMessages:
+    """Each refusal is one ``error:`` line, and a refused ``preprocess``
+    leaves no output directory."""
+
+    def test_preprocess_names_the_first_malformed_line(self, raw_csv, decoder_file, tmp_path,
+                                                       capsys):
+        assert main(["curate", "--input", str(raw_csv), "--decoder-table", str(decoder_file),
+                     "--out-dir", str(tmp_path / "cur")]) == 0
+        curated = tmp_path / "cur" / "curated.csv"
+        lines = curated.read_text().splitlines()
+        curated.write_text("\n".join([*lines, "C1,short", "C2,short"]) + "\n")
+        capsys.readouterr()
+        out_dir = tmp_path / "pre"
+        assert main(["preprocess", "--input", str(curated), "--out-dir", str(out_dir)]) == 2
+        err = _assert_one_line_error(capsys)
+        assert err.startswith("error: 2 malformed lines in curated input")
+        assert f"line {len(lines) + 1}: expected" in err
+        assert not out_dir.exists()
+
+    def test_preprocess_without_samples(self, tmp_path, capsys):
+        empty = tmp_path / "curated.csv"
+        empty.write_text("CrashID,VIN,PersonType,SeatingPosition,Severity\n")
+        out_dir = tmp_path / "pre"
+        assert main(["preprocess", "--input", str(empty), "--out-dir", str(out_dir)]) == 2
+        assert "no vehicle samples" in _assert_one_line_error(capsys)
+        assert not out_dir.exists()
+
+    def test_explain_with_a_matrix_lacking_model_columns(self, synth_matrix_file, tmp_path,
+                                                        capsys):
+        matrix = load_matrix(synth_matrix_file)
+        save_model(fit_ridge_logistic(matrix.X, matrix.y, lam=1.0,
+                                      column_names=[c.name for c in matrix.columns]),
+                   tmp_path / "model.json")
+        narrow = planted_generator(n_features=2, n_informative=1, effect=0.8, prevalence=0.3)
+        save_matrix(narrow.matrix(200, seed=1), tmp_path / "narrow.csfm")
+        out_dir = tmp_path / "exp"
+        assert main(["explain", "--model", str(tmp_path / "model.json"),
+                     "--matrix", str(tmp_path / "narrow.csfm"), "--out-dir", str(out_dir)]) == 2
+        assert "matrix lacks model columns: f" in _assert_one_line_error(capsys)
+        assert not out_dir.exists()
 
 
 class TestMalformedSideInput:
