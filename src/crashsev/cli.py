@@ -191,7 +191,7 @@ def cmd_curate(args) -> int:
 
     result = curate(parsed.rows, decoder)
     if not result.audit.conservation_holds():
-        print("curation audit conservation identity violated", file=sys.stderr)
+        print("invariant violation: curation audit conservation identity violated", file=sys.stderr)
         return EXIT_INVARIANT
 
     write_curated_csv(result.rows, schema, args.out_dir / "curated.csv")
@@ -282,7 +282,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     if not cfg.matrix_path or not Path(cfg.matrix_path).exists():
-        print(f"feature matrix not found: {cfg.matrix_path}", file=sys.stderr)
+        print(f"error: feature matrix not found: {cfg.matrix_path}", file=sys.stderr)
         return EXIT_INPUT
     matrix = load_matrix(cfg.matrix_path)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,7 +363,7 @@ def cmd_explain(args) -> int:
         table = _explain(model, X, matrix.y, columns, features, args.out_dir,
                          svg=args.svg, seed=args.seed or 0)
     except KeyError as exc:  # an unknown feature name
-        print(str(exc.args[0]) if exc.args else str(exc), file=sys.stderr)
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_USAGE
     if table.method != "shap":
         print("final model is not linear: wrote permutation importance instead of attributions")
@@ -374,7 +374,7 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     report_path = args.run_dir / "report.json"
     if not report_path.exists():
-        print(f"no report.json under {args.run_dir}", file=sys.stderr)
+        print(f"error: no report.json under {args.run_dir}", file=sys.stderr)
         return EXIT_INPUT
     try:
         with open(report_path, "r", encoding="utf-8") as fh:

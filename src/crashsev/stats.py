@@ -127,10 +127,10 @@ def chi2_sf(df: int, x):
     if odd:
         root = np.sqrt(h)
         head = np.array([math.erfc(v) for v in root.ravel().tolist()]).reshape(h.shape)
-        term = root / _HALF_SQRT_PI * half  # h**(1/2) / Gamma(3/2)
+        term = root / _HALF_SQRT_PI * half  # h**(1/2) / Gamma(3/2), times exp(-h/2)
     else:
         head = 0.0
-        term = half  # h**0 / 0!
+        term = half  # h**0 / 0!, times exp(-h/2)
     total = 0.0
     for j in range(df // 2):
         if j:

@@ -404,9 +404,10 @@ class TestRunCommand:
         assert b"deeper" not in reports[0]
         assert "paths" not in json.loads(reports[0])["run_config"]["raw"]
 
-    def test_missing_matrix_exits_2(self, tmp_path):
+    def test_missing_matrix_exits_2(self, tmp_path, capsys):
         cfg = run_config_ini(tmp_path, tmp_path / "nope.csfm", tmp_path / "out")
         assert main(["--config", str(cfg), "run"]) == 2
+        assert "feature matrix not found" in _assert_one_line_error(capsys)
 
     def test_seed_flag_matches_config_seed(self, synth_matrix_file, tmp_path):
         out_dir = tmp_path / "out"
@@ -771,7 +772,8 @@ class TestExplainCommand:
                      "--matrix", str(synth_matrix_file), "--features", "NotAFeature",
                      "--out-dir", str(tmp_path / "exp2")])
         assert code == 3
-        assert "available" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "available" in err
 
     def test_same_seed_identical_svg(self, finished_run, synth_matrix_file, tmp_path):
         a, b = tmp_path / "ea", tmp_path / "eb"
@@ -794,8 +796,9 @@ class TestReportCommand:
         for heading in ("configuration search", "per-subset winners", "stability", "final model"):
             assert heading in text
 
-    def test_missing_report_exits_2(self, tmp_path):
+    def test_missing_report_exits_2(self, tmp_path, capsys):
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        assert "no report.json" in _assert_one_line_error(capsys)
 
 
 class TestUsageErrors:
