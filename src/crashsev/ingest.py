@@ -98,7 +98,7 @@ class SeatingPosition(Enum):
 class KeyedTuple(Mapping):
     """A read-only mapping of one tuple of values, keyed through an index
     (key -> position) that every mapping built by one call shares. It holds
-    a row's or a sample's columns in a fraction of a dict's memory."""
+    a row's columns in a fraction of a dict's memory."""
 
     __slots__ = ("_index", "_values")
 

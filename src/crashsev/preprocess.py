@@ -14,15 +14,13 @@ import logging
 import math
 import os
 import struct
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .ingest import (
     InputFileError,
-    KeyedTuple,
     MemoTable,
     PersonRow,
     PersonType,
@@ -36,7 +34,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "SEVERE",
     "NON_SEVERE",
-    "VehicleSample",
+    "VehicleSamples",
     "AggregationConfig",
     "PreprocessModel",
     "ColumnInfo",
@@ -68,23 +66,38 @@ def binarize_severity(s: SeverityClass) -> str:
     return NON_SEVERE
 
 
-@dataclass(slots=True)
-class VehicleSample:
-    """One aggregated vehicle-level record with its binary severity target.
+class VehicleSamples:
+    """Vehicle-level samples in columns: entry i of every list is sample i.
 
-    The features are any mappings; build_vehicle_samples stores them as
-    KeyedTuples whose indexes all its samples share."""
+    ``numeric`` and ``categorical`` map each feature name to its column, in
+    which None and "" are missing values."""
 
-    crash_id: str
-    unit_vin: str
-    target: str
-    numeric_features: Mapping[str, Optional[float]]
-    categorical_features: Mapping[str, str]
-
-    def __post_init__(self) -> None:
-        occ = self.numeric_features.get("NumberOfOccupants")
-        if occ is not None and occ < 1:
+    def __init__(self, crash_id: list[str], unit_vin: list[str], target: list[str],
+                 numeric: dict[str, list[Optional[float]]], categorical: dict[str, list[str]]):
+        if any(len(column) != len(target) for column in
+               (crash_id, unit_vin, *numeric.values(), *categorical.values())):
+            raise ValueError("every sample column must hold one entry per target")
+        if any(v is not None and v < 1 for v in numeric.get("NumberOfOccupants", ())):
             raise ValueError("NumberOfOccupants must be at least 1")
+        self.crash_id = crash_id
+        self.unit_vin = unit_vin
+        self.target = target
+        self.numeric = numeric
+        self.categorical = categorical
+
+    def __len__(self) -> int:
+        return len(self.target)
+
+    def take(self, indices: Sequence[int]) -> "VehicleSamples":
+        """The samples at ``indices``, in that order."""
+        def pick(column: list) -> list:
+            return [column[i] for i in indices]
+
+        return VehicleSamples(
+            pick(self.crash_id), pick(self.unit_vin), pick(self.target),
+            {name: pick(column) for name, column in self.numeric.items()},
+            {name: pick(column) for name, column in self.categorical.items()},
+        )
 
 
 def _norm_type(value: str) -> str:
@@ -128,29 +141,30 @@ class AggregationConfig:
     postcrash_denylist: tuple[str, ...] = DEFAULT_POSTCRASH_DENYLIST
     n_interacting_slots: int = 5
 
+    def __post_init__(self) -> None:
+        if not all(0 < p < math.inf for p in self.cyclical_periods.values()):
+            raise ValueError(f"cyclical periods must be finite and > 0: {self.cyclical_periods}")
+        if self.n_interacting_slots < 0:
+            raise ValueError(f"n_interacting_slots must be >= 0: {self.n_interacting_slots}")
+
     @classmethod
     def from_file(cls, path) -> "AggregationConfig":
-        """The defaults overlaid with JSON file ``path``; a malformed file
-        raises InputFileError."""
+        """The defaults overlaid with JSON file ``path``; a malformed file or
+        a value out of range raises InputFileError."""
+        readers = {
+            "numeric_attrs": tuple,
+            "categorical_attrs": tuple,
+            "cyclical_periods": lambda periods: {k: float(v) for k, v in periods.items()},
+            "passenger_types": lambda types: frozenset(_norm_type(v) for v in types),
+            "postcrash_denylist": tuple,
+            "n_interacting_slots": int,
+        }
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)  # a JSONDecodeError is a ValueError
-            cfg = cls()
-            if "numeric_attrs" in raw:
-                cfg.numeric_attrs = tuple(raw["numeric_attrs"])
-            if "categorical_attrs" in raw:
-                cfg.categorical_attrs = tuple(raw["categorical_attrs"])
-            if "cyclical_periods" in raw:
-                cfg.cyclical_periods = {k: float(v) for k, v in raw["cyclical_periods"].items()}
-            if "passenger_types" in raw:
-                cfg.passenger_types = frozenset(_norm_type(v) for v in raw["passenger_types"])
-            if "postcrash_denylist" in raw:
-                cfg.postcrash_denylist = tuple(raw["postcrash_denylist"])
-            if "n_interacting_slots" in raw:
-                cfg.n_interacting_slots = int(raw["n_interacting_slots"])
+            return cls(**{key: read(raw[key]) for key, read in readers.items() if key in raw})
         except (ValueError, TypeError, AttributeError) as exc:
-            raise InputFileError(f"unreadable aggregation config {path}: {exc!r}") from exc
-        return cfg
+            raise InputFileError(f"invalid aggregation config {path}: {exc!r}") from exc
 
 
 def _time_of_day_hours(crash_time: Optional[str]) -> Optional[float]:
@@ -182,7 +196,7 @@ def _parse_float(value: str) -> Optional[float]:
 def build_vehicle_samples(
     rows: Sequence[PersonRow],
     config: Optional[AggregationConfig] = None,
-) -> list[VehicleSample]:
+) -> VehicleSamples:
     """Aggregate curated person rows into one sample per unit.
 
     The target is the most severe injury among the unit's occupants;
@@ -221,11 +235,14 @@ def build_vehicle_samples(
     floats = MemoTable(_parse_float)
     hours = MemoTable(_time_of_day_hours)
     stripped = MemoTable(str.strip)
-    indexes: dict[tuple[str, ...], dict[str, int]] = {}
     skipped: list[tuple[str, str]] = []
     excluded: list[tuple[str, str]] = []
 
-    samples: list[VehicleSample] = []
+    crash_ids: list[str] = []
+    vins: list[str] = []
+    targets: list[str] = []
+    numeric_columns: dict[str, list[Optional[float]]] = {}
+    categorical_columns: dict[str, list[str]] = {}
     for key in sorted(units):
         persons = units[key]
         drivers = [p for p in persons if p.person_type is PersonType.DRIVER]
@@ -275,32 +292,23 @@ def build_vehicle_samples(
         levels += [NONE_LEVEL] * (len(slot_names) - len(levels))
         categorical.update(zip(slot_names, levels))
 
-        samples.append(
-            VehicleSample(
-                crash_id=key[0],
-                unit_vin=persons[0].unit_vin,
-                target=binarize_severity(worst),
-                numeric_features=_compact(numeric, indexes),
-                categorical_features=_compact(categorical, indexes),
-            )
-        )
+        if not targets:  # every unit lists the same features in this order
+            numeric_columns = {name: [] for name in numeric}
+            categorical_columns = {name: [] for name in categorical}
+        crash_ids.append(key[0])
+        vins.append(persons[0].unit_vin)
+        targets.append(binarize_severity(worst))
+        for column, value in zip(numeric_columns.values(), numeric.values(), strict=True):
+            column.append(value)
+        for column, level in zip(categorical_columns.values(), categorical.values(), strict=True):
+            column.append(level)
     if skipped:
         log.warning("%d units skipped: not exactly one driver after curation (first: %s)",
                     len(skipped), _first_keys(skipped))
     if excluded:
         log.info("%d units excluded: all severities Unknown (first: %s)",
                  len(excluded), _first_keys(excluded))
-    return samples
-
-
-def _compact(features: dict, indexes: dict[tuple[str, ...], dict[str, int]]) -> KeyedTuple:
-    """``features`` as a KeyedTuple that shares its index, kept in
-    ``indexes``, with every other mapping of the same keys in the same order."""
-    keys = tuple(features)
-    index = indexes.get(keys)
-    if index is None:
-        index = indexes[keys] = {k: i for i, k in enumerate(keys)}
-    return KeyedTuple(index, tuple(features.values()))
+    return VehicleSamples(crash_ids, vins, targets, numeric_columns, categorical_columns)
 
 
 def _first_keys(keys: Sequence[tuple[str, str]], n: int = 3) -> str:
@@ -310,16 +318,17 @@ def _first_keys(keys: Sequence[tuple[str, str]], n: int = 3) -> str:
 
 
 def filter_passenger_vehicles(
-    samples: Iterable[VehicleSample],
+    samples: VehicleSamples,
     passenger_types: frozenset = DEFAULT_PASSENGER_TYPES,
-) -> list[VehicleSample]:
+) -> VehicleSamples:
     """Keep samples whose own unit type is passenger-like.
 
     Interacting-unit slots keep all vehicle types; only the subject vehicle
     is filtered.
     """
     passenger = MemoTable(lambda unit_type: _norm_type(unit_type) in passenger_types)
-    return [s for s in samples if passenger[s.categorical_features.get("UnitType", "")]]
+    unit_types = enumerate(samples.categorical.get("UnitType", ()))
+    return samples.take([i for i, unit_type in unit_types if passenger[unit_type]])
 
 
 def drop_postcrash_features(
@@ -376,21 +385,13 @@ class PreprocessModel:
         return cls(**raw)
 
 
-def _numeric_column(samples: Sequence[VehicleSample], name: str) -> list[Optional[float]]:
-    return [s.numeric_features.get(name) for s in samples]
-
-
-def _categorical_column(samples: Sequence[VehicleSample], name: str) -> list[str]:
-    return [s.categorical_features.get(name, "") for s in samples]
-
-
 def _level(raw: str) -> str:
     """The vocabulary level of a raw categorical value."""
     return raw.strip() or MISSING_LEVEL
 
 
 def fit_preprocess(
-    samples: Sequence[VehicleSample],
+    samples: VehicleSamples,
     config: Optional[AggregationConfig] = None,
 ) -> PreprocessModel:
     """Fit imputation means and vocabularies on training samples only."""
@@ -398,12 +399,10 @@ def fit_preprocess(
         raise ValueError("cannot fit preprocessing on zero samples")
     cfg = config or AggregationConfig()
 
-    numeric_names = sorted({n for s in samples for n in s.numeric_features})
-    categorical_names = sorted({n for s in samples for n in s.categorical_features})
-    _, removed = drop_postcrash_features(numeric_names + categorical_names,
+    _, removed = drop_postcrash_features([*samples.numeric, *samples.categorical],
                                          cfg.postcrash_denylist)
-    numeric_names = [n for n in numeric_names if n not in removed]
-    categorical_names = [n for n in categorical_names if n not in removed]
+    numeric_names = sorted(n for n in samples.numeric if n not in removed)
+    categorical_names = sorted(n for n in samples.categorical if n not in removed)
 
     cyclical = [n for n in numeric_names if n in cfg.cyclical_periods]
     plain_numeric = [n for n in numeric_names if n not in cfg.cyclical_periods]
@@ -411,7 +410,7 @@ def fit_preprocess(
     means: dict[str, float] = {}
     dropped: list[str] = []
     for name in plain_numeric + cyclical:
-        values = [v for v in _numeric_column(samples, name) if v is not None]
+        values = [v for v in samples.numeric[name] if v is not None]
         if not values:
             dropped.append(name)
             log.warning("numeric column %r is all-missing on training rows; dropped", name)
@@ -420,10 +419,8 @@ def fit_preprocess(
 
     # a "missing" level exists only where missing values were actually seen,
     # so a fully observed feature one-hots into exactly its observed levels
-    vocabularies: dict[str, list[str]] = {}
-    for name in categorical_names:
-        raw = set(_categorical_column(samples, name))
-        vocabularies[name] = sorted({_level(v) for v in raw})
+    vocabularies = {name: sorted({_level(v) for v in set(samples.categorical[name])})
+                    for name in categorical_names}
 
     return PreprocessModel(
         numeric_order=[n for n in plain_numeric if n not in dropped],
@@ -560,13 +557,14 @@ class EncodedMatrix:
         return self._expand(0, np.empty((self.n_rows, self.n_cols), dtype=np.float64))
 
 
-def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> EncodedMatrix:
+def encode(samples: VehicleSamples, model: PreprocessModel) -> EncodedMatrix:
     """Apply a fitted PreprocessModel: impute, cyclical-transform, one-hot.
 
     Unseen categorical levels produce an all-zero block (counted and logged);
     in-vocabulary encoding is lossless. The result is compact: one vector per
     numeric, sin and cos column and one vector of level codes per categorical
-    feature, which save_matrix expands a block of rows at a time.
+    feature, which save_matrix expands a block of rows at a time. A feature
+    that the model knows and the samples lack reads as missing throughout.
     """
     values: list[np.ndarray] = []
     codes: list[tuple[int, np.ndarray]] = []
@@ -574,8 +572,8 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> EncodedM
 
     def imputed(name: str) -> np.ndarray:
         mean = model.numeric_means[name]
-        return np.array([mean if v is None else v for v in _numeric_column(samples, name)],
-                        dtype=np.float64)
+        column = samples.numeric.get(name) or [None] * len(samples)
+        return np.array([mean if v is None else v for v in column], dtype=np.float64)
 
     for name in model.numeric_order:
         values.append(imputed(name))
@@ -592,7 +590,7 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> EncodedM
     for name in model.categorical_order:
         vocab = model.vocabularies[name]
         index = {lvl: j for j, lvl in enumerate(vocab)}
-        raw = _categorical_column(samples, name)
+        raw = samples.categorical.get(name) or [""] * len(samples)
         code_of = {v: index.get(_level(v), -1) for v in set(raw)}
         group = np.array([code_of[v] for v in raw], dtype=np.int32)
         unseen += int(np.count_nonzero(group < 0))
@@ -603,7 +601,7 @@ def encode(samples: Sequence[VehicleSample], model: PreprocessModel) -> EncodedM
     if unseen:
         log.info("encode: %d categorical values outside the training vocabulary", unseen)
 
-    y = np.array([1 if s.target == SEVERE else 0 for s in samples], dtype=np.int8)
+    y = np.array([1 if t == SEVERE else 0 for t in samples.target], dtype=np.int8)
     return EncodedMatrix(values, codes, y, columns)
 
 

@@ -748,6 +748,28 @@ class TestMalformedSideInput:
         _assert_one_line_error(capsys)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"cyclical_periods": {"CrashMonth": 0}}', "cyclical periods"),
+        ('{"cyclical_periods": {"CrashTime24h": -24}}', "cyclical periods"),
+        ('{"cyclical_periods": {"CrashWeekDay": NaN}}', "cyclical periods"),
+        ('{"cyclical_periods": {"CrashWeekDay": Infinity}}', "cyclical periods"),
+        ('{"n_interacting_slots": -2}', "n_interacting_slots"),
+    ])
+    def test_agg_config_value_out_of_range_exits_2(self, raw_csv, tmp_path, capsys, text,
+                                                    named):
+        # a zero period would write NaN into the matrix, and a negative slot
+        # count would drop every interacting-slot group
+        cur = tmp_path / "cur"
+        assert main(["curate", "--input", str(raw_csv), "--out-dir", str(cur)]) == 0
+        capsys.readouterr()
+        side = tmp_path / "agg.json"
+        side.write_text(text)
+        out_dir = tmp_path / "o"
+        assert main(["preprocess", "--input", str(cur / "curated.csv"), "--agg-config",
+                     str(side), "--out-dir", str(out_dir)]) == 2
+        assert named in _assert_one_line_error(capsys)
+        assert not out_dir.exists()
+
 
 class TestExplainCommand:
     @pytest.fixture()

@@ -207,7 +207,7 @@ def _outputs(case: str, work: Path) -> dict[str, str]:
     agg = AggregationConfig()
     samples = filter_passenger_vehicles(build_vehicle_samples(parsed.rows, agg),
                                         agg.passenger_types)
-    model = fit_preprocess(samples[::3], agg)
+    model = fit_preprocess(samples.take(range(0, len(samples), 3)), agg)
     save_matrix(encode(samples, model), work / "subset.csfm")
     model.save(work / "subset_model.json")
     digests["subset_fit/matrix.csfm"] = _digest(work / "subset.csfm")
@@ -226,8 +226,8 @@ def test_outputs_match_record_byte_for_byte(recorded, case, tmp_path):
 
 
 def _retained_per_item(build) -> tuple[float, list]:
-    """Bytes that the list ``build()`` returns keeps allocated, per item, as
-    tracemalloc counts them, and the list. A first, unmeasured call fills the
+    """Bytes that the collection ``build()`` returns keeps allocated, per item,
+    as tracemalloc counts them, and the collection. A first, unmeasured call fills the
     caches a process fills once (strptime's patterns)."""
     build()
     gc.collect()
@@ -247,10 +247,12 @@ def test_rows_and_samples_retain_at_most_half_the_dict_layouts_bytes():
     extra columns) and the 186 samples built from them. With a ``__dict__``
     per row and per sample, a dict of extra columns per row, two feature
     dicts per sample and a fresh string per field, CPython 3.11.7 retained
-    962 B per parsed PersonRow and 1,496 B per VehicleSample here; slots,
-    keyed tuples and shared values took that to 389 B and 595 B. The bounds
-    are half the dict layout's numbers. Under another interpreter, compare
-    its sys.getsizeof of a slotted object, a tuple and a dict first."""
+    962 B per parsed PersonRow and 1,496 B per sample here. Slotted rows with
+    keyed tuples of shared values retain 389 B per row, and the samples'
+    columns (one list per feature, of shared values) 400 B per sample. The
+    bounds are half the dict layout's numbers. Under another interpreter,
+    compare its sys.getsizeof of a slotted object, a tuple, a list and a dict
+    first."""
     data = _input_csv("generated").encode("utf-8")
     per_row, rows = _retained_per_item(
         lambda: parse_person_rows(io.BytesIO(data), ColumnSchema.default()).rows)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from crashsev.learners import (
     LinearModel,
     NaiveModel,
     _best_split,
+    _chi2_split_pvalue,
     class_weight_vector,
     fit_decision_tree,
     fit_random_forest,
@@ -20,7 +22,7 @@ from crashsev.learners import (
     predict_scores,
     save_model,
 )
-from crashsev.stats import auc_roc
+from crashsev.stats import auc_roc, chi2_sf
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +212,27 @@ class TestTree:
         y = rng.integers(0, 2, 200)
         strict = fit_decision_tree(X, y, min_leaf=1, alpha_prune=0.0001)
         assert len(strict.leaves()) <= 3
+
+
+class TestSplitPvalue:
+    def test_equals_chi2_sf_bit_for_bit(self, rng):
+        # every table of counts below 5, and random tables of larger counts
+        tables = [(a, b, c, d) for a in range(5) for b in range(5)
+                  for c in range(5) for d in range(5)]
+        tables += [tuple(rng.integers(0, 5000, 4).tolist()) for _ in range(100)]
+        for counts in tables:
+            y_left, y_right = np.repeat([1, 0], counts[:2]), np.repeat([1, 0], counts[2:])
+            # the statistic in the float arithmetic of the function
+            a, b, c, d = map(float, counts)
+            margins = (a + b) * (c + d) * (a + c) * (b + d)
+            stat = (a + b + c + d) * (a * d - b * c) ** 2 / margins if margins else 0.0
+            want = float(chi2_sf(1, stat))
+            assert _chi2_split_pvalue(y_left, y_right).hex() == want.hex(), counts
+
+    @pytest.mark.parametrize("stat", [0.0, 5e-324, 2.2e-308, 1e-12, 0.5, 3.841458820694124,
+                                      10.0, 700.0, 1500.0, 1e15, 1e308])
+    def test_erfc_form_is_chi2_sf_with_one_dof(self, stat):
+        assert math.erfc(math.sqrt(stat / 2.0)).hex() == float(chi2_sf(1, stat)).hex()
 
 
 # a cyclical-encoding value and the next float up: their midpoint rounds to

@@ -102,6 +102,19 @@ class TestDrawSubsets:
         with pytest.raises(ProtocolError, match="class"):
             draw_subsets(labels, plan)
 
+    def test_overlapping_subsets(self, rng):
+        # each subset is drawn from every row of its class, so subsets share
+        # rows, but no subset repeats one
+        labels = (rng.random(3000) < 0.13).astype(int)
+        plan = SubsetPlan(n_subsets=4, subset_size=900, seed=6, disjoint=False)
+        subsets, holdout = draw_subsets(labels, plan)
+        for s in subsets:
+            assert s.size == 900 and np.unique(s).size == 900
+            assert abs(int(labels[s].sum()) - 900 * labels.mean()) <= 1.0
+        union = np.unique(np.concatenate(subsets))
+        assert union.size < sum(s.size for s in subsets)  # they overlap
+        assert np.array_equal(holdout, np.setdiff1d(np.arange(3000), union))
+
     @pytest.mark.parametrize("n_negative, missing", [(392, "0"), (500, "1")])
     def test_plan_leaving_holdout_without_a_class_raises(self, n_negative, missing):
         # 8 positives, 4 x 100 disjoint subsets: with 392 negatives the
@@ -130,6 +143,36 @@ class TestProtocol:
         subset_plan, cv_plan = small_plans()
         final = run_protocol(small_matrix, subset_plan, small_space(), cv_plan)
         assert not set(final.train_indices.tolist()) & set(final.holdout_indices.tolist())
+
+    def test_overlapping_subsets_train_on_their_union_and_never_read_holdout(
+            self, small_matrix, monkeypatch):
+        subset_plan = SubsetPlan(n_subsets=3, subset_size=500, seed=13, disjoint=False)
+        cv_plan = small_plans()[1]
+        subsets, holdout = draw_subsets(small_matrix.y, subset_plan)
+        union = np.unique(np.concatenate(subsets))
+        assert union.size < sum(s.size for s in subsets)
+
+        trackers, final_rows = [], []
+
+        class RecordingTracker(orch._AccessTracker):
+            def __init__(self, n_rows):
+                super().__init__(n_rows)
+                trackers.append(self)
+
+        class RecordingRidge(tune.RidgeLearner):
+            def fit(self, X, y, names, class_weights, seed):
+                final_rows.append(X.shape[0])
+                return super().fit(X, y, names, class_weights, seed)
+
+        monkeypatch.setattr(orch, "_AccessTracker", RecordingTracker)
+        final = run_protocol(small_matrix, subset_plan, small_space(), cv_plan,
+                             final_learner=RecordingRidge(lam=1.0))
+        assert np.array_equal(final.train_indices, union)
+        assert np.array_equal(final.holdout_indices, holdout)
+        assert final_rows == [union.size] and final.report["final"]["n_train"] == union.size
+        # the training phases read every union row and no other
+        (tracker,) = trackers
+        assert np.array_equal(np.flatnonzero(tracker.mask), union)
 
     def test_holdout_peek_raises(self, small_matrix):
         subset_plan, cv_plan = small_plans()

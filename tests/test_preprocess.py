@@ -30,7 +30,7 @@ from crashsev.preprocess import (
     ColumnInfo,
     FeatureMatrix,
     PreprocessModel,
-    VehicleSample,
+    VehicleSamples,
     _parse_float,
     _time_of_day_hours,
     binarize_severity,
@@ -45,14 +45,41 @@ from crashsev.preprocess import (
 )
 
 
-def _sample(target=NON_SEVERE, numeric=None, categorical=None, crash="C1", vin="V") -> VehicleSample:
-    return VehicleSample(
-        crash_id=crash,
-        unit_vin=vin,
-        target=target,
-        numeric_features=numeric or {"NumberOfOccupants": 1.0},
-        categorical_features=categorical or {},
-    )
+def _sample(target=NON_SEVERE, numeric=None, categorical=None, crash="C1", vin="V") -> dict:
+    """One sample's record: its unit, its target and its features by name."""
+    return {"crash_id": crash, "unit_vin": vin, "target": target,
+            "numeric": numeric or {"NumberOfOccupants": 1.0}, "categorical": categorical or {}}
+
+
+def _samples(records: list[dict]) -> VehicleSamples:
+    """The records of ``_sample`` in columns; a feature that a record lacks
+    reads as missing (None or "") in its row."""
+    numeric = dict.fromkeys(name for r in records for name in r["numeric"])
+    categorical = dict.fromkeys(name for r in records for name in r["categorical"])
+    return VehicleSamples(
+        [r["crash_id"] for r in records], [r["unit_vin"] for r in records],
+        [r["target"] for r in records],
+        {name: [r["numeric"].get(name) for r in records] for name in numeric},
+        {name: [r["categorical"].get(name, "") for r in records] for name in categorical})
+
+
+def _records(samples: VehicleSamples) -> list[dict]:
+    """Each sample as the record ``_sample`` makes."""
+    return [
+        {"crash_id": samples.crash_id[i], "unit_vin": samples.unit_vin[i],
+         "target": samples.target[i],
+         "numeric": {name: column[i] for name, column in samples.numeric.items()},
+         "categorical": {name: column[i] for name, column in samples.categorical.items()}}
+        for i in range(len(samples))
+    ]
+
+
+def _find(samples: VehicleSamples, crash: str, vin_prefix: str) -> dict:
+    """The record of the one sample of ``crash`` whose VIN starts with ``vin_prefix``."""
+    found = [s for s in _records(samples)
+             if s["crash_id"] == crash and s["unit_vin"].startswith(vin_prefix)]
+    assert len(found) == 1
+    return found[0]
 
 
 class TestBinarize:
@@ -79,15 +106,15 @@ def curated_rows(schema, decoder, curation_csv):
 class TestBuildSamples:
     def test_target_is_worst_occupant_severity(self, curated_rows):
         samples = build_vehicle_samples(curated_rows)
-        by_key = {(s.crash_id, s.unit_vin): s for s in samples}
+        target = dict(zip(zip(samples.crash_id, samples.unit_vin), samples.target))
         # C23 Toyota carried a Fatal driver; Ford had Serious + Possible
-        assert by_key[("C23", "2T1BURHE25C047366")].target == SEVERE
-        assert by_key[("C23", "1FTFW1ET01FB12345")].target == SEVERE
-        assert by_key[("C23", "1HGCM82633A004352")].target == NON_SEVERE
+        assert target[("C23", "2T1BURHE25C047366")] == SEVERE
+        assert target[("C23", "1FTFW1ET01FB12345")] == SEVERE
+        assert target[("C23", "1HGCM82633A004352")] == NON_SEVERE
 
     def test_all_unknown_unit_excluded(self, curated_rows):
         samples = build_vehicle_samples(curated_rows)
-        assert not any(s.crash_id == "C24" for s in samples)
+        assert "C24" not in samples.crash_id
 
     def test_excluded_units_logged_once_per_reason(self, caplog):
         # four units with only Unknown severities and two without a driver:
@@ -111,37 +138,31 @@ class TestBuildSamples:
         ]
 
     def test_occupant_age_summaries(self, curated_rows):
-        samples = build_vehicle_samples(curated_rows)
-        jeep = next(s for s in samples if s.crash_id == "C28")
-        assert jeep.numeric_features["OccupantsMinAge"] == 5
-        assert jeep.numeric_features["OccupantsMeanAge"] == pytest.approx((35 + 5 + 65) / 3)
-        assert jeep.numeric_features["OccupantsMaxAge"] == 65
-        assert jeep.numeric_features["NumberOfOccupants"] == 3
-        assert jeep.numeric_features["DriverAge"] == 35
+        jeep = _find(build_vehicle_samples(curated_rows), "C28", "")["numeric"]
+        assert jeep["OccupantsMinAge"] == 5
+        assert jeep["OccupantsMeanAge"] == pytest.approx((35 + 5 + 65) / 3)
+        assert jeep["OccupantsMaxAge"] == 65
+        assert jeep["NumberOfOccupants"] == 3
+        assert jeep["DriverAge"] == 35
 
     def test_interacting_slots_filled_then_none(self, curated_rows):
-        samples = build_vehicle_samples(curated_rows)
-        honda = next(s for s in samples if s.crash_id == "C23" and s.unit_vin.startswith("1HG"))
-        filled = [
-            honda.categorical_features[f"InteractingUnitType{i}"] for i in range(1, 6)
-        ]
+        honda = _find(build_vehicle_samples(curated_rows), "C23", "1HG")["categorical"]
+        filled = [honda[f"InteractingUnitType{i}"] for i in range(1, 6)]
         assert filled[:2] == ["Passenger Car", "Passenger Car"]
         assert filled[2:] == ["none", "none", "none"]
-        models = [honda.categorical_features[f"InteractingVehicleModel{i}"] for i in range(1, 3)]
+        models = [honda[f"InteractingVehicleModel{i}"] for i in range(1, 3)]
         assert sorted(models) == ["Corolla", "F150"]
 
     def test_slot_order_is_by_vin(self, curated_rows):
-        samples = build_vehicle_samples(curated_rows)
-        honda = next(s for s in samples if s.crash_id == "C23" and s.unit_vin.startswith("1HG"))
+        honda = _find(build_vehicle_samples(curated_rows), "C23", "1HG")["categorical"]
         # the other two units sorted by VIN: 1FTFW... (Ford) then 2T1BUR... (Toyota)
-        assert honda.categorical_features["InteractingVehicleModel1"] == "F150"
-        assert honda.categorical_features["InteractingVehicleModel2"] == "Corolla"
+        assert honda["InteractingVehicleModel1"] == "F150"
+        assert honda["InteractingVehicleModel2"] == "Corolla"
 
     def test_cyclical_sources_from_crash_datetime(self, curated_rows):
-        samples = build_vehicle_samples(curated_rows)
-        s = next(x for x in samples if x.crash_id == "C01" and x.unit_vin.startswith("1HG"))
-        assert s.numeric_features["CrashMonth"] == 6
-        assert s.numeric_features["CrashTime24h"] == pytest.approx(14.5)
+        s = _find(build_vehicle_samples(curated_rows), "C01", "1HG")["numeric"]
+        assert s["CrashMonth"] == 6
+        assert s["CrashTime24h"] == pytest.approx(14.5)
 
 
 class TestOutOfRangeFields:
@@ -184,14 +205,18 @@ class TestOutOfRangeFields:
 
 class TestFilterAndDenylist:
     def test_truck_dropped_interactions_kept(self):
-        car = _sample(categorical={"UnitType": "Passenger Car", "InteractingUnitType1": "Truck"})
-        truck = _sample(categorical={"UnitType": "Truck"})
-        kept = filter_passenger_vehicles([car, truck])
-        assert kept == [car]
-        assert kept[0].categorical_features["InteractingUnitType1"] == "Truck"
+        car = _sample(categorical={"UnitType": "Passenger Car", "InteractingUnitType1": "Truck"},
+                      vin="V1")
+        truck = _sample(categorical={"UnitType": "Truck", "InteractingUnitType1": "none"},
+                        vin="V2")
+        kept = filter_passenger_vehicles(_samples([car, truck]))
+        assert _records(kept) == [car]
 
     def test_empty_input(self):
-        assert filter_passenger_vehicles([]) == []
+        assert len(filter_passenger_vehicles(_samples([]))) == 0
+
+    def test_samples_without_unit_type_are_all_dropped(self):
+        assert len(filter_passenger_vehicles(_samples([_sample(), _sample()]))) == 0
 
     def test_denylist_removal_and_warning(self, caplog):
         kept, removed = drop_postcrash_features(
@@ -203,8 +228,8 @@ class TestFilterAndDenylist:
     def test_fit_checks_the_denylist_once_over_all_columns(self, caplog):
         # a categorical CrashSeverity goes without a "not present" warning,
         # and each absent entry warns once
-        samples = [_sample(categorical={"CrashSeverity": "Fatal", "Belted": "Yes"}),
-                   _sample(categorical={"CrashSeverity": "Minor", "Belted": "No"})]
+        samples = _samples([_sample(categorical={"CrashSeverity": "Fatal", "Belted": "Yes"}),
+                            _sample(categorical={"CrashSeverity": "Minor", "Belted": "No"})])
         with caplog.at_level(logging.WARNING, logger="crashsev.preprocess"):
             model = fit_preprocess(samples)
         assert model.removed_postcrash == ["CrashSeverity"]
@@ -225,11 +250,11 @@ class TestFilterAndDenylist:
 
 class TestFitPreprocess:
     def test_mean_imputation_value(self):
-        samples = [
+        samples = _samples([
             _sample(numeric={"Age": 10.0, "NumberOfOccupants": 1.0}),
             _sample(numeric={"Age": None, "NumberOfOccupants": 1.0}),
             _sample(numeric={"Age": 30.0, "NumberOfOccupants": 1.0}),
-        ]
+        ])
         model = fit_preprocess(samples)
         assert model.numeric_means["Age"] == pytest.approx(20.0)
         matrix = encode(samples, model)
@@ -237,24 +262,24 @@ class TestFitPreprocess:
         assert age_col[1] == pytest.approx(20.0)
 
     def test_missing_level_in_vocabulary(self):
-        samples = [
+        samples = _samples([
             _sample(categorical={"Belted": "A"}),
             _sample(categorical={"Belted": ""}),
             _sample(categorical={"Belted": "B"}),
-        ]
+        ])
         model = fit_preprocess(samples)
         assert model.vocabularies["Belted"] == ["A", "B", "missing"]
 
     def test_cyclical_periods(self):
-        samples = [_sample(numeric={"CrashWeekDay": 3.0, "NumberOfOccupants": 1.0})]
+        samples = _samples([_sample(numeric={"CrashWeekDay": 3.0, "NumberOfOccupants": 1.0})])
         model = fit_preprocess(samples)
         assert model.cyclical_periods["CrashWeekDay"] == 7.0
 
     def test_all_missing_numeric_dropped(self):
-        samples = [
+        samples = _samples([
             _sample(numeric={"Ghost": None, "NumberOfOccupants": 1.0}),
             _sample(numeric={"Ghost": None, "NumberOfOccupants": 1.0}),
-        ]
+        ])
         model = fit_preprocess(samples)
         assert "Ghost" in model.dropped_numeric
         assert "Ghost" not in model.numeric_order
@@ -262,7 +287,7 @@ class TestFitPreprocess:
 
 class TestEncode:
     def test_quarter_turn(self):
-        samples = [_sample(numeric={"CrashMonth": 3.0, "NumberOfOccupants": 1.0})]
+        samples = _samples([_sample(numeric={"CrashMonth": 3.0, "NumberOfOccupants": 1.0})])
         model = fit_preprocess(samples)
         matrix = encode(samples, model)
         names = [c.name for c in matrix.columns]
@@ -270,7 +295,7 @@ class TestEncode:
         assert matrix.X[0, names.index("CrashMonth#cos")] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_angle(self):
-        samples = [_sample(numeric={"CrashTime24h": 0.0, "NumberOfOccupants": 1.0})]
+        samples = _samples([_sample(numeric={"CrashTime24h": 0.0, "NumberOfOccupants": 1.0})])
         model = fit_preprocess(samples)
         matrix = encode(samples, model)
         names = [c.name for c in matrix.columns]
@@ -280,27 +305,27 @@ class TestEncode:
     def test_level_count_matches_vocabulary(self):
         # a fully observed categorical expands into exactly its level count
         n_levels = 412
-        samples = [
+        samples = _samples([
             _sample(categorical={"VehicleMake": f"make{i:03d}"}) for i in range(n_levels)
-        ]
+        ])
         model = fit_preprocess(samples)
         matrix = encode(samples, model)
         onehot = [c for c in matrix.columns if c.source == "VehicleMake"]
         assert len(onehot) == n_levels
 
     def test_unseen_level_encodes_all_zero(self):
-        train = [_sample(categorical={"Belted": "A"}), _sample(categorical={"Belted": "B"})]
+        train = _samples([_sample(categorical={"Belted": v}) for v in ("A", "B")])
         model = fit_preprocess(train)
-        test = [_sample(categorical={"Belted": "C"})]
+        test = _samples([_sample(categorical={"Belted": "C"})])
         matrix = encode(test, model)
         block = matrix.X[0, [i for i, c in enumerate(matrix.columns) if c.source == "Belted"]]
         assert np.all(block == 0)
 
     def test_unseen_count_counts_rows(self, caplog):
         # three rows share one unseen value, and a fourth has another: four
-        train = [_sample(categorical={"Belted": "A"}), _sample(categorical={"Belted": "B"})]
+        train = _samples([_sample(categorical={"Belted": v}) for v in ("A", "B")])
         model = fit_preprocess(train)
-        test = [_sample(categorical={"Belted": v}) for v in ("C", "A", "C", "C", " D ")]
+        test = _samples([_sample(categorical={"Belted": v}) for v in ("C", "A", "C", "C", " D ")])
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="crashsev.preprocess"):
             matrix = encode(test, model)
@@ -311,24 +336,24 @@ class TestEncode:
 
     def test_onehot_lossless_and_sums(self, rng):
         levels = ["a", "b", "c", "d"]
-        samples = [
+        samples = _samples([
             _sample(categorical={"F": levels[int(rng.integers(len(levels)))]})
             for _ in range(50)
-        ]
+        ])
         model = fit_preprocess(samples)
         matrix = encode(samples, model)
         idx = [i for i, c in enumerate(matrix.columns) if c.source == "F"]
         block = matrix.X[:, idx]
         assert np.all(block.sum(axis=1) <= 1.0)
-        for row, s in zip(block, samples):
+        for row, level in zip(block, samples.categorical["F"]):
             decoded = matrix.columns[idx[int(np.argmax(row))]].level
-            assert decoded == s.categorical_features["F"]
+            assert decoded == level
 
     def test_cyclical_identity_every_row(self, rng):
-        samples = [
+        samples = _samples([
             _sample(numeric={"CrashTime24h": float(rng.uniform(0, 24)), "NumberOfOccupants": 1.0})
             for _ in range(40)
-        ]
+        ])
         model = fit_preprocess(samples)
         matrix = encode(samples, model)
         names = [c.name for c in matrix.columns]
@@ -337,11 +362,11 @@ class TestEncode:
         assert np.allclose(sin**2 + cos**2, 1.0, atol=1e-9)
 
     def test_encode_idempotent_given_model(self):
-        samples = [
+        samples = _samples([
             _sample(numeric={"Age": float(i), "NumberOfOccupants": 1.0},
                     categorical={"F": "ab"[i % 2]})
             for i in range(10)
-        ]
+        ])
         model = fit_preprocess(samples)
         a = encode(samples, model)
         b = encode(samples, model)
@@ -349,13 +374,25 @@ class TestEncode:
         assert a.columns == b.columns
 
     def test_means_unaffected_by_transforming_new_rows(self):
-        train = [_sample(numeric={"Age": 10.0, "NumberOfOccupants": 1.0}),
-                 _sample(numeric={"Age": 30.0, "NumberOfOccupants": 1.0})]
+        train = _samples([_sample(numeric={"Age": 10.0, "NumberOfOccupants": 1.0}),
+                          _sample(numeric={"Age": 30.0, "NumberOfOccupants": 1.0})])
         model = fit_preprocess(train)
         before = dict(model.numeric_means)
-        test = [_sample(numeric={"Age": 1000.0, "NumberOfOccupants": 9.0})]
+        test = _samples([_sample(numeric={"Age": 1000.0, "NumberOfOccupants": 9.0})])
         encode(test, model)
         assert model.numeric_means == before
+
+    def test_a_feature_the_samples_lack_reads_as_missing(self):
+        train = _samples([_sample(numeric={"Age": 10.0, "NumberOfOccupants": 1.0},
+                                  categorical={"Belted": "A", "F": ""}),
+                          _sample(numeric={"Age": 30.0, "NumberOfOccupants": 1.0},
+                                  categorical={"Belted": "B", "F": "x"})])
+        model = fit_preprocess(train)
+        matrix = encode(_samples([_sample(), _sample()]), model)
+        names = [c.name for c in matrix.columns]
+        assert names == ["Age", "NumberOfOccupants", "Belted=A", "Belted=B",
+                         "F=missing", "F=x"]
+        assert matrix.X.tolist() == [[20.0, 1.0, 0.0, 0.0, 1.0, 0.0]] * 2
 
 
 class TestColumnGroups:
@@ -414,12 +451,12 @@ class TestPersistence:
             assert fh.read(5) == b"CSFM1"
 
     def test_preprocess_model_roundtrip(self, tmp_path):
-        samples = [
+        samples = _samples([
             _sample(numeric={"Age": 10.0, "NumberOfOccupants": 1.0},
                     categorical={"F": "x"}),
             _sample(numeric={"Age": None, "NumberOfOccupants": 2.0},
                     categorical={"F": ""}),
-        ]
+        ])
         model = fit_preprocess(samples)
         path = tmp_path / "pp.json"
         model.save(path)
@@ -505,10 +542,10 @@ class TestMatrixRoundTrip:
         assert loaded.columns == m.columns
 
 
-def _mixed_samples(n: int, locations: int = 7) -> list[VehicleSample]:
+def _mixed_samples(n: int, locations: int = 7) -> VehicleSamples:
     """``n`` samples with plain and cyclical numbers, some missing, and two
     categorical features; every third sample's Belted level is "Z"."""
-    return [
+    return _samples([
         _sample(
             target=SEVERE if i % 4 == 0 else NON_SEVERE,
             numeric={"NumberOfOccupants": float(1 + i % 3),
@@ -519,29 +556,32 @@ def _mixed_samples(n: int, locations: int = 7) -> list[VehicleSample]:
                          "Location": f"L{i % locations}"},
         )
         for i in range(n)
-    ]
+    ])
 
 
-def _model_without_z(samples: list[VehicleSample]) -> PreprocessModel:
+def _model_without_z(samples: VehicleSamples) -> PreprocessModel:
     """A model fitted on the samples whose Belted level is not "Z", so that
     "Z" is outside its vocabulary."""
-    return fit_preprocess([s for s in samples if s.categorical_features["Belted"] != "Z"])
+    belted = samples.categorical["Belted"]
+    return fit_preprocess(samples.take([i for i, v in enumerate(belted) if v != "Z"]))
 
 
-def _dense_reference(samples: list[VehicleSample], model: PreprocessModel) -> np.ndarray:
+def _dense_reference(samples: VehicleSamples, model: PreprocessModel) -> np.ndarray:
     """``X`` built whole, one column at a time, as the encoder that held the
-    dense matrix built it."""
+    dense matrix and one record per sample built it."""
+    records = _records(samples)
+
     def imputed(name):
         mean = model.numeric_means[name]
-        return np.array([mean if s.numeric_features.get(name) is None
-                         else s.numeric_features.get(name) for s in samples], dtype=np.float64)
+        return np.array([mean if s["numeric"].get(name) is None
+                         else s["numeric"].get(name) for s in records], dtype=np.float64)
 
     columns = [imputed(name) for name in model.numeric_order]
     for name in model.cyclical_order:
         angle = 2.0 * math.pi * imputed(name) / model.cyclical_periods[name]
         columns += [np.sin(angle), np.cos(angle)]
     for name in model.categorical_order:
-        levels = [_level(s.categorical_features.get(name, "")) for s in samples]
+        levels = [_level(s["categorical"].get(name, "")) for s in records]
         columns += [np.array([float(v == lvl) for v in levels]) for lvl in model.vocabularies[name]]
     return np.column_stack(columns)
 
@@ -593,26 +633,31 @@ class TestBlockWrite:
 
 class TestSampleInvariants:
     def test_age_ordering_holds_from_fixture(self, curated_rows):
-        for s in build_vehicle_samples(curated_rows):
-            lo = s.numeric_features.get("OccupantsMinAge")
-            mid = s.numeric_features.get("OccupantsMeanAge")
-            hi = s.numeric_features.get("OccupantsMaxAge")
+        numeric = build_vehicle_samples(curated_rows).numeric
+        for lo, mid, hi in zip(numeric["OccupantsMinAge"], numeric["OccupantsMeanAge"],
+                               numeric["OccupantsMaxAge"]):
             if lo is not None and mid is not None and hi is not None:
                 assert lo <= mid <= hi
 
-    def test_rows_and_samples_have_no_instance_dict(self, curated_rows):
-        samples = build_vehicle_samples(curated_rows)
+    def test_rows_have_no_instance_dict(self, curated_rows):
         assert not hasattr(curated_rows[0], "__dict__")
-        assert not hasattr(samples[0], "__dict__")
-        assert not hasattr(_sample(), "__dict__")
 
-    def test_samples_of_one_call_share_their_feature_indexes(self, curated_rows):
+    def test_every_column_holds_one_entry_per_sample(self, curated_rows):
         samples = build_vehicle_samples(curated_rows)
-        first = samples[0]
-        for s in samples[1:]:
-            assert s.numeric_features._index is first.numeric_features._index
-            assert s.categorical_features._index is first.categorical_features._index
+        columns = [samples.crash_id, samples.unit_vin, *samples.numeric.values(),
+                   *samples.categorical.values()]
+        assert len(samples) > 0 and {len(c) for c in columns} == {len(samples)}
+        with pytest.raises(ValueError, match="one entry per target"):
+            VehicleSamples(["C1"], ["V"], [SEVERE], {"Age": [30.0, 40.0]}, {})
+
+    def test_take_picks_every_column_in_index_order(self):
+        records = [_sample(target=t, numeric={"NumberOfOccupants": float(i + 1)},
+                           categorical={"F": f"f{i}"}, crash=f"C{i}", vin=f"V{i}")
+                   for i, t in enumerate([SEVERE, NON_SEVERE, NON_SEVERE])]
+        samples = _samples(records)
+        assert _records(samples.take([2, 0, 2])) == [records[2], records[0], records[2]]
+        assert len(samples.take([])) == 0
 
     def test_occupant_count_positive(self):
-        with pytest.raises(ValueError):
-            _sample(numeric={"NumberOfOccupants": 0.0})
+        with pytest.raises(ValueError, match="NumberOfOccupants"):
+            _samples([_sample(), _sample(numeric={"NumberOfOccupants": 0.0})])
