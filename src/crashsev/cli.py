@@ -247,7 +247,7 @@ def _explain(model, X, y, columns, features, out_dir: Path, *, svg: bool, seed: 
     if isinstance(model, LinearModel):
         shap = linear_shap(model, X, columns)
         table = variable_importance(shap)
-        export_summary_plot(shap, X, features, out_dir / "plotdata.csv",
+        export_summary_plot(shap, table, X, features, out_dir / "plotdata.csv",
                             svg_path=out_dir / "summary_plot.svg" if svg else None, seed=plot_seed)
     else:
         table = permutation_importance(model, X, y, columns, seed=plot_seed)

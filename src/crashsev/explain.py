@@ -30,6 +30,7 @@ __all__ = [
     "variable_importance",
     "permutation_importance",
     "filter_display_levels",
+    "check_features",
     "export_summary_plot",
     "write_importance_csv",
 ]
@@ -144,30 +145,38 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _color_values(col: np.ndarray) -> np.ndarray:
-    lo, hi = float(col.min()), float(col.max())
-    if hi == lo:
-        return np.full(col.size, 0.5)
-    return (col - lo) / (hi - lo)
+# Rows of one displayed column formatted and written per write call.
+PLOT_BLOCK_ROWS = 4096
+
+# The plot's colour scale, blue at colour value 0 to red at 1, one channel
+# per entry.
+_BLUE = np.array([31.0, 119.0, 237.0])
+_RED = np.array([237.0, 28.0, 86.0])
+
+
+def check_features(columns: Sequence[ColumnInfo], features: Sequence[str]) -> None:
+    """Raise KeyError naming every feature that no column comes from."""
+    sources = {info.source for info in columns}
+    unknown = [f for f in features if f not in sources]
+    if unknown:
+        raise KeyError(
+            f"unknown feature(s) {', '.join(map(repr, unknown))}; "
+            f"available: {', '.join(sorted(sources))}"
+        )
 
 
 def _displayed_columns(
     shap: ShapMatrix,
     features: Sequence[str],
-    vi: np.ndarray,
+    table: ImportanceTable,
 ) -> list[int]:
     """Column indices to plot: features ordered by group importance, levels
     within a feature filtered at 40% of the strongest level."""
+    check_features(shap.columns, features)
     by_source: dict[str, list[int]] = {}
     for i, info in enumerate(shap.columns):
         by_source.setdefault(info.source, []).append(i)
-    unknown = [f for f in features if f not in by_source]
-    if unknown:
-        raise KeyError(
-            f"unknown feature(s) {', '.join(map(repr, unknown))}; "
-            f"available: {', '.join(sorted(by_source))}"
-        )
-    group_vi, _ = _group_importance(shap.columns, vi)
+    vi, group_vi = table.column_vi, table.group_vi
     ordered = sorted(features, key=lambda f: (-group_vi[f], f))
     chosen: list[int] = []
     for src in ordered:
@@ -180,8 +189,31 @@ def _displayed_columns(
     return chosen
 
 
+def _column_blocks(shap: ShapMatrix, X: np.ndarray, i: int):
+    """Column ``i`` in blocks of at most ``PLOT_BLOCK_ROWS`` rows: (first row,
+    attributions, min-max colour values of the raw feature). A constant
+    column's colour value is 0.5."""
+    col = X[:, i]
+    lo, hi = float(col.min()), float(col.max())
+    for start in range(0, col.size, PLOT_BLOCK_ROWS):
+        block = col[start:start + PLOT_BLOCK_ROWS]
+        colors = np.full(block.size, 0.5) if hi == lo else (block - lo) / (hi - lo)
+        yield start, shap.values[start:start + block.size, i], colors
+
+
+def _format_rows(template: str, *columns: list) -> str:
+    """``template`` once per row, filled with the row's entry of each column
+    in turn: one ``%`` operation for the whole block."""
+    n = len(columns[0])
+    values = [None] * (n * len(columns))
+    for k, column in enumerate(columns):
+        values[k::len(columns)] = column
+    return (template * n) % tuple(values)
+
+
 def export_summary_plot(
     shap: ShapMatrix,
+    table: ImportanceTable,
     X: np.ndarray,
     features: Sequence[str],
     csv_path,
@@ -192,36 +224,42 @@ def export_summary_plot(
 
     One CSV record per displayed column and explained row: the attribution
     and a min-max color value of the raw feature (constant columns map to
-    0.5). Output is deterministic for fixed inputs and seed.
+    0.5). ``table`` is ``variable_importance(shap)``, which orders the
+    columns. Both files are written ``PLOT_BLOCK_ROWS`` rows at a time, so
+    the memory they need does not grow with the rows. Output is
+    deterministic for fixed inputs and seed.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.shape != shap.values.shape:
         raise ValueError("X must align with the attribution matrix")
-    vi = np.abs(shap.values).mean(axis=0)
-    chosen = _displayed_columns(shap, features, vi)
+    if table.column_names != [c.name for c in shap.columns]:
+        raise ValueError("the importance table must describe the attribution matrix's columns")
+    chosen = _displayed_columns(shap, features, table)
 
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("feature,level,row_index,shap_value,color_value\n")
         for i in chosen:
             info = shap.columns[i]
-            colors = _color_values(X[:, i])
-            for r in range(X.shape[0]):
-                fh.write(
-                    f"{info.source},{info.level},{r},"
-                    f"{_fmt(float(shap.values[r, i]))},{_fmt(float(colors[r]))}\n"
-                )
+            # %.17g is _fmt's format
+            record = f"{info.source},{info.level},".replace("%", "%%") + "%d,%.17g,%.17g\n"
+            for start, values, colors in _column_blocks(shap, X, i):
+                rows = range(start, start + values.size)
+                fh.write(_format_rows(record, rows, values.tolist(), colors.tolist()))
 
     if svg_path is not None:
         _write_beeswarm_svg(shap, X, chosen, svg_path, seed)
 
 
-def _lerp_color(t: float) -> str:
-    blue = (31, 119, 237)
-    red = (237, 28, 86)
-    r = round(blue[0] + (red[0] - blue[0]) * t)
-    g = round(blue[1] + (red[1] - blue[1]) * t)
-    b = round(blue[2] + (red[2] - blue[2]) * t)
-    return f"rgb({r},{g},{b})"
+def _rgb_channels(t: np.ndarray) -> np.ndarray:
+    """The red, green and blue channels of every colour value in ``t``, one
+    row each: ``round(blue + (red - blue) * t)`` per channel, where ``rint``
+    rounds half to even as ``round`` does."""
+    if not np.isfinite(t).all():
+        raise ValueError("colour values must be finite")
+    return np.rint(_BLUE + (_RED - _BLUE) * t[:, None]).astype(np.int64)
+
+
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="2.2" fill="rgb(%d,%d,%d)" fill-opacity="0.75"/>\n'
 
 
 def _write_beeswarm_svg(
@@ -236,43 +274,38 @@ def _write_beeswarm_svg(
     plot_width = 560
     width = left + plot_width + right
     height = top + row_height * len(chosen) + bottom
-    max_abs = max(1e-12, float(np.abs(shap.values[:, chosen]).max()))
+    max_abs = max([1e-12, *(float(np.abs(shap.values[:, i]).max()) for i in chosen)])
 
-    def x_pos(v: float) -> float:
+    def x_pos(v):
         return left + plot_width / 2.0 + (v / max_abs) * (plot_width / 2.0 - 6)
 
     rng = substream(seed, "beeswarm-jitter")
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{x_pos(0.0):.2f}" y1="{top}" x2="{x_pos(0.0):.2f}" '
-        f'y2="{height - bottom}" stroke="#888" stroke-width="1"/>',
-    ]
-    for band, i in enumerate(chosen):
-        info = shap.columns[i]
-        cy = top + row_height * band + row_height / 2.0
-        label = info.name
-        parts.append(
-            f'<text x="{left - 8}" y="{cy + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="12">{_xml_escape(label)}</text>'
-        )
-        colors = _color_values(X[:, i])
-        jitter = rng.uniform(-row_height * 0.34, row_height * 0.34, size=X.shape[0])
-        for r in range(X.shape[0]):
-            parts.append(
-                f'<circle cx="{x_pos(float(shap.values[r, i])):.2f}" '
-                f'cy="{cy + jitter[r]:.2f}" r="2.2" '
-                f'fill="{_lerp_color(float(colors[r]))}" fill-opacity="0.75"/>'
-            )
-    parts.append(
-        f'<text x="{left + plot_width / 2.0:.2f}" y="{height - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">attribution (log-odds)</text>'
-    )
-    parts.append("</svg>")
     with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts))
-        fh.write("\n")
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">\n'
+            f'<rect width="{width}" height="{height}" fill="white"/>\n'
+            f'<line x1="{x_pos(0.0):.2f}" y1="{top}" x2="{x_pos(0.0):.2f}" '
+            f'y2="{height - bottom}" stroke="#888" stroke-width="1"/>\n'
+        )
+        for band, i in enumerate(chosen):
+            cy = top + row_height * band + row_height / 2.0
+            fh.write(
+                f'<text x="{left - 8}" y="{cy + 4:.2f}" text-anchor="end" '
+                f'font-family="sans-serif" font-size="12">'
+                f'{_xml_escape(shap.columns[i].name)}</text>\n'
+            )
+            for _, values, colors in _column_blocks(shap, X, i):
+                # drawn a block at a time, the jitter is the same stream of draws
+                jitter = rng.uniform(-row_height * 0.34, row_height * 0.34, size=values.size)
+                rgb = _rgb_channels(colors)
+                fh.write(_format_rows(_CIRCLE, x_pos(values).tolist(), (cy + jitter).tolist(),
+                                      *(rgb[:, c].tolist() for c in range(3))))
+        fh.write(
+            f'<text x="{left + plot_width / 2.0:.2f}" y="{height - 10}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="12">attribution (log-odds)</text>\n'
+            "</svg>\n"
+        )
 
 
 def _xml_escape(text: str) -> str:
