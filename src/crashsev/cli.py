@@ -47,8 +47,8 @@ from .rng import spawn_seed
 # importing the modelling stack.
 _MODELLING_NAMES = {
     "config": ("ConfigError", "RunConfig"),
-    "explain": ("export_summary_plot", "linear_shap", "permutation_importance",
-                "variable_importance", "write_importance_csv"),
+    "explain": ("check_features", "export_summary_plot", "linear_shap",
+                "permutation_importance", "variable_importance", "write_importance_csv"),
     "learners": ("LinearModel", "load_model", "save_model"),
     "orchestrate": ("HoldoutViolation", "ProtocolError", "run_protocol"),
     "selection": ("StabilityTable",),
@@ -348,9 +348,7 @@ def cmd_explain(args) -> int:
     if missing:
         print(f"error: matrix lacks model columns: {', '.join(missing[:5])}", file=sys.stderr)
         return EXIT_INPUT
-    args.out_dir.mkdir(parents=True, exist_ok=True)
     idx = [name_to_idx[n] for n in model_names]
-    X = matrix.X[:, idx]
     columns = [matrix.columns[i] for i in idx]
 
     features = (
@@ -358,13 +356,15 @@ def cmd_explain(args) -> int:
         if args.features.strip() == "all"
         else [f.strip() for f in args.features.split(",") if f.strip()]
     )
-
     try:
-        table = _explain(model, X, matrix.y, columns, features, args.out_dir,
-                         svg=args.svg, seed=args.seed or 0)
-    except KeyError as exc:  # an unknown feature name
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        check_features(columns, features)
+    except KeyError as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
+
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    table = _explain(model, matrix.X[:, idx], matrix.y, columns, features, args.out_dir,
+                     svg=args.svg, seed=args.seed or 0)
     if table.method != "shap":
         print("final model is not linear: wrote permutation importance instead of attributions")
     print(f"wrote importance for {len(table.ranking)} features to {args.out_dir}")

@@ -18,7 +18,7 @@ from crashsev import cli, orchestrate
 from crashsev.cli import main
 from crashsev.config import ConfigError, RunConfig
 from crashsev.ingest import PersonRow
-from crashsev.learners import fit_ridge_logistic, save_model
+from crashsev.learners import fit_decision_tree, fit_ridge_logistic, save_model
 from crashsev.preprocess import load_matrix, save_matrix
 from crashsev.synth import planted_generator
 from crashsev.tune import enumerate_search_space
@@ -725,6 +725,26 @@ class TestRefusalMessages:
         assert main(["explain", "--model", str(tmp_path / "model.json"),
                      "--matrix", str(tmp_path / "narrow.csfm"), "--out-dir", str(out_dir)]) == 2
         assert "matrix lacks model columns: f" in _assert_one_line_error(capsys)
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, y, names: fit_ridge_logistic(X, y, lam=1.0, column_names=names),
+        lambda X, y, names: fit_decision_tree(X, y, min_leaf=20, alpha_prune=0.0,
+                                              column_names=names),
+    ], ids=["linear", "tree"])
+    def test_explain_with_an_unknown_feature(self, synth_matrix_file, tmp_path, capsys, fit):
+        # a tree's permutation importance never reads the names, and used to
+        # ignore an unknown one; a linear model's plot refused it only after
+        # the output directory was made
+        matrix = load_matrix(synth_matrix_file)
+        save_model(fit(matrix.X, matrix.y, [c.name for c in matrix.columns]),
+                   tmp_path / "model.json")
+        out_dir = tmp_path / "exp"
+        assert main(["explain", "--model", str(tmp_path / "model.json"), "--matrix",
+                     str(synth_matrix_file), "--features", "f00,NoSuchFeature",
+                     "--out-dir", str(out_dir)]) == 3
+        err = _assert_one_line_error(capsys)
+        assert err.startswith("error: unknown feature(s) 'NoSuchFeature'; available: f00,")
         assert not out_dir.exists()
 
 
