@@ -149,22 +149,35 @@ class AggregationConfig:
 
     @classmethod
     def from_file(cls, path) -> "AggregationConfig":
-        """The defaults overlaid with JSON file ``path``; a malformed file or
-        a value out of range raises InputFileError."""
+        """The defaults overlaid with JSON file ``path``; a malformed file, a
+        top level that is not an object, an unknown key or a value out of
+        range raises InputFileError."""
         readers = {
             "numeric_attrs": tuple,
             "categorical_attrs": tuple,
             "cyclical_periods": lambda periods: {k: float(v) for k, v in periods.items()},
             "passenger_types": lambda types: frozenset(_norm_type(v) for v in types),
             "postcrash_denylist": tuple,
-            "n_interacting_slots": int,
+            "n_interacting_slots": _slot_count,
         }
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)  # a JSONDecodeError is a ValueError
-            return cls(**{key: read(raw[key]) for key, read in readers.items() if key in raw})
+            if not isinstance(raw, dict):
+                raise ValueError(f"the top level is a JSON {type(raw).__name__}, not an object")
+            unknown = sorted(set(raw) - set(readers))
+            if unknown:
+                raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+            return cls(**{key: readers[key](value) for key, value in raw.items()})
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputFileError(f"invalid aggregation config {path}: {exc!r}") from exc
+
+
+def _slot_count(value) -> int:
+    """A JSON integer as is; ``true`` or any other number is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"n_interacting_slots must be an integer, not {value!r}")
+    return value
 
 
 def _time_of_day_hours(crash_time: Optional[str]) -> Optional[float]:

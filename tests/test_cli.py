@@ -774,11 +774,17 @@ class TestMalformedSideInput:
         ('{"cyclical_periods": {"CrashWeekDay": NaN}}', "cyclical periods"),
         ('{"cyclical_periods": {"CrashWeekDay": Infinity}}', "cyclical periods"),
         ('{"n_interacting_slots": -2}', "n_interacting_slots"),
+        ('{"n_interacting_slots": true}', "n_interacting_slots"),
+        ('{"n_interacting_slots": 2.7}', "n_interacting_slots"),
+        ('{"n_interacting_slot": 0}', "unknown key(s) 'n_interacting_slot'"),
+        ("[]", "not an object"),
     ])
     def test_agg_config_value_out_of_range_exits_2(self, raw_csv, tmp_path, capsys, text,
                                                     named):
         # a zero period would write NaN into the matrix, and a negative slot
-        # count would drop every interacting-slot group
+        # count would drop every interacting-slot group; a misspelt key, a
+        # top level that is not an object, true and 2.7 used to run as the
+        # defaults, 1 and 2
         cur = tmp_path / "cur"
         assert main(["curate", "--input", str(raw_csv), "--out-dir", str(cur)]) == 0
         capsys.readouterr()
