@@ -782,9 +782,9 @@ class TestMalformedSideInput:
     def test_agg_config_value_out_of_range_exits_2(self, raw_csv, tmp_path, capsys, text,
                                                     named):
         # a zero period would write NaN into the matrix, and a negative slot
-        # count would drop every interacting-slot group; a misspelt key, a
-        # top level that is not an object, true and 2.7 used to run as the
-        # defaults, 1 and 2
+        # count would drop every interacting-slot group; a misspelt key or a
+        # top level that is not an object would run the defaults, and true or
+        # 2.7 would run as 1 or 2
         cur = tmp_path / "cur"
         assert main(["curate", "--input", str(raw_csv), "--out-dir", str(cur)]) == 0
         capsys.readouterr()

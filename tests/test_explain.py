@@ -230,6 +230,13 @@ class TestExport:
         expected = [[round(b + (r - b) * v) for b, r in zip(blue, red)] for v in t.tolist()]
         assert explain._rgb_channels(t).tolist() == expected
 
+    def test_percent_in_a_name_is_written_as_is(self, rng, tmp_path):
+        shap, X = self._shap(rng, names=("Rate%d", "B"))
+        out = tmp_path / "plot.csv"
+        export_summary_plot(shap, variable_importance(shap), X, ["Rate%d"], out)
+        assert [line.split(",")[:3] for line in out.read_text().splitlines()[1:]] == [
+            ["Rate%d", "", str(r)] for r in range(3)]
+
     def test_importance_table_of_other_columns_is_refused(self, rng, tmp_path):
         shap, X = self._shap(rng)
         other, _ = self._shap(rng, names=("B", "A"))
