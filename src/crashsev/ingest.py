@@ -17,7 +17,8 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime
 from enum import Enum
-from typing import Iterable, Optional, Protocol
+from itertools import groupby
+from typing import Iterable, Iterator, Optional, Protocol
 
 log = logging.getLogger(__name__)
 
@@ -713,89 +714,80 @@ def group_units(rows: Iterable[PersonRow]) -> dict[tuple[str, str], list[PersonR
     return units
 
 
-def _duplicate_vin_survivors(
+def _duplicate_vins(
     units: dict[tuple[str, str], list[PersonRow]],
-    verdicts: dict[tuple[str, str], VinVerdict],
-) -> dict[tuple[str, str], str]:
-    """Units to drop because several units in one crash share a VIN.
+    valid: dict[tuple[str, str], VinVerdict],
+) -> Iterator[tuple[str, str]]:
+    """The units to drop among one crash's units with a valid VIN, ``valid``,
+    because several of them share a VIN.
 
     The unit whose reported make and year match the decoder survives; with no
     single match, all duplicates go.
     """
-    by_crash_vin: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for key, persons in units.items():
-        vin = persons[0].unit_vin.strip().upper()
-        by_crash_vin.setdefault((key[0], vin), []).append(key)
-
-    to_remove: dict[tuple[str, str], str] = {}
-    shared = sorted(item for item in by_crash_vin.items() if len(item[1]) > 1)
-    for (_, _), keys in shared:
+    by_vin: dict[str, list[tuple[str, str]]] = {}
+    for key in valid:
+        by_vin.setdefault(units[key][0].unit_vin.strip().upper(), []).append(key)
+    for keys in by_vin.values():
+        if len(keys) == 1:
+            continue
         matching = []
-        for key in sorted(keys):
-            decoded = verdicts[key].decoded
-            lead = units[key][0]
-            if decoded is None or decoded.model_year is None:
-                continue
+        for key in keys:
+            decoded, lead = valid[key].decoded, units[key][0]
             make_ok = lead.vehicle_make.strip().casefold() == decoded.make.strip().casefold()
-            year_ok = lead.vehicle_year == decoded.model_year
+            year_ok = decoded.model_year is not None and lead.vehicle_year == decoded.model_year
             if make_ok and year_ok:
                 matching.append(key)
-        survivors = set(matching) if len(matching) == 1 else set()
-        for key in keys:
-            if key not in survivors:
-                to_remove[key] = "duplicate_vin"
-    return to_remove
+        yield from (key for key in keys if matching != [key])
 
 
 def curate(rows: list[PersonRow], decoder: DecoderClient) -> CurationResult:
     """Run the full curation workflow over parsed person rows.
 
-    Order: non-motorist exclusion, per-unit VIN validation, duplicate-VIN
-    resolution within each crash, age verification, then per-unit person-type
-    reconciliation. Output order is deterministic (crash id, unit key, line).
+    Order: non-motorist exclusion, then one crash at a time in crash id
+    order: per-unit VIN validation, duplicate-VIN resolution, age
+    verification and per-unit person-type reconciliation. Output order is
+    deterministic (crash id, unit key, line), whatever the order of ``rows``.
     """
     audit = CurationAudit(rows_in=len(rows))
 
-    motorists: list[PersonRow] = []
-    for row in rows:
-        if row.person_type is PersonType.NON_MOTORIST:
-            audit.persons_removed += 1
-            audit.person_removal_reasons["non_motorist"] += 1
-        else:
-            motorists.append(row)
+    motorists = [row for row in rows if row.person_type is not PersonType.NON_MOTORIST]
+    if len(motorists) < len(rows):
+        audit.persons_removed = len(rows) - len(motorists)
+        audit.person_removal_reasons["non_motorist"] = audit.persons_removed
 
     units = group_units(motorists)
-    verdicts: dict[tuple[str, str], VinVerdict] = {}
     removed_units: dict[tuple[str, str], str] = {}
-    for key in sorted(units):
-        persons = units[key]
-        crash_year = next((p.crash_date.year for p in persons if p.crash_date), None)
-        verdict = validate_vin(persons[0].unit_vin, crash_year, decoder)
-        verdicts[key] = verdict
-        if not verdict.valid:
-            removed_units[key] = verdict.status.value
-
-    surviving = {k: v for k, v in units.items() if k not in removed_units}
-    removed_units.update(_duplicate_vin_survivors(surviving, verdicts))
-
     curated: list[PersonRow] = []
-    for key in sorted(units):
-        persons = units[key]
-        if key not in removed_units:
-            outcome = reconcile_unit_persons([verify_age(p) for p in persons])
-            audit.persons_reassigned += outcome.reassigned
-            if not outcome.unit_removed:
-                for _, reason in outcome.removed_persons:
-                    audit.persons_removed += 1
-                    audit.person_removal_reasons[reason] += 1
-                curated.extend(outcome.persons)
-                continue
-            removed_units[key] = outcome.removal_reason
-        audit.units_removed += 1
-        audit.unit_removal_reasons[removed_units[key]] += 1
-        audit.persons_in_removed_units += len(persons)
+    # sorted keys keep each crash's units together
+    for _, same_crash in groupby(sorted(units), key=operator.itemgetter(0)):
+        keys = list(same_crash)
+        valid: dict[tuple[str, str], VinVerdict] = {}
+        for key in keys:
+            persons = units[key]
+            crash_year = next((p.crash_date.year for p in persons if p.crash_date), None)
+            verdict = validate_vin(persons[0].unit_vin, crash_year, decoder)
+            if verdict.valid:
+                valid[key] = verdict
+            else:
+                removed_units[key] = verdict.status.value
+        removed_units.update(dict.fromkeys(_duplicate_vins(units, valid), "duplicate_vin"))
 
-    curated.sort(key=lambda r: (r.crash_id, r.unit_key[1], r.line_number))
+        for key in keys:
+            persons = units[key]
+            if key not in removed_units:
+                outcome = reconcile_unit_persons([verify_age(p) for p in persons])
+                audit.persons_reassigned += outcome.reassigned
+                if not outcome.unit_removed:
+                    for _, reason in outcome.removed_persons:
+                        audit.persons_removed += 1
+                        audit.person_removal_reasons[reason] += 1
+                    curated.extend(sorted(outcome.persons, key=operator.attrgetter("line_number")))
+                    continue
+                removed_units[key] = outcome.removal_reason
+            audit.units_removed += 1
+            audit.unit_removal_reasons[removed_units[key]] += 1
+            audit.persons_in_removed_units += len(persons)
+
     audit.rows_out = len(curated)
     return CurationResult(rows=curated, audit=audit, removed_units=removed_units)
 
