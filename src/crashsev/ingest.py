@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 from datetime import date, datetime
 from enum import Enum
 from itertools import groupby
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 log = logging.getLogger(__name__)
 
@@ -227,22 +227,19 @@ class StubDecoder:
 
     @classmethod
     def from_file(cls, path) -> "StubDecoder":
-        """The lookup table in JSON file ``path``; a malformed one raises
-        InputFileError."""
+        """The lookup table in JSON file ``path``, an object of prefix ->
+        {make, model, model_year} entries; a malformed file, an unknown entry
+        key or a value of the wrong JSON type raises InputFileError."""
+        readers = {"make": json_str, "model": json_str,
+                   "model_year": lambda year: None if year is None else json_int(year)}
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)  # a JSONDecodeError is a ValueError
-            table = {}
-            for prefix, entry in raw.items():
-                year = entry.get("model_year")
-                table[prefix.upper()] = DecodedVehicle(
-                    make=str(entry.get("make", "unknown")),
-                    model=str(entry.get("model", "unknown")),
-                    model_year=int(year) if year is not None else None,
-                )
+            unknown = DecodedVehicle(make="unknown", model="unknown", model_year=None)
+            return cls({prefix.upper(): replace(unknown, **read_fields(entry, readers))
+                        for prefix, entry in raw.items()})
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputFileError(f"unreadable decoder table {path}: {exc!r}") from exc
-        return cls(table)
 
     def decode(self, vin: str) -> DecodedVehicle:
         # one probe per distinct prefix length, longest first; a VIN shorter
@@ -307,6 +304,45 @@ class InputFileError(ValueError):
     """An input file exists but is corrupt, truncated or of the wrong format."""
 
 
+def read_fields(raw, readers: Mapping[str, Callable]) -> dict:
+    """JSON object ``raw`` with each value passed through the reader of its
+    key. A value that is not an object, an unknown key, or a value that its
+    reader refuses raises ValueError; the last names the key."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a JSON {type(raw).__name__}, not an object")
+    unknown = sorted(set(raw) - set(readers))
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
+    fields = {}
+    for key, value in raw.items():
+        try:
+            fields[key] = readers[key](value)
+        except (ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+    return fields
+
+
+def json_int(value) -> int:
+    """A JSON integer as is; ``true`` or any other number is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
+def json_str(value) -> str:
+    """A JSON string as is; anything else is refused."""
+    if not isinstance(value, str):
+        raise ValueError(f"not a string: {value!r}")
+    return value
+
+
+def json_strings(value) -> list[str]:
+    """A JSON list of strings as is; a string or anything else is refused."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"not a list of strings: {value!r}")
+    return value
+
+
 # Every canonical field and its default CSV header, in the order that
 # parse_person_rows reads the fields and write_curated_csv writes them
 DEFAULT_COLUMNS = {
@@ -368,26 +404,24 @@ class ColumnSchema:
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
         """The default schema overlaid with JSON file ``path``; a malformed
-        file, or one naming an unknown person type or severity class, raises
-        InputFileError."""
+        file, an unknown key or canonical field, or a value of the wrong JSON
+        type, person type or severity class raises InputFileError."""
+        readers = {
+            "columns": lambda columns: read_fields(columns, dict.fromkeys(DEFAULT_COLUMNS, json_str)),
+            "person_type_values": lambda values: {
+                k.casefold(): PersonType(v) for k, v in values.items()
+            },
+            "front_left_values": lambda values: frozenset(v.casefold() for v in json_strings(values)),
+            "severity_values": lambda values: {
+                k.casefold(): SeverityClass(v) for k, v in values.items()
+            },
+        }
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)  # a JSONDecodeError is a ValueError
-            schema = cls.default()
-            schema.columns.update(raw.get("columns", {}))
-            if "person_type_values" in raw:
-                schema.person_type_values = {
-                    k.casefold(): PersonType(v) for k, v in raw["person_type_values"].items()
-                }
-            if "front_left_values" in raw:
-                schema.front_left_values = frozenset(v.casefold() for v in raw["front_left_values"])
-            if "severity_values" in raw:
-                schema.severity_values = {
-                    k.casefold(): SeverityClass(v) for k, v in raw["severity_values"].items()
-                }
+                fields = read_fields(json.load(fh), readers)  # a JSONDecodeError is a ValueError
+            return cls(columns={**DEFAULT_COLUMNS, **fields.pop("columns", {})}, **fields)
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputFileError(f"unreadable schema file {path}: {exc!r}") from exc
-        return schema
 
     def severity_of(self, value: str) -> SeverityClass:
         return self.severity_values.get(value.strip().casefold(), SeverityClass.UNKNOWN)

@@ -26,7 +26,10 @@ from .ingest import (
     PersonType,
     SeverityClass,
     group_units,
+    json_int,
+    json_strings,
     max_severity,
+    read_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -150,34 +153,29 @@ class AggregationConfig:
     @classmethod
     def from_file(cls, path) -> "AggregationConfig":
         """The defaults overlaid with JSON file ``path``; a malformed file, a
-        top level that is not an object, an unknown key or a value out of
-        range raises InputFileError."""
+        top level that is not an object, an unknown key, or a value of the
+        wrong JSON type or out of range raises InputFileError."""
         readers = {
-            "numeric_attrs": tuple,
-            "categorical_attrs": tuple,
-            "cyclical_periods": lambda periods: {k: float(v) for k, v in periods.items()},
-            "passenger_types": lambda types: frozenset(_norm_type(v) for v in types),
-            "postcrash_denylist": tuple,
-            "n_interacting_slots": _slot_count,
+            "numeric_attrs": lambda names: tuple(json_strings(names)),
+            "categorical_attrs": lambda names: tuple(json_strings(names)),
+            "cyclical_periods": lambda periods: {k: _json_number(v) for k, v in periods.items()},
+            "passenger_types": lambda types: frozenset(map(_norm_type, json_strings(types))),
+            "postcrash_denylist": lambda names: tuple(json_strings(names)),
+            "n_interacting_slots": json_int,
         }
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)  # a JSONDecodeError is a ValueError
-            if not isinstance(raw, dict):
-                raise ValueError(f"the top level is a JSON {type(raw).__name__}, not an object")
-            unknown = sorted(set(raw) - set(readers))
-            if unknown:
-                raise ValueError(f"unknown key(s) {', '.join(map(repr, unknown))}")
-            return cls(**{key: readers[key](value) for key, value in raw.items()})
+            return cls(**read_fields(raw, readers))
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputFileError(f"invalid aggregation config {path}: {exc!r}") from exc
 
 
-def _slot_count(value) -> int:
-    """A JSON integer as is; ``true`` or any other number is refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"n_interacting_slots must be an integer, not {value!r}")
-    return value
+def _json_number(value) -> float:
+    """A JSON number as a float; ``true`` or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
 
 
 def _time_of_day_hours(crash_time: Optional[str]) -> Optional[float]:

@@ -755,6 +755,16 @@ class TestMalformedSideInput:
         ("curate", "--schema", '{"severity_values": {"fatal": "Nope"}}'),
         ("curate", "--decoder-table", "junk"),
         ("curate", "--decoder-table", '{"1HG": 5}'),
+        # each of these once loaded: a misspelt top-level key ran the default
+        # schema, an unknown canonical field was ignored, a string was read
+        # as a set of single characters, a model year of 2.7 or true read as
+        # 2 or 1, and a misspelt entry key left the make unknown
+        ("curate", "--schema", '{"column": {"crash_id": "CrashID"}}'),
+        ("curate", "--schema", '{"columns": {"crashid": "CrashID"}}'),
+        ("curate", "--schema", '{"front_left_values": "Front Left Side"}'),
+        ("curate", "--decoder-table", '{"1HG": {"make": "Honda", "model_year": 2.7}}'),
+        ("curate", "--decoder-table", '{"1HG": {"make": "Honda", "model_year": true}}'),
+        ("curate", "--decoder-table", '{"1HG": {"mak": "Honda", "model_year": 2003}}'),
         ("preprocess", "--agg-config", "junk"),
         ("preprocess", "--agg-config", '{"cyclical_periods": {"hour": "day"}}'),
         ("preprocess", "--schema", '{"severity_values": {"fatal": "Nope"}}'),
@@ -778,13 +788,18 @@ class TestMalformedSideInput:
         ('{"n_interacting_slots": 2.7}', "n_interacting_slots"),
         ('{"n_interacting_slot": 0}', "unknown key(s) 'n_interacting_slot'"),
         ("[]", "not an object"),
+        ('{"categorical_attrs": "Belted"}', "categorical_attrs"),
+        ('{"passenger_types": "suv"}', "passenger_types"),
+        ('{"numeric_attrs": [1]}', "numeric_attrs"),
+        ('{"cyclical_periods": {"CrashMonth": true}}', "cyclical_periods"),
     ])
     def test_agg_config_value_out_of_range_exits_2(self, raw_csv, tmp_path, capsys, text,
                                                     named):
         # a zero period would write NaN into the matrix, and a negative slot
         # count would drop every interacting-slot group; a misspelt key or a
-        # top level that is not an object would run the defaults, and true or
-        # 2.7 would run as 1 or 2
+        # top level that is not an object would run the defaults, true or
+        # 2.7 would run as 1 or 2, and a string where a list of names is
+        # meant would run as one name per character
         cur = tmp_path / "cur"
         assert main(["curate", "--input", str(raw_csv), "--out-dir", str(cur)]) == 0
         capsys.readouterr()
