@@ -441,6 +441,22 @@ class TestFixedPoint:
         assert audit.units_removed == audit.persons_removed == audit.persons_reassigned == 0
 
 
+class TestRowOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(units=_UNITS, persons=_PERSONS, order=st.randoms(use_true_random=False))
+    def test_shuffled_rows_curate_to_the_same_result(self, schema, decoder, units, persons,
+                                                     order):
+        # curate orders its output as it goes, one crash at a time in key
+        # order and each unit's persons by line, with no sort of the whole
+        parsed = parse_person_rows(io.BytesIO(_person_csv(units, persons)), schema)
+        shuffled = list(parsed.rows)
+        order.shuffle(shuffled)
+        expected, result = curate(parsed.rows, decoder), curate(shuffled, decoder)
+        assert result.rows == expected.rows
+        assert result.audit == expected.audit
+        assert result.removed_units == expected.removed_units
+
+
 class TestSummary:
     def test_fatal_share(self):
         rows = []

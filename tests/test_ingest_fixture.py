@@ -28,7 +28,15 @@ from pathlib import Path
 import pytest
 
 from crashsev.cli import main
-from crashsev.ingest import ColumnSchema, parse_person_rows, vin_check_digit
+from crashsev.ingest import (
+    ColumnSchema,
+    DecodedVehicle,
+    StubDecoder,
+    curate,
+    group_units,
+    parse_person_rows,
+    vin_check_digit,
+)
 from crashsev.preprocess import (
     AggregationConfig,
     build_vehicle_samples,
@@ -260,6 +268,44 @@ def test_rows_and_samples_retain_at_most_half_the_dict_layouts_bytes():
     assert (len(rows), len(samples)) == (1142, 186)
     assert per_row <= 962 / 2
     assert per_sample <= 1496 / 2
+
+
+def _peak_above_start(call) -> int:
+    """tracemalloc's peak during ``call()``, less what was traced when it began."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_curation_peak_is_under_two_and_a_half_groupings_of_its_rows():
+    """Memory guard on ``curate``: its tracemalloc peak against that of
+    ``group_units``, which it calls, on the same 10,319 parsed rows (1,500
+    generated crashes). Curating one crash at a time holds little beyond the
+    grouping and the curated rows. Making two passes over every unit, with a
+    verdict per unit, a copy of the surviving units, a (crash, VIN) map over
+    every unit and a sort of the output, held more: under CPython 3.11.7 that
+    curate peaked at 2.33 MiB against 0.70 MiB (3.3x), and the one-pass
+    curate at 1.32 MiB (1.9x). On perfbench's curate_encode seed-1 input
+    (74,198 rows) the same comparison read 22.4 and 9.7 MiB against 7.0 MiB.
+    The bound sits between the two."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(HEADER)
+    writer.writerows(_generated_lines(seed=20261018, n_crashes=1500))
+    rows = parse_person_rows(io.BytesIO(buf.getvalue().encode("utf-8")),
+                             ColumnSchema.default()).rows
+    decoder = StubDecoder({prefix: DecodedVehicle(**entry)
+                           for prefix, entry in DECODER_TABLE.items()})
+    curate(rows, decoder)  # an unmeasured first call
+    curate_peak = _peak_above_start(lambda: curate(rows, decoder))
+    grouping_peak = _peak_above_start(lambda: group_units(rows))
+    assert len(rows) == 10319
+    assert curate_peak < 2.5 * grouping_peak
 
 
 if __name__ == "__main__":
