@@ -7,6 +7,7 @@ Commands: curate, preprocess, run, explain, report. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import gc
@@ -14,6 +15,7 @@ import importlib
 import json
 import logging
 import sys
+from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -21,31 +23,27 @@ from pathlib import Path
 from . import __version__
 from .ingest import (
     ColumnSchema,
+    CrashOrderError,
     DisabledDecoder,
     InputFileError,
+    ParseError,
     SchemaError,
     StubDecoder,
     curate,
+    iter_person_rows,
     parse_person_rows,
     summarize_dataset,
     write_curated_csv,
 )
-from .preprocess import (
-    AggregationConfig,
-    build_vehicle_samples,
-    encode,
-    filter_passenger_vehicles,
-    fit_preprocess,
-    load_matrix,
-    save_matrix,
-)
-from .rng import spawn_seed
 
-# The modelling names that run, explain and report use, by module. curate and
-# preprocess never touch them, so they are bound into this module on first use
-# (by main, or by ``cli.<name>`` from outside) and those commands do not pay for
-# importing the modelling stack.
-_MODELLING_NAMES = {
+# The names that commands other than curate use, by module. They are bound into
+# this module on first use (by main, or by ``cli.<name>`` from outside), one
+# module at a time, so curate imports no numpy and preprocess no modelling
+# module.
+_LAZY_NAMES = {
+    "preprocess": ("AggregationConfig", "build_vehicle_samples", "encode",
+                   "filter_passenger_vehicles", "fit_preprocess", "load_matrix", "save_matrix"),
+    "rng": ("spawn_seed",),
     "config": ("ConfigError", "RunConfig"),
     "explain": ("check_features", "export_summary_plot", "linear_shap",
                 "permutation_importance", "variable_importance", "write_importance_csv"),
@@ -54,30 +52,33 @@ _MODELLING_NAMES = {
     "selection": ("StabilityTable",),
     "tune": ("enumerate_search_space",),
 }
-_LAZY = {name for names in _MODELLING_NAMES.values() for name in names}
+_OWNER = {name: module for module, names in _LAZY_NAMES.items() for name in names}
+_LAZY = _OWNER.keys()
+# the modules each command binds before it runs; any other command binds all
+_COMMAND_MODULES = {"curate": (), "preprocess": ("preprocess",)}
 
 
-def _load_modelling() -> None:
-    """Bind every modelling name into this module. A name already bound, such
-    as a wrapper a caller set on ``cli.<name>``, is kept."""
+def _bind(*modules: str) -> None:
+    """Bind every name of ``modules`` into this module. A name already bound,
+    such as a wrapper a caller set on ``cli.<name>``, is kept."""
     bound = globals()
-    for module, names in _MODELLING_NAMES.items():
+    for module in modules:
         owner = importlib.import_module(f".{module}", __package__)
-        for name in names:
+        for name in _LAZY_NAMES[module]:
             bound.setdefault(name, getattr(owner, name))
 
 
 def __getattr__(name: str):
-    """Serve ``cli.<name>`` for a modelling name, loading them all on first use."""
-    if name not in _LAZY:
+    """Serve ``cli.<name>`` for a lazily bound name, loading its module on first use."""
+    if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_modelling()
+    _bind(_OWNER[name])
     return globals()[name]
 
 
 def _loaded(*names: str) -> tuple:
-    """The named modelling exception classes that are bound. One that is not
-    was never imported by the command that ran, so it cannot have raised it."""
+    """The named exception classes that are bound. One that is not was never
+    imported by the command that ran, so it cannot have raised it."""
     bound = globals()
     return tuple(bound[name] for name in names if name in bound)
 
@@ -209,16 +210,23 @@ def cmd_curate(args) -> int:
 def cmd_preprocess(args) -> int:
     schema = ColumnSchema.from_file(args.schema) if args.schema else ColumnSchema.default()
     agg = AggregationConfig.from_file(args.agg_config) if args.agg_config else AggregationConfig()
-    with open(args.input, "rb") as fh:
-        parsed = parse_person_rows(fh, schema)
-    if parsed.errors:
-        first = parsed.errors[0]
-        print(f"error: {len(parsed.errors)} malformed lines in curated input, the first "
-              f"at line {first.line_number}: {first.message}", file=sys.stderr)
+    errors: list[ParseError] = []
+    disorder = None
+    with open(args.input, "rb") as fh, closing(iter_person_rows(fh, schema, errors)) as rows:
+        try:
+            samples = build_vehicle_samples(rows, agg)
+        except CrashOrderError as exc:
+            # an unreadable line raises out of the drain, and malformed lines
+            # are reported before the order
+            collections.deque(rows, maxlen=0)
+            disorder = exc
+    if errors:
+        print(f"error: {len(errors)} malformed lines in curated input, the first "
+              f"at line {errors[0].line_number}: {errors[0].message}", file=sys.stderr)
         return EXIT_INPUT
+    if disorder is not None:
+        raise disorder
 
-    samples = build_vehicle_samples(parsed.rows, agg)
-    del parsed  # nothing reads the rows again: free them before encoding
     if not args.no_vehicle_filter:
         samples = filter_passenger_vehicles(samples, agg.passenger_types)
     if not samples:
@@ -439,8 +447,7 @@ def main(argv=None) -> int:
         "explain": cmd_explain,
         "report": cmd_report,
     }
-    if args.command not in ("curate", "preprocess"):
-        _load_modelling()
+    _bind(*_COMMAND_MODULES.get(args.command, _LAZY_NAMES))
     try:
         return handlers[args.command](args)
     except _UsageError as exc:

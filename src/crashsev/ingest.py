@@ -37,12 +37,14 @@ __all__ = [
     "ColumnSchema",
     "SchemaError",
     "InputFileError",
+    "CrashOrderError",
     "ParseError",
     "ParseResult",
     "CurationAudit",
     "CurationResult",
     "SummaryReport",
     "parse_person_rows",
+    "iter_person_rows",
     "validate_vin",
     "vin_check_digit",
     "compute_age",
@@ -229,12 +231,18 @@ class StubDecoder:
     def from_file(cls, path) -> "StubDecoder":
         """The lookup table in JSON file ``path``, an object of prefix ->
         {make, model, model_year} entries; a malformed file, an unknown entry
-        key or a value of the wrong JSON type raises InputFileError."""
+        key, a value of the wrong JSON type or two prefixes that are equal in
+        upper case raise InputFileError."""
         readers = {"make": json_str, "model": json_str,
                    "model_year": lambda year: None if year is None else json_int(year)}
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)  # a JSONDecodeError is a ValueError
+            first: dict[str, str] = {}
+            for prefix in raw:
+                other = first.setdefault(prefix.upper(), prefix)
+                if other != prefix:
+                    raise ValueError(f"prefixes {other!r} and {prefix!r} are equal in upper case")
             unknown = DecodedVehicle(make="unknown", model="unknown", model_year=None)
             return cls({prefix.upper(): replace(unknown, **read_fields(entry, readers))
                         for prefix, entry in raw.items()})
@@ -302,6 +310,11 @@ class SchemaError(Exception):
 
 class InputFileError(ValueError):
     """An input file exists but is corrupt, truncated or of the wrong format."""
+
+
+class CrashOrderError(InputFileError):
+    """Person rows out of curate's output order: a crash's rows apart, or
+    crashes not in increasing crash id order."""
 
 
 def read_fields(raw, readers: Mapping[str, Callable]) -> dict:
@@ -397,6 +410,13 @@ class ColumnSchema:
         default_factory=lambda: dict(_DEFAULT_SEVERITIES)
     )
 
+    def __post_init__(self) -> None:
+        first: dict[str, str] = {}
+        for canon, header in self.columns.items():
+            other = first.setdefault(header, canon)
+            if other != canon:
+                raise ValueError(f"header {header!r} is mapped to both {other!r} and {canon!r}")
+
     @classmethod
     def default(cls) -> "ColumnSchema":
         return cls(columns=dict(DEFAULT_COLUMNS))
@@ -404,8 +424,9 @@ class ColumnSchema:
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
         """The default schema overlaid with JSON file ``path``; a malformed
-        file, an unknown key or canonical field, or a value of the wrong JSON
-        type, person type or severity class raises InputFileError."""
+        file, an unknown key or canonical field, a value of the wrong JSON
+        type, person type or severity class, or one header mapped to two
+        canonical fields raises InputFileError."""
         readers = {
             "columns": lambda columns: read_fields(columns, dict.fromkeys(DEFAULT_COLUMNS, json_str)),
             "person_type_values": lambda values: {
@@ -494,21 +515,29 @@ class MemoTable(dict):
 
 
 def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
-    """Read a UTF-8 CSV with a header, from binary stream ``stream``, into
-    PersonRows.
+    """Every row and every malformed line of ``iter_person_rows``."""
+    errors: list[ParseError] = []
+    rows = list(iter_person_rows(stream, schema, errors))
+    return ParseResult(rows=rows, errors=errors)
+
+
+def iter_person_rows(stream, schema: ColumnSchema, errors: list[ParseError]) -> Iterator[PersonRow]:
+    """The PersonRows of a UTF-8 CSV with a header, read from binary stream
+    ``stream`` one line at a time, in line order.
 
     Unknown columns are preserved, unstripped, in raw_attributes, a
     KeyedTuple over one index per call. Equal field values share one string
     object, so a row holds little beyond its own slots. Malformed lines are
-    collected as ParseErrors, never silently dropped. A missing required
-    column raises SchemaError naming the column; bytes that are not UTF-8,
-    or a field longer than csv's limit, raise InputFileError naming the line.
+    appended to ``errors`` as ParseErrors, never silently dropped. A missing
+    required column raises SchemaError naming the column; bytes that are not
+    UTF-8, or a field longer than csv's limit, raise InputFileError naming
+    the line. Exhaust or close the generator while ``stream`` is open.
     """
     # the caller owns the binary stream: detach, never close, the wrapper
     text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     reader = csv.reader(text)
     try:
-        return _parse_records(reader, schema)
+        yield from _parse_records(reader, schema, errors)
     except UnicodeDecodeError as exc:
         # the wrapper decodes ahead of the reader, so find the line from the
         # start: only a line that is not UTF-8 changes on a replacing decode
@@ -522,8 +551,8 @@ def parse_person_rows(stream, schema: ColumnSchema) -> ParseResult:
         text.detach()
 
 
-def _parse_records(reader, schema: ColumnSchema) -> ParseResult:
-    """``parse_person_rows`` on a csv reader."""
+def _parse_records(reader, schema: ColumnSchema, errors: list[ParseError]) -> Iterator[PersonRow]:
+    """``iter_person_rows`` on a csv reader."""
     try:
         header = next(reader)
     except StopIteration:
@@ -553,8 +582,6 @@ def _parse_records(reader, schema: ColumnSchema) -> ParseResult:
     stripped = MemoTable(str.strip)
     shared = MemoTable(str)
 
-    rows: list[PersonRow] = []
-    errors: list[ParseError] = []
     for line_number, record in enumerate(reader, start=2):
         if not any(map(str.strip, record)):
             continue
@@ -592,8 +619,7 @@ def _parse_records(reader, schema: ColumnSchema) -> ParseResult:
         except (ValueError, KeyError) as exc:
             errors.append(ParseError(line_number, str(exc), raw=_csv_line(record[:width])))
             continue
-        rows.append(row)
-    return ParseResult(rows=rows, errors=errors)
+        yield row
 
 
 # ---------------------------------------------------------------------------
@@ -849,42 +875,38 @@ class SummaryReport:
 
 
 def summarize_dataset(rows: list[PersonRow]) -> SummaryReport:
-    """Crash-level severity distribution plus occupancy and age statistics."""
+    """Crash-level severity distribution plus occupancy and age statistics,
+    counted in one pass over rows in any order."""
     if not rows:
         return SummaryReport(0, 0, 0, {}, {}, None, None, None)
 
-    units = group_units(rows)
-    crashes: dict[str, list[SeverityClass]] = {}
+    unit_sizes: Counter = Counter()
+    # each crash's most severe known class as its rank, -1 while all are Unknown
+    worst: dict[str, int] = {}
+    age_sum = age_n = driver_age_sum = driver_age_n = 0
     for row in rows:
-        crashes.setdefault(row.crash_id, []).append(row.severity)
+        unit_sizes[row.unit_key] += 1
+        worst[row.crash_id] = max(worst.get(row.crash_id, -1), _SEVERITY_RANK.get(row.severity, -1))
+        if row.reported_age is not None and not row.age_invalid:
+            age_sum += row.reported_age
+            age_n += 1
+            if row.person_type is PersonType.DRIVER:
+                driver_age_sum += row.reported_age
+                driver_age_n += 1
 
-    severity_counts: Counter = Counter()
-    for crash_id, severities in crashes.items():
-        worst = max_severity(severities)
-        severity_counts[(worst or SeverityClass.UNKNOWN).value] += 1
-    n_crashes = len(crashes)
-    shares = {k: v / n_crashes for k, v in sorted(severity_counts.items())}
-
-    occupancy: Counter = Counter(len(v) for v in units.values())
-    ages = [r.reported_age for r in rows if r.reported_age is not None and not r.age_invalid]
-    driver_ages = [
-        r.reported_age
-        for r in rows
-        if r.person_type is PersonType.DRIVER and r.reported_age is not None and not r.age_invalid
-    ]
-    units_per_crash: Counter = Counter()
-    for key in units:
-        units_per_crash[key[0]] += 1
-
+    severity_names = {rank: s.value for s, rank in _SEVERITY_RANK.items()}
+    severity_names[-1] = SeverityClass.UNKNOWN.value
+    severity_counts = Counter(map(severity_names.__getitem__, worst.values()))
+    n_crashes = len(worst)
     return SummaryReport(
         n_persons=len(rows),
-        n_units=len(units),
+        n_units=len(unit_sizes),
         n_crashes=n_crashes,
-        crash_severity_shares=shares,
-        occupants_per_vehicle=dict(occupancy),
-        mean_occupant_age=sum(ages) / len(ages) if ages else None,
-        mean_driver_age=sum(driver_ages) / len(driver_ages) if driver_ages else None,
-        mean_units_per_crash=sum(units_per_crash.values()) / n_crashes,
+        crash_severity_shares={k: v / n_crashes for k, v in sorted(severity_counts.items())},
+        occupants_per_vehicle=dict(Counter(unit_sizes.values())),
+        mean_occupant_age=age_sum / age_n if age_n else None,
+        mean_driver_age=driver_age_sum / driver_age_n if driver_age_n else None,
+        mean_units_per_crash=len(unit_sizes) / n_crashes,
     )
 
 

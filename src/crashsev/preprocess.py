@@ -12,20 +12,22 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import groupby
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .ingest import (
+    CrashOrderError,
     InputFileError,
     MemoTable,
     PersonRow,
     PersonType,
     SeverityClass,
-    group_units,
     json_int,
     json_strings,
     max_severity,
@@ -205,10 +207,17 @@ def _parse_float(value: str) -> Optional[float]:
 
 
 def build_vehicle_samples(
-    rows: Sequence[PersonRow],
+    rows: Iterable[PersonRow],
     config: Optional[AggregationConfig] = None,
 ) -> VehicleSamples:
-    """Aggregate curated person rows into one sample per unit.
+    """Aggregate curated person rows into one sample per unit, one crash at
+    a time.
+
+    ``rows`` come in curate's order: each crash's rows together, and the
+    crashes in increasing crash id order. A crash id that is not greater
+    than the one before it raises CrashOrderError naming the crash and its
+    line. Only the current crash's rows are held, so ``rows`` may be a
+    generator over a file of any size.
 
     The target is the most severe injury among the unit's occupants;
     driver attributes copy onto the vehicle record; occupant ages collapse
@@ -217,31 +226,15 @@ def build_vehicle_samples(
     Units whose severities are all Unknown are excluded.
     """
     cfg = config or AggregationConfig()
-    units = group_units(rows)
-    crash_units: dict[str, list[tuple[str, str]]] = {}
-    for key in units:
-        crash_units.setdefault(key[0], []).append(key)
-    for keys in crash_units.values():
-        keys.sort(key=lambda k: (units[k][0].unit_vin, k[1]))
-
-    # the interacting-slot columns, three per slot, and each unit's levels
-    # when it fills another unit's slot
+    # the interacting-slot columns, three per slot
     slot_names = [
         f"Interacting{part}{slot}"
         for slot in range(1, cfg.n_interacting_slots + 1)
         for part in ("UnitType", "VehicleModel", "VehicleYear")
     ]
-    year_levels = MemoTable(str)
-    slot_levels: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for key, persons in units.items():
-        lead = persons[0]
-        slot_levels[key] = (
-            lead.unit_type or MISSING_LEVEL,
-            lead.vehicle_model or MISSING_LEVEL,
-            year_levels[lead.vehicle_year] if lead.vehicle_year else MISSING_LEVEL,
-        )
     # equal values share one object: floats of equal ints or means (never
     # -0.0 or NaN here), and each distinct raw string's parse or strip
+    year_levels = MemoTable(str)
     as_float = MemoTable(float)
     floats = MemoTable(_parse_float)
     hours = MemoTable(_time_of_day_hours)
@@ -254,65 +247,96 @@ def build_vehicle_samples(
     targets: list[str] = []
     numeric_columns: dict[str, list[Optional[float]]] = {}
     categorical_columns: dict[str, list[str]] = {}
-    for key in sorted(units):
-        persons = units[key]
-        drivers = [p for p in persons if p.person_type is PersonType.DRIVER]
-        if len(drivers) != 1:
-            skipped.append(key)
-            continue
-        driver = drivers[0]
-        worst = max_severity(p.severity for p in persons)
-        if worst is None:
-            excluded.append(key)
-            continue
 
-        ages = [
-            as_float[p.reported_age]
-            for p in persons
-            if p.reported_age is not None and not p.age_invalid
-        ]
-        numeric: dict[str, Optional[float]] = {
-            "DriverAge": (
-                as_float[driver.reported_age]
-                if driver.reported_age is not None and not driver.age_invalid
-                else None
-            ),
-            "OccupantsMinAge": min(ages) if ages else None,
-            "OccupantsMeanAge": as_float[sum(ages) / len(ages)] if ages else None,
-            "OccupantsMaxAge": max(ages) if ages else None,
-            "NumberOfOccupants": as_float[len(persons)],
-            "VehicleYear": as_float[driver.vehicle_year] if driver.vehicle_year else None,
-        }
-        for attr in cfg.numeric_attrs:
-            numeric[attr] = floats[driver.raw_attributes.get(attr, "")]
-        if "CrashMonth" in cfg.cyclical_periods:
-            numeric["CrashMonth"] = as_float[driver.crash_date.month] if driver.crash_date else None
-        if "CrashWeekDay" in cfg.cyclical_periods:
-            numeric["CrashWeekDay"] = (
-                as_float[driver.crash_date.weekday()] if driver.crash_date else None
+    def add_crash(crash_id: str, crash_rows: Iterable[PersonRow]) -> None:
+        """The samples of one crash's units, appended to the columns."""
+        units: dict[str, list[PersonRow]] = {}
+        for p in crash_rows:
+            units.setdefault(p.unit_id or p.unit_vin, []).append(p)
+        # each unit's levels when it fills another unit's slot, by VIN
+        slot_levels = {}
+        for unit in sorted(units, key=lambda u: (units[u][0].unit_vin, u)):
+            lead = units[unit][0]
+            slot_levels[unit] = (
+                lead.unit_type or MISSING_LEVEL,
+                lead.vehicle_model or MISSING_LEVEL,
+                year_levels[lead.vehicle_year] if lead.vehicle_year else MISSING_LEVEL,
             )
-        if "CrashTime24h" in cfg.cyclical_periods:
-            numeric["CrashTime24h"] = hours[driver.crash_time]
 
-        categorical: dict[str, str] = {"UnitType": driver.unit_type}
-        for attr in cfg.categorical_attrs:
-            categorical[attr] = stripped[driver.raw_attributes.get(attr, "")]
+        for unit in sorted(units):
+            persons = units[unit]
+            drivers = [p for p in persons if p.person_type is PersonType.DRIVER]
+            if len(drivers) != 1:
+                skipped.append((crash_id, unit))
+                continue
+            driver = drivers[0]
+            worst = max_severity(p.severity for p in persons)
+            if worst is None:
+                excluded.append((crash_id, unit))
+                continue
 
-        others = [k for k in crash_units[key[0]] if k != key][: cfg.n_interacting_slots]
-        levels = [level for k in others for level in slot_levels[k]]
-        levels += [NONE_LEVEL] * (len(slot_names) - len(levels))
-        categorical.update(zip(slot_names, levels))
+            ages = [
+                as_float[p.reported_age]
+                for p in persons
+                if p.reported_age is not None and not p.age_invalid
+            ]
+            numeric: dict[str, Optional[float]] = {
+                "DriverAge": (
+                    as_float[driver.reported_age]
+                    if driver.reported_age is not None and not driver.age_invalid
+                    else None
+                ),
+                "OccupantsMinAge": min(ages) if ages else None,
+                "OccupantsMeanAge": as_float[sum(ages) / len(ages)] if ages else None,
+                "OccupantsMaxAge": max(ages) if ages else None,
+                "NumberOfOccupants": as_float[len(persons)],
+                "VehicleYear": as_float[driver.vehicle_year] if driver.vehicle_year else None,
+            }
+            for attr in cfg.numeric_attrs:
+                numeric[attr] = floats[driver.raw_attributes.get(attr, "")]
+            if "CrashMonth" in cfg.cyclical_periods:
+                numeric["CrashMonth"] = (
+                    as_float[driver.crash_date.month] if driver.crash_date else None
+                )
+            if "CrashWeekDay" in cfg.cyclical_periods:
+                numeric["CrashWeekDay"] = (
+                    as_float[driver.crash_date.weekday()] if driver.crash_date else None
+                )
+            if "CrashTime24h" in cfg.cyclical_periods:
+                numeric["CrashTime24h"] = hours[driver.crash_time]
 
-        if not targets:  # every unit lists the same features in this order
-            numeric_columns = {name: [] for name in numeric}
-            categorical_columns = {name: [] for name in categorical}
-        crash_ids.append(key[0])
-        vins.append(persons[0].unit_vin)
-        targets.append(binarize_severity(worst))
-        for column, value in zip(numeric_columns.values(), numeric.values(), strict=True):
-            column.append(value)
-        for column, level in zip(categorical_columns.values(), categorical.values(), strict=True):
-            column.append(level)
+            categorical: dict[str, str] = {"UnitType": driver.unit_type}
+            for attr in cfg.categorical_attrs:
+                categorical[attr] = stripped[driver.raw_attributes.get(attr, "")]
+
+            others = [u for u in slot_levels if u != unit][: cfg.n_interacting_slots]
+            levels = [level for u in others for level in slot_levels[u]]
+            levels += [NONE_LEVEL] * (len(slot_names) - len(levels))
+            categorical.update(zip(slot_names, levels))
+
+            if not targets:  # every unit lists the same features in this order
+                numeric_columns.update((name, []) for name in numeric)
+                categorical_columns.update((name, []) for name in categorical)
+            crash_ids.append(crash_id)
+            vins.append(persons[0].unit_vin)
+            targets.append(binarize_severity(worst))
+            for column, value in zip(numeric_columns.values(), numeric.values(), strict=True):
+                column.append(value)
+            for column, level in zip(categorical_columns.values(), categorical.values(),
+                                     strict=True):
+                column.append(level)
+
+    previous: Optional[str] = None
+    for crash_id, crash_rows in groupby(rows, key=operator.attrgetter("crash_id")):
+        if previous is not None and crash_id <= previous:
+            raise CrashOrderError(
+                f"input line {next(crash_rows).line_number}: crash {crash_id!r} follows crash "
+                f"{previous!r}, out of curate's crash id order; curate the file again to "
+                "order it"
+            )
+        previous = crash_id
+        # a call per crash: its rows are freed before the next crash is read
+        add_crash(crash_id, crash_rows)
     if skipped:
         log.warning("%d units skipped: not exactly one driver after curation (first: %s)",
                     len(skipped), _first_keys(skipped))

@@ -209,13 +209,14 @@ class TestPreprocessCommand:
         cur = tmp_path / "cur"
         assert main(["curate", "--input", str(raw_csv), "--decoder-table",
                      str(decoder_file), "--out-dir", str(cur)]) == 0
-        parsed_ids, alive = set(), []
-        parse, encode = cli.parse_person_rows, cli.encode
+        # a list: a row freed crash by crash may hand its id to a later row
+        parsed_ids, alive = [], []
+        parse, encode = cli.iter_person_rows, cli.encode
 
         def recording_parse(*args):
-            result = parse(*args)
-            parsed_ids.update(map(id, result.rows))
-            return result
+            for row in parse(*args):
+                parsed_ids.append(id(row))
+                yield row
 
         def counting_encode(*args):
             # the rows have no weak references; a freed row is no live object
@@ -223,7 +224,7 @@ class TestPreprocessCommand:
                              for o in gc.get_objects()))
             return encode(*args)
 
-        monkeypatch.setattr(cli, "parse_person_rows", recording_parse)
+        monkeypatch.setattr(cli, "iter_person_rows", recording_parse)
         monkeypatch.setattr(cli, "encode", counting_encode)
         assert main(["preprocess", "--input", str(cur / "curated.csv"),
                      "--out-dir", str(tmp_path / "pre")]) == 0
@@ -245,9 +246,10 @@ class TestCollectorState:
     def test_commands_restore_the_callers_state(self, raw_csv, decoder_file, tmp_path,
                                                 monkeypatch, enabled):
         seen = []
-        parse = cli.parse_person_rows
-        monkeypatch.setattr(cli, "parse_person_rows",
-                            lambda *a: seen.append(gc.isenabled()) or parse(*a))
+        # curate parses the whole file, preprocess streams it
+        for name in ("parse_person_rows", "iter_person_rows"):
+            monkeypatch.setattr(cli, name, lambda *a, parse=getattr(cli, name):
+                                seen.append(gc.isenabled()) or parse(*a))
         (gc.enable if enabled else gc.disable)()
         cur = tmp_path / "cur"
         assert main(["curate", "--input", str(raw_csv), "--decoder-table",
@@ -326,9 +328,38 @@ class TestModellingImports:
         }
         assert [m for m in result["modules"] if m in self.MODELLING] == []
 
+    def test_curate_imports_no_numpy_and_preprocess_no_other_module(self, raw_csv,
+                                                                    decoder_file, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        probe = textwrap.dedent("""
+            import json, sys
+            import crashsev.cli as cli
+
+            def loaded():
+                return sorted(m for m in sys.modules
+                              if m == "numpy" or m.split(".")[0] == "crashsev")
+
+            raw, decoder = sys.argv[1:]
+            seen = [cli.main(["curate", "--input", raw, "--decoder-table", decoder,
+                              "--out-dir", "cur"]), loaded()]
+            seen += [cli.main(["preprocess", "--input", "cur/curated.csv",
+                               "--out-dir", "pre"]), loaded()]
+            print(json.dumps(seen))
+        """)
+        proc = subprocess.run([sys.executable, "-c", probe, str(raw_csv), str(decoder_file)],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        curate_code, after_curate, preprocess_code, after_preprocess = json.loads(
+            proc.stdout.splitlines()[-1])
+        assert curate_code == preprocess_code == 0
+        assert after_curate == ["crashsev", "crashsev.cli", "crashsev.ingest"]
+        assert after_preprocess == ["crashsev", "crashsev.cli", "crashsev.ingest",
+                                    "crashsev.preprocess", "numpy"]
+
     def test_modelling_stack_loads_no_scipy_module(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
-        probe = ("import sys; from crashsev import cli; cli._load_modelling(); "
+        probe = ("import sys; from crashsev import cli; cli._bind(*cli._LAZY_NAMES); "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               cwd=tmp_path, env={**os.environ, "PYTHONPATH": src})
@@ -705,6 +736,34 @@ class TestRefusalMessages:
         assert f"line {len(lines) + 1}: expected" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("disorder, message", [
+        ("split", "follows crash"),
+        ("descending", "follows crash"),
+        ("descending-and-malformed", "1 malformed lines"),
+    ])
+    def test_preprocess_refuses_crashes_out_of_curates_order(self, raw_csv, decoder_file,
+                                                             tmp_path, capsys, disorder,
+                                                             message):
+        assert main(["curate", "--input", str(raw_csv), "--decoder-table", str(decoder_file),
+                     "--out-dir", str(tmp_path / "cur")]) == 0
+        curated = tmp_path / "cur" / "curated.csv"
+        header, *lines = curated.read_text().splitlines()
+        if disorder == "split":
+            # the first crash's first row moved behind every other crash
+            lines = lines[1:] + lines[:1]
+        else:
+            lines = lines[::-1]
+        if disorder == "descending-and-malformed":
+            # a malformed line is reported first, wherever it is
+            lines.append("C1,short")
+        curated.write_text("\n".join([header, *lines]) + "\n")
+        capsys.readouterr()
+        out_dir = tmp_path / "pre"
+        assert main(["preprocess", "--input", str(curated), "--out-dir", str(out_dir)]) == 2
+        err = _assert_one_line_error(capsys)
+        assert message in err and "line " in err
+        assert not out_dir.exists()
+
     def test_preprocess_without_samples(self, tmp_path, capsys):
         empty = tmp_path / "curated.csv"
         empty.write_text("CrashID,VIN,PersonType,SeatingPosition,Severity\n")
@@ -765,6 +824,10 @@ class TestMalformedSideInput:
         ("curate", "--decoder-table", '{"1HG": {"make": "Honda", "model_year": 2.7}}'),
         ("curate", "--decoder-table", '{"1HG": {"make": "Honda", "model_year": true}}'),
         ("curate", "--decoder-table", '{"1HG": {"mak": "Honda", "model_year": 2003}}'),
+        # prefixes equal in upper case, and one header for two fields: the
+        # first loaded as one entry, the second read every crash id from VINs
+        ("curate", "--decoder-table", '{"1hg": {"make": "Honda"}, "1HG": {"make": "Acura"}}'),
+        ("curate", "--schema", '{"columns": {"crash_id": "VIN"}}'),
         ("preprocess", "--agg-config", "junk"),
         ("preprocess", "--agg-config", '{"cyclical_periods": {"hour": "day"}}'),
         ("preprocess", "--schema", '{"severity_values": {"fatal": "Nope"}}'),

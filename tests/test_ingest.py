@@ -36,6 +36,7 @@ from crashsev.ingest import (
     VinStatus,
     compute_age,
     curate,
+    iter_person_rows,
     max_severity,
     parse_person_rows,
     reconcile_unit_persons,
@@ -91,6 +92,14 @@ class TestParse:
         with pytest.raises(SchemaError, match="VIN"):
             parse_person_rows(io.BytesIO(csv.encode()), schema)
 
+    def test_one_header_for_two_fields_is_refused(self, tmp_path):
+        # both fields used to read the VIN column, and every crash id was a VIN
+        path = tmp_path / "schema.json"
+        path.write_text('{"columns": {"crash_id": "VIN"}}')
+        with pytest.raises(InputFileError,
+                           match="'VIN' is mapped to both 'crash_id' and 'unit_vin'"):
+            ColumnSchema.from_file(path)
+
     def test_malformed_line_collected_with_line_number(self, schema):
         csv = (
             "CrashID,VIN,PersonType,SeatingPosition,Severity\n"
@@ -132,6 +141,27 @@ class TestParse:
                 assert not fh.closed
             gc.collect()
         assert len(result.rows) == 1
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_a_stream_closed_part_way_leaves_the_callers_file_open(self, schema, tmp_path):
+        path = tmp_path / "persons.csv"
+        path.write_bytes(b"CrashID,VIN,PersonType,SeatingPosition,Severity\n"
+                         b"C1,V,Driver,Front Left Side,Fatal\n"
+                         b"C2,V,Driver\n"
+                         b"C3,V,Driver,Front Left Side,Fatal\n")
+        errors = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with open(path, "rb") as fh:
+                rows = iter_person_rows(fh, schema, errors)
+                assert next(rows).crash_id == "C1"
+                assert errors == []
+                assert next(rows).crash_id == "C3"
+                assert [e.line_number for e in errors] == [3]
+                rows.close()
+                gc.collect()
+                assert not fh.closed
+            gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     def test_missing_column_still_leaves_the_callers_file_open(self, schema, tmp_path):
@@ -246,6 +276,13 @@ class TestStubDecoder:
     def test_empty_table_misses(self):
         with pytest.raises(DecoderUnavailable):
             StubDecoder({}).decode("1HGCM82633A004352")
+
+    def test_prefixes_equal_in_upper_case_are_refused_naming_both(self, tmp_path):
+        # upper-casing used to fold them into one entry, the last one winning
+        path = tmp_path / "decoder.json"
+        path.write_text('{"1hg": {"make": "Honda"}, "1HG": {"make": "Acura"}}')
+        with pytest.raises(InputFileError, match="'1hg' and '1HG'"):
+            StubDecoder.from_file(path)
 
 
 class TestComputeAge:

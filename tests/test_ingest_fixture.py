@@ -35,6 +35,7 @@ from crashsev.ingest import (
     curate,
     group_units,
     parse_person_rows,
+    summarize_dataset,
     vin_check_digit,
 )
 from crashsev.preprocess import (
@@ -306,6 +307,35 @@ def test_curation_peak_is_under_two_and_a_half_groupings_of_its_rows():
     grouping_peak = _peak_above_start(lambda: group_units(rows))
     assert len(rows) == 10319
     assert curate_peak < 2.5 * grouping_peak
+
+
+# summary.json's content for the generated case's curated rows (125 crashes,
+# one all-Unknown crash severity in nine, one age flagged invalid)
+GENERATED_SUMMARY = {
+    "crash_severity_shares": {"Fatal": 0.56, "NoApparentInjury": 0.024, "PossibleInjury": 0.08,
+                              "SuspectedMinorInjury": 0.096, "SuspectedSeriousInjury": 0.168,
+                              "Unknown": 0.072},
+    "mean_driver_age": 49.070422535211264,
+    "mean_occupant_age": 44.78688524590164,
+    "mean_units_per_crash": 1.84,
+    "n_crashes": 125,
+    "n_persons": 459,
+    "n_units": 230,
+    "occupants_per_vehicle": {"1": 93, "2": 66, "3": 52, "4": 17, "5": 2},
+}
+
+
+def test_summary_of_curated_rows_in_any_order_matches_the_record():
+    rows = parse_person_rows(io.BytesIO(_input_csv("generated").encode("utf-8")),
+                             ColumnSchema.default()).rows
+    decoder = StubDecoder({prefix: DecodedVehicle(**entry)
+                           for prefix, entry in DECODER_TABLE.items()})
+    rows = curate(rows, decoder).rows
+    order = random.Random(20261020)
+    for _ in range(6):
+        summary = summarize_dataset(rows).to_dict()
+        assert json.dumps(summary, sort_keys=True) == json.dumps(GENERATED_SUMMARY, sort_keys=True)
+        rows = order.sample(rows, len(rows))
 
 
 if __name__ == "__main__":

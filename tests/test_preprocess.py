@@ -1,9 +1,11 @@
+import gc
 import io
 import logging
 import math
 import struct
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +17,16 @@ from hypothesis import strategies as st
 import crashsev.preprocess as preprocess
 
 from crashsev.ingest import (
+    CrashOrderError,
     InputFileError,
     PersonRow,
     PersonType,
     SeatingPosition,
     SeverityClass,
     curate,
+    iter_person_rows,
     parse_person_rows,
+    write_curated_csv,
 )
 from crashsev.preprocess import (
     NON_SEVERE,
@@ -163,6 +168,49 @@ class TestBuildSamples:
         s = _find(build_vehicle_samples(curated_rows), "C01", "1HG")["numeric"]
         assert s["CrashMonth"] == 6
         assert s["CrashTime24h"] == pytest.approx(14.5)
+
+
+class TestStreaming:
+    def test_holds_one_crash_of_rows_at_a_time(self, curated_rows, schema, tmp_path):
+        # live rows at each row the parser yields: the crash being read, which
+        # is the previous row's, and the new row; never every row
+        write_curated_csv(curated_rows, schema, tmp_path / "curated.csv")
+        sizes = Counter(row.crash_id for row in curated_rows)
+        gc.collect()
+        before = sum(isinstance(o, PersonRow) for o in gc.get_objects())
+        seen = []
+
+        def counted(stream):
+            previous = None
+            for row in iter_person_rows(stream, schema, []):
+                live = sum(isinstance(o, PersonRow) for o in gc.get_objects()) - before
+                seen.append((live, sizes[previous] + 1 if previous else 1))
+                previous = row.crash_id
+                yield row
+
+        with open(tmp_path / "curated.csv", "rb") as fh:
+            streamed = build_vehicle_samples(counted(fh))
+        assert len(seen) == len(curated_rows) > max(sizes.values()) + 1
+        assert all(live <= bound for live, bound in seen), seen
+        with open(tmp_path / "curated.csv", "rb") as fh:
+            listed = build_vehicle_samples(parse_person_rows(fh, schema).rows)
+        assert _records(streamed) == _records(listed)
+
+    @pytest.mark.parametrize("crashes, line", [
+        (["C1", "C2", "C1"], 4),  # a crash's rows apart
+        (["C2", "C1"], 3),
+        (["C1", "C1", "C1", "C1"], None),
+    ], ids=["split", "descending", "one-crash"])
+    def test_crashes_out_of_order_are_refused(self, crashes, line):
+        rows = [PersonRow(crash_id=crash, unit_vin=f"V{i}", person_type=PersonType.DRIVER,
+                          seating_position=SeatingPosition.FRONT_LEFT,
+                          severity=SeverityClass.FATAL, line_number=i + 2)
+                for i, crash in enumerate(crashes)]
+        if line is None:
+            assert len(build_vehicle_samples(rows)) == len(rows)
+            return
+        with pytest.raises(CrashOrderError, match=f"line {line}: crash 'C1' follows crash 'C2'"):
+            build_vehicle_samples(iter(rows))
 
 
 class TestOutOfRangeFields:
