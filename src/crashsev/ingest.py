@@ -230,14 +230,14 @@ class StubDecoder:
     @classmethod
     def from_file(cls, path) -> "StubDecoder":
         """The lookup table in JSON file ``path``, an object of prefix ->
-        {make, model, model_year} entries; a malformed file, an unknown entry
-        key, a value of the wrong JSON type or two prefixes that are equal in
-        upper case raise InputFileError."""
+        {make, model, model_year} entries; a malformed file, a repeated or
+        unknown entry key, a value of the wrong JSON type or two prefixes that
+        are equal in upper case raise InputFileError."""
         readers = {"make": json_str, "model": json_str,
                    "model_year": lambda year: None if year is None else json_int(year)}
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)  # a JSONDecodeError is a ValueError
+                raw = load_json(fh)
             first: dict[str, str] = {}
             for prefix in raw:
                 other = first.setdefault(prefix.upper(), prefix)
@@ -315,6 +315,22 @@ class InputFileError(ValueError):
 class CrashOrderError(InputFileError):
     """Person rows out of curate's output order: a crash's rows apart, or
     crashes not in increasing crash id order."""
+
+
+def _refuse_repeated_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load_json(fh):
+    """The JSON document in text file ``fh``. An object that repeats a key
+    raises ValueError naming it, where ``json.load`` would keep the last
+    value without a word; malformed JSON raises JSONDecodeError, a ValueError."""
+    return json.load(fh, object_pairs_hook=_refuse_repeated_keys)
 
 
 def read_fields(raw, readers: Mapping[str, Callable]) -> dict:
@@ -424,9 +440,9 @@ class ColumnSchema:
     @classmethod
     def from_file(cls, path) -> "ColumnSchema":
         """The default schema overlaid with JSON file ``path``; a malformed
-        file, an unknown key or canonical field, a value of the wrong JSON
-        type, person type or severity class, or one header mapped to two
-        canonical fields raises InputFileError."""
+        file, a repeated key, an unknown key or canonical field, a value of
+        the wrong JSON type, person type or severity class, or one header
+        mapped to two canonical fields raises InputFileError."""
         readers = {
             "columns": lambda columns: read_fields(columns, dict.fromkeys(DEFAULT_COLUMNS, json_str)),
             "person_type_values": lambda values: {
@@ -439,7 +455,7 @@ class ColumnSchema:
         }
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                fields = read_fields(json.load(fh), readers)  # a JSONDecodeError is a ValueError
+                fields = read_fields(load_json(fh), readers)
             return cls(columns={**DEFAULT_COLUMNS, **fields.pop("columns", {})}, **fields)
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputFileError(f"unreadable schema file {path}: {exc!r}") from exc

@@ -30,6 +30,7 @@ from .ingest import (
     SeverityClass,
     json_int,
     json_strings,
+    load_json,
     max_severity,
     read_fields,
 )
@@ -94,15 +95,20 @@ class VehicleSamples:
         return len(self.target)
 
     def take(self, indices: Sequence[int]) -> "VehicleSamples":
-        """The samples at ``indices``, in that order."""
+        """The samples at ``indices``, in that order. This consumes the
+        samples: each column is dropped from them as its replacement is
+        built, so at most one column is held twice, and they are left empty."""
         def pick(column: list) -> list:
             return [column[i] for i in indices]
 
-        return VehicleSamples(
-            pick(self.crash_id), pick(self.unit_vin), pick(self.target),
-            {name: pick(column) for name, column in self.numeric.items()},
-            {name: pick(column) for name, column in self.categorical.items()},
-        )
+        def pick_all(columns: dict) -> dict:
+            return {name: pick(columns.pop(name)) for name in list(columns)}
+
+        crash_id, self.crash_id = pick(self.crash_id), []
+        unit_vin, self.unit_vin = pick(self.unit_vin), []
+        target, self.target = pick(self.target), []
+        return VehicleSamples(crash_id, unit_vin, target, pick_all(self.numeric),
+                              pick_all(self.categorical))
 
 
 def _norm_type(value: str) -> str:
@@ -155,8 +161,8 @@ class AggregationConfig:
     @classmethod
     def from_file(cls, path) -> "AggregationConfig":
         """The defaults overlaid with JSON file ``path``; a malformed file, a
-        top level that is not an object, an unknown key, or a value of the
-        wrong JSON type or out of range raises InputFileError."""
+        top level that is not an object, a repeated or unknown key, or a value
+        of the wrong JSON type or out of range raises InputFileError."""
         readers = {
             "numeric_attrs": lambda names: tuple(json_strings(names)),
             "categorical_attrs": lambda names: tuple(json_strings(names)),
@@ -167,7 +173,7 @@ class AggregationConfig:
         }
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)  # a JSONDecodeError is a ValueError
+                raw = load_json(fh)
             return cls(**read_fields(raw, readers))
         except (ValueError, TypeError, AttributeError) as exc:
             raise InputFileError(f"invalid aggregation config {path}: {exc!r}") from exc
@@ -356,7 +362,8 @@ def filter_passenger_vehicles(
     samples: VehicleSamples,
     passenger_types: frozenset = DEFAULT_PASSENGER_TYPES,
 ) -> VehicleSamples:
-    """Keep samples whose own unit type is passenger-like.
+    """Keep samples whose own unit type is passenger-like. This consumes
+    ``samples`` (see ``VehicleSamples.take``): use the returned samples.
 
     Interacting-unit slots keep all vehicle types; only the subject vehicle
     is filtered.

@@ -96,11 +96,17 @@ class PerformanceEstimate:
 # Special functions
 
 
+def _logistic(x):
+    """1 / (1 + exp(-x)), elementwise; overflow of exp(-x) warns unless the
+    caller has silenced it."""
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 def expit(x):
     """The logistic function 1 / (1 + exp(-x)), elementwise. Where exp(-x)
     overflows (x below about -709) the result is 0.0, without a warning."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        return _logistic(x)
 
 
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0  # Gamma(3/2)
@@ -217,12 +223,26 @@ def _eta_many(A: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _nll_many(eta: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted negative log-likelihood per candidate; stable for large |eta|.
+    """Weighted negative log-likelihood per candidate, sum_n w (softplus(eta)
+    - y eta), with softplus(eta) = max(eta, 0) + log1p(exp(-|eta|)).
 
-    einsum sums each row on its own; a BLAS matrix-vector product over the
-    stack would make a row's last bits depend on the batch size.
+    That is log(1 + exp(eta)) without overflow at any eta. numpy's
+    vectorised exp and log1p each round within 1 ulp, so softplus is within
+    2 ulp of the exact value, as ``np.logaddexp(0, eta)`` is with the scalar
+    libm it calls per element; the two differ by at most 4 ulp. Every step
+    is elementwise and einsum sums each row on its own (a BLAS
+    matrix-vector product over the stack would make a row's last bits
+    depend on the batch size), so a row gives the same bits in any batch.
     """
-    return np.einsum("cn,n->c", np.logaddexp(0.0, eta) - y * eta, w)
+    loss = np.abs(eta)
+    np.negative(loss, out=loss)
+    np.exp(loss, out=loss)
+    np.log1p(loss, out=loss)
+    part = np.maximum(eta, 0.0)
+    loss += part
+    np.multiply(eta, y, out=part)
+    loss -= part
+    return np.einsum("cn,n->c", loss, w)
 
 
 def _solve_rows(
@@ -273,41 +293,57 @@ def _newton_logistic_many(
         nll = _nll_many(eta, yf, w)
         return nll if pen is None else nll + 0.5 * np.einsum("cm,m->c", beta * beta, pen)
 
-    eta = _eta_many(A, beta)
-    obj = objective(eta, beta)
+    def trial(new_beta: np.ndarray, obj: np.ndarray, active: np.ndarray):
+        """The trial point's eta and objective, and the active rows it makes worse."""
+        new_eta = _eta_many(A, new_beta)
+        new_obj = objective(new_eta, new_beta)
+        return new_eta, new_obj, active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
+
     done = np.zeros(C, dtype=bool)
     failed = np.zeros(C, dtype=bool)
-
-    for _ in range(max_iter):
-        mu = expit(eta)
-        grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
-        if pen is not None:
-            grad -= pen * beta
-        done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
-        if bool(np.all(done | failed)):
-            break
-        hess = (At * (w * mu * (1.0 - mu))[:, None, :]) @ A + ridge
-        step, singular = _solve_rows(hess, grad, done | failed)
-        failed |= singular
-        active = ~(done | failed)
-        # the full step, then up to 30 halvings where it overshoots
-        t = np.ones(C)
-        for halvings in range(31):
-            if halvings:
-                t = np.where(worse, t * 0.5, t)
-            new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
-            new_eta = _eta_many(A, new_beta)
-            new_obj = objective(new_eta, new_beta)
-            worse = active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
-            if not worse.any():
+    # an overflow is handled where it lands: exp(-eta) in the logistic where
+    # eta < -709 gives mu = 0, and a trial point's non-finite objective makes
+    # its row worse
+    with np.errstate(over="ignore"):
+        eta = _eta_many(A, beta)
+        obj = objective(eta, beta)
+        for _ in range(max_iter):
+            mu = _logistic(eta)
+            grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
+            if pen is not None:
+                grad -= pen * beta
+            done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
+            if bool(np.all(done | failed)):
                 break
-        failed |= worse
-        delta = np.abs(obj - new_obj)
-        accept = active & ~worse
-        beta = np.where(accept[:, None], new_beta, beta)
-        eta = np.where(accept[:, None], new_eta, eta)
-        obj = np.where(accept, new_obj, obj)
-        done |= (~failed) & (delta < LOGISTIC_DEV_TOL * (1.0 + np.abs(obj)))
+            hess = (At * (w * mu * (1.0 - mu))[:, None, :]) @ A + ridge
+            step, singular = _solve_rows(hess, grad, done | failed)
+            failed |= singular
+            active = ~(done | failed)
+            # the full step, then up to 30 halvings of the rows it overshoots
+            new_beta = beta + step
+            if not active.all():
+                new_beta = np.where(active[:, None], new_beta, beta)
+            new_eta, new_obj, worse = trial(new_beta, obj, active)
+            if worse.any():
+                t = np.ones(C)
+                for _ in range(30):
+                    t = np.where(worse, t * 0.5, t)
+                    new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
+                    new_eta, new_obj, worse = trial(new_beta, obj, active)
+                    if not worse.any():
+                        break
+            failed |= worse
+            delta = np.abs(obj - new_obj)
+            if worse.any():
+                accept = active & ~worse
+                beta = np.where(accept[:, None], new_beta, beta)
+                eta = np.where(accept[:, None], new_eta, eta)
+                obj = np.where(accept, new_obj, obj)
+            else:
+                # a row left out of the step kept its beta, so its new eta
+                # and objective are the old ones recomputed, bit for bit
+                beta, eta, obj = new_beta, new_eta, new_obj
+            done |= (~failed) & (delta < LOGISTIC_DEV_TOL * (1.0 + np.abs(obj)))
 
     return beta, -obj, done & ~failed
 

@@ -828,6 +828,11 @@ class TestMalformedSideInput:
         # first loaded as one entry, the second read every crash id from VINs
         ("curate", "--decoder-table", '{"1hg": {"make": "Honda"}, "1HG": {"make": "Acura"}}'),
         ("curate", "--schema", '{"columns": {"crash_id": "VIN"}}'),
+        # a repeated key: the last value used to win without a word
+        ("curate", "--decoder-table", '{"1HG": {"make": "Honda"}, "1HG": {"make": "Acura"}}'),
+        ("curate", "--decoder-table", '{"1HGCM": {"make": "Honda", "make": "Acura"}}'),
+        ("curate", "--schema", '{"columns": {"crash_id": "CrashNo", "crash_id": "CrashID"}}'),
+        ("curate", "--schema", '{"front_left_values": [], "front_left_values": ["Front Left Side"]}'),
         ("preprocess", "--agg-config", "junk"),
         ("preprocess", "--agg-config", '{"cyclical_periods": {"hour": "day"}}'),
         ("preprocess", "--schema", '{"severity_values": {"fatal": "Nope"}}'),
@@ -855,6 +860,7 @@ class TestMalformedSideInput:
         ('{"passenger_types": "suv"}', "passenger_types"),
         ('{"numeric_attrs": [1]}', "numeric_attrs"),
         ('{"cyclical_periods": {"CrashMonth": true}}', "cyclical_periods"),
+        ('{"n_interacting_slots": 5, "n_interacting_slots": 5}', "repeated key 'n_interacting_slots'"),
     ])
     def test_agg_config_value_out_of_range_exits_2(self, raw_csv, tmp_path, capsys, text,
                                                     named):

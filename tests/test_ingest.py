@@ -37,6 +37,7 @@ from crashsev.ingest import (
     compute_age,
     curate,
     iter_person_rows,
+    load_json,
     max_severity,
     parse_person_rows,
     reconcile_unit_persons,
@@ -283,6 +284,31 @@ class TestStubDecoder:
         path.write_text('{"1hg": {"make": "Honda"}, "1HG": {"make": "Acura"}}')
         with pytest.raises(InputFileError, match="'1hg' and '1HG'"):
             StubDecoder.from_file(path)
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("text, key", [
+        ('{"1HG": {"make": "Honda"}, "1HG": {"make": "Acura"}}', "1HG"),
+        ('{"1HG": {"make": "Honda", "make": "Acura"}}', "make"),
+        ('[{"a": 1}, {"b": 2, "b": 2}]', "b"),
+    ])
+    def test_a_repeated_key_is_refused_by_name(self, text, key):
+        # json.load keeps the last of the values without a word
+        with pytest.raises(ValueError, match=f"repeated key '{key}'"):
+            load_json(io.StringIO(text))
+
+    def test_one_key_in_two_objects_loads(self):
+        text = '{"a": {"k": 1}, "b": {"k": 2}, "c": []}'
+        assert load_json(io.StringIO(text)) == {"a": {"k": 1}, "b": {"k": 2}, "c": []}
+
+    def test_side_files_refuse_a_repeated_key(self, tmp_path):
+        path = tmp_path / "side.json"
+        path.write_text('{"1HG": {"make": "Honda"}, "1HG": {"make": "Acura"}}')
+        with pytest.raises(InputFileError, match="repeated key '1HG'"):
+            StubDecoder.from_file(path)
+        path.write_text('{"columns": {"crash_id": "CrashNo", "crash_id": "CrashID"}}')
+        with pytest.raises(InputFileError, match="repeated key 'crash_id'"):
+            ColumnSchema.from_file(path)
 
 
 class TestComputeAge:

@@ -214,9 +214,14 @@ def _outputs(case: str, work: Path) -> dict[str, str]:
     with open(curated / "curated.csv", "rb") as fh:
         parsed = parse_person_rows(fh, ColumnSchema.default())
     agg = AggregationConfig()
-    samples = filter_passenger_vehicles(build_vehicle_samples(parsed.rows, agg),
-                                        agg.passenger_types)
-    model = fit_preprocess(samples.take(range(0, len(samples), 3)), agg)
+
+    def vehicle_samples():
+        return filter_passenger_vehicles(build_vehicle_samples(parsed.rows, agg),
+                                         agg.passenger_types)
+
+    # take consumes the samples it picks from, so the subset comes from a second build
+    samples = vehicle_samples()
+    model = fit_preprocess(vehicle_samples().take(range(0, len(samples), 3)), agg)
     save_matrix(encode(samples, model), work / "subset.csfm")
     model.save(work / "subset_model.json")
     digests["subset_fit/matrix.csfm"] = _digest(work / "subset.csfm")

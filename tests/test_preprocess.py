@@ -3,6 +3,7 @@ import io
 import logging
 import math
 import struct
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -294,6 +295,14 @@ class TestFilterAndDenylist:
         )
         assert kept == ["A"]
         assert removed == ["B"]
+
+
+class TestAggregationConfigFile:
+    def test_a_repeated_key_is_refused_by_name(self, tmp_path):
+        path = tmp_path / "agg.json"
+        path.write_text('{"cyclical_periods": {"CrashMonth": 12, "CrashMonth": 0.5}}')
+        with pytest.raises(InputFileError, match="repeated key 'CrashMonth'"):
+            AggregationConfig.from_file(path)
 
 
 class TestFitPreprocess:
@@ -661,7 +670,7 @@ class TestBlockWrite:
         # time, against the dense float64 X that the writer never holds
         monkeypatch.setattr(preprocess, "SAVE_BLOCK_ROWS", 256)
         samples = _mixed_samples(4000, locations=40)
-        model = _model_without_z(samples)
+        model = _model_without_z(_mixed_samples(4000, locations=40))
         tracemalloc.start()
         try:
             encoded = encode(samples, model)
@@ -702,9 +711,31 @@ class TestSampleInvariants:
         records = [_sample(target=t, numeric={"NumberOfOccupants": float(i + 1)},
                            categorical={"F": f"f{i}"}, crash=f"C{i}", vin=f"V{i}")
                    for i, t in enumerate([SEVERE, NON_SEVERE, NON_SEVERE])]
-        samples = _samples(records)
-        assert _records(samples.take([2, 0, 2])) == [records[2], records[0], records[2]]
-        assert len(samples.take([])) == 0
+        assert _records(_samples(records).take([2, 0, 2])) == [records[2], records[0], records[2]]
+        assert len(_samples(records).take([])) == 0
+
+    def test_take_consumes_the_samples_one_column_at_a_time(self):
+        n = 20_000
+        tracemalloc.start()  # before the columns are built, so that freeing them counts
+        try:
+            samples = VehicleSamples(
+                [f"C{i}" for i in range(n)], ["V"] * n, [SEVERE] * n,
+                {f"N{j}": [float(j)] * n for j in range(6)},
+                {f"F{j}": [f"f{j}"] * n for j in range(6)},
+            )
+            column_bytes = sys.getsizeof(samples.target)
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            kept = samples.take(range(n))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == n and len(samples) == 0
+        assert not samples.numeric and not samples.categorical
+        # the new columns replace the 15 old ones and at most one is held
+        # twice, its list growing by resizes that briefly hold two buffers:
+        # a take that kept its source would peak at 15 more columns
+        assert peak <= 3 * column_bytes
 
     def test_occupant_count_positive(self):
         with pytest.raises(ValueError, match="NumberOfOccupants"):

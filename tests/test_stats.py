@@ -23,7 +23,15 @@ from crashsev.stats import (  # internal, checked against pair counting
     _sorted_tie_groups,
     _weighted_aucs,
 )
-from crashsev.stats import _newton_logistic_many  # internal, the batched Newton solve
+from crashsev.stats import (  # internal, the batched Newton solve and its objective
+    LOGISTIC_DEV_TOL,
+    LOGISTIC_GRAD_TOL,
+    LOGISTIC_MAX_ITER,
+    _eta_many,
+    _newton_logistic_many,
+    _nll_many,
+    _solve_rows,
+)
 from crashsev.synth import planted_generator
 
 
@@ -228,6 +236,181 @@ class TestNullFitLayout:
                 alone = fit_null_logistic(m.y, m.X[:, cols])
                 assert alone.beta.tobytes() == beta[i].tobytes(), cols
                 assert alone.loglik == loglik[i] and alone.converged == converged[i], cols
+
+
+class TestNllMany:
+    """The objective against softplus(eta) - y eta with softplus from
+    np.logaddexp(0, eta), the scalar libm loop. Each of the two rounds exp
+    and log1p within 1 ulp and adds max(eta, 0) with one more rounding, so
+    both lie within 2 ulp of the exact value and within 4 ulp of each other."""
+
+    ETA = np.concatenate([
+        np.linspace(-745.0, 745.0, 298_001),
+        20.0 * np.random.default_rng(11).standard_normal(50_000),
+        [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1e-300, -1e-300, 709.78, -709.78, 745.1, -745.1],
+    ])
+
+    @staticmethod
+    def _per_element(eta, y):
+        # one element per row and unit weight: each row sum is the element
+        return _nll_many(eta[:, None], np.array([float(y)]), np.ones(1))
+
+    def test_each_element_within_4_ulp_of_logaddexp(self):
+        soft = np.logaddexp(0.0, self.ETA)
+        got = self._per_element(self.ETA, 0)
+        assert np.all(np.abs(got - soft) <= 4 * np.spacing(soft))
+        # with y = 1 the subtraction of eta rounds once more, to the result
+        want = soft - self.ETA
+        got = self._per_element(self.ETA, 1)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(soft) + np.spacing(np.abs(want)))
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_infinities_and_nan_as_logaddexp_gives_them(self, y):
+        eta = np.array([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):
+            want = np.logaddexp(0.0, eta) - y * eta
+            got = self._per_element(eta, y)
+        np.testing.assert_array_equal(got, want)
+
+    def test_row_sums_within_relative_bound(self):
+        # per element as above, plus the two sums' own roundings: at most
+        # n eps of the summed magnitudes each
+        rng = np.random.default_rng(5)
+        scales = np.array([0.1, 1.0, 10.0, 100.0, 700.0]).repeat(4)[:, None]
+        for n in (1, 7, 1125, 4001):
+            eta = scales * rng.standard_normal((20, n))
+            y = (rng.random(n) < 0.3).astype(np.float64)
+            w = rng.random(n) + 0.5
+            soft = np.logaddexp(0.0, eta)
+            want = np.einsum("cn,n->c", soft - y * eta, w)
+            magnitude = np.einsum("cn,n->c", soft + np.abs(y * eta), w)
+            bound = (4 + 2 * n) * np.finfo(np.float64).eps * magnitude
+            assert np.all(np.abs(_nll_many(eta, y, w) - want) <= bound), n
+
+    def test_a_row_gives_the_same_bits_alone_or_in_a_batch(self):
+        rng = np.random.default_rng(9)
+        n = 1125  # not a multiple of 8, so each row starts at another SIMD lane
+        eta = np.concatenate([30.0 * rng.standard_normal((6, n)),
+                              self.ETA[: 3 * n].reshape(3, n)])
+        y = (rng.random(n) < 0.2).astype(np.float64)
+        w = rng.random(n)
+        batch = _nll_many(eta, y, w)
+        for i in range(eta.shape[0]):
+            assert _nll_many(eta[i : i + 1].copy(), y, w).tobytes() == batch[i : i + 1].tobytes(), i
+            assert _nll_many(eta[i:], y, w)[0] == batch[i], i
+
+
+def _reference_newton(A, y, w, beta0=None, pen=None, max_iter=LOGISTIC_MAX_ITER):
+    """The batched Newton solve written as plainly as possible: every trial
+    point merges the rows with np.where, the halving vector is built every
+    iteration and the accepted rows are merged back with np.where. It shares
+    ``_nll_many`` with ``_newton_logistic_many``, which must give the same
+    bits. Besides (beta, -objective, converged) it returns, per row, the
+    halvings taken, the iteration the row finished at (-1 if it never did)
+    and whether its Hessian was singular, so that a case can show what it
+    exercises."""
+    C, n, m = A.shape
+    yf = np.asarray(y, dtype=np.float64)
+    beta = np.zeros((C, m)) if beta0 is None else np.array(beta0, dtype=np.float64)
+    At = A.transpose(0, 2, 1)
+    ridge = 1e-12 * np.eye(m) if pen is None else np.diag(pen) + 1e-12 * np.eye(m)
+
+    def objective(eta, beta):
+        nll = _nll_many(eta, yf, w)
+        return nll if pen is None else nll + 0.5 * np.einsum("cm,m->c", beta * beta, pen)
+
+    eta = _eta_many(A, beta)
+    obj = objective(eta, beta)
+    done = np.zeros(C, dtype=bool)
+    failed = np.zeros(C, dtype=bool)
+    halved = np.zeros(C, dtype=int)
+    finished = np.full(C, -1)
+    singular_any = np.zeros(C, dtype=bool)
+    for it in range(max_iter):
+        mu = expit(eta)
+        grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
+        if pen is not None:
+            grad -= pen * beta
+        done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
+        finished[(done | failed) & (finished < 0)] = it
+        if bool(np.all(done | failed)):
+            break
+        hess = (At * (w * mu * (1.0 - mu))[:, None, :]) @ A + ridge
+        step, singular = _solve_rows(hess, grad, done | failed)
+        singular_any |= singular
+        failed |= singular
+        active = ~(done | failed)
+        t = np.ones(C)
+        for halvings in range(31):
+            if halvings:
+                t = np.where(worse, t * 0.5, t)
+                halved += worse
+            new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
+            new_eta = _eta_many(A, new_beta)
+            new_obj = objective(new_eta, new_beta)
+            worse = active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
+            if not worse.any():
+                break
+        failed |= worse
+        delta = np.abs(obj - new_obj)
+        accept = active & ~worse
+        beta = np.where(accept[:, None], new_beta, beta)
+        eta = np.where(accept[:, None], new_eta, eta)
+        obj = np.where(accept, new_obj, obj)
+        done |= (~failed) & (delta < LOGISTIC_DEV_TOL * (1.0 + np.abs(obj)))
+        finished[(done | failed) & (finished < 0)] = it
+    return (beta, -obj, done & ~failed), (halved, finished, singular_any)
+
+
+def _loop_case(name):
+    """(A, y, w, keyword arguments) of one case for the Newton loop check."""
+    X, y = planted_data()
+    n = y.size
+    designs = [X[:, [0, 1]], X[:, [2, 3]], X[:, [4, 5]], X[:, [1, 4]]]
+    if name == "singular":
+        designs.append(1e4 * X[:, [3, 3]])  # two equal columns
+    if name == "halvings":
+        designs.append(1e200 * X[:, [1, 2]])  # every step overflows, even halved 30 times
+    A = np.empty((len(designs), n, 3))
+    A[:, :, 0] = 1.0
+    for i, cols in enumerate(designs):
+        A[i, :, 1:] = cols
+    w = np.ones(n)
+    if name == "halvings":
+        # warm starts far out on the saturated side overshoot
+        beta0 = np.array([[6.0, -6.0, 6.0], [0.0, 0.0, 0.0], [-8.0, 8.0, 8.0], [4.0, 4.0, -4.0],
+                          [0.0, 0.0, 0.0]])
+        return A, y, w, {"beta0": beta0}
+    if name == "max_iter":
+        return A, y, w, {"max_iter": 3}
+    if name == "pen":
+        w = np.where(y == 1, 4.0, 1.0)
+        return A, y, w / w.sum(), {"pen": np.array([0.0, 0.5, 2.0])}
+    return A, y, w, {}
+
+
+class TestNewtonLoop:
+    @pytest.mark.parametrize("case", ["halvings", "singular", "max_iter", "pen", "staggered"])
+    def test_same_bits_as_the_reference_loop(self, case):
+        A, y, w, kw = _loop_case(case)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _newton_logistic_many(A, y, w, **kw)
+            want, (halved, finished, singular) = _reference_newton(A, y, w, **kw)
+        for g, r in zip(got, want):
+            assert g.tobytes() == r.tobytes()
+        # the case exercises what it is named for
+        if case == "halvings":
+            assert halved[:4].any() and (halved[:4] == 0).any() and want[2][:4].all()
+            assert halved[4] == 30 and not want[2][4]
+        elif case == "singular":
+            assert singular.tolist() == [False] * 4 + [True] and want[2][:4].all()
+        elif case == "max_iter":
+            assert not want[2].any() and (finished < 0).all()
+        elif case == "pen":
+            assert want[2].all()
+        else:
+            assert want[2].all() and len(set(finished.tolist())) > 1
 
 
 class TestChi2Sf:
