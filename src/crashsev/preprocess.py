@@ -94,21 +94,25 @@ class VehicleSamples:
     def __len__(self) -> int:
         return len(self.target)
 
-    def take(self, indices: Sequence[int]) -> "VehicleSamples":
-        """The samples at ``indices``, in that order. This consumes the
-        samples: each column is dropped from them as its replacement is
-        built, so at most one column is held twice, and they are left empty."""
+    def keep(self, indices: Sequence[int]) -> "VehicleSamples":
+        """Keep only the samples at ``indices``, in that order, and return
+        these samples. Each column is replaced in place as its subset is
+        built, so at most one column is held twice. An index out of range
+        raises IndexError before any column changes."""
+        n = len(self)
+        if len(indices) and not (-n <= min(indices) and max(indices) < n):
+            raise IndexError(f"a sample index is out of range for {n} samples")
+
         def pick(column: list) -> list:
             return [column[i] for i in indices]
 
-        def pick_all(columns: dict) -> dict:
-            return {name: pick(columns.pop(name)) for name in list(columns)}
-
-        crash_id, self.crash_id = pick(self.crash_id), []
-        unit_vin, self.unit_vin = pick(self.unit_vin), []
-        target, self.target = pick(self.target), []
-        return VehicleSamples(crash_id, unit_vin, target, pick_all(self.numeric),
-                              pick_all(self.categorical))
+        self.crash_id = pick(self.crash_id)
+        self.unit_vin = pick(self.unit_vin)
+        self.target = pick(self.target)
+        for columns in (self.numeric, self.categorical):
+            for name, column in columns.items():
+                columns[name] = pick(column)
+        return self
 
 
 def _norm_type(value: str) -> str:
@@ -362,15 +366,15 @@ def filter_passenger_vehicles(
     samples: VehicleSamples,
     passenger_types: frozenset = DEFAULT_PASSENGER_TYPES,
 ) -> VehicleSamples:
-    """Keep samples whose own unit type is passenger-like. This consumes
-    ``samples`` (see ``VehicleSamples.take``): use the returned samples.
+    """Keep samples whose own unit type is passenger-like, in place (see
+    ``VehicleSamples.keep``), and return them.
 
     Interacting-unit slots keep all vehicle types; only the subject vehicle
     is filtered.
     """
     passenger = MemoTable(lambda unit_type: _norm_type(unit_type) in passenger_types)
     unit_types = enumerate(samples.categorical.get("UnitType", ()))
-    return samples.take([i for i, unit_type in unit_types if passenger[unit_type]])
+    return samples.keep([i for i, unit_type in unit_types if passenger[unit_type]])
 
 
 def drop_postcrash_features(

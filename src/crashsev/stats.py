@@ -96,17 +96,11 @@ class PerformanceEstimate:
 # Special functions
 
 
-def _logistic(x):
-    """1 / (1 + exp(-x)), elementwise; overflow of exp(-x) warns unless the
-    caller has silenced it."""
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def expit(x):
     """The logistic function 1 / (1 + exp(-x)), elementwise. Where exp(-x)
     overflows (x below about -709) the result is 0.0, without a warning."""
     with np.errstate(over="ignore"):
-        return _logistic(x)
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 _HALF_SQRT_PI = math.sqrt(math.pi) / 2.0  # Gamma(3/2)
@@ -226,13 +220,20 @@ def _nll_many(eta: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Weighted negative log-likelihood per candidate, sum_n w (softplus(eta)
     - y eta), with softplus(eta) = max(eta, 0) + log1p(exp(-|eta|)).
 
-    That is log(1 + exp(eta)) without overflow at any eta. numpy's
-    vectorised exp and log1p each round within 1 ulp, so softplus is within
-    2 ulp of the exact value, as ``np.logaddexp(0, eta)`` is with the scalar
-    libm it calls per element; the two differ by at most 4 ulp. Every step
-    is elementwise and einsum sums each row on its own (a BLAS
-    matrix-vector product over the stack would make a row's last bits
-    depend on the batch size), so a row gives the same bits in any batch.
+    That is log(1 + exp(eta)) without overflow at any eta: the formula of
+    ``np.logaddexp(0, eta)``, which calls scalar libm per element, here in
+    numpy's vectorised exp and log1p. numpy's reference states no accuracy
+    for these ufuncs; its AVX-512 float64 kernels are stated to within 4 ulp
+    (its own accuracy test holds exp and log1p to 1 ulp on sample points
+    only). Taking 4 ulp for each exp and log1p, numpy's and libm's alike:
+    log1p(u) passes a relative error of u on to its result at most 1:1, so
+    log1p(exp(-|eta|)) is within 8 eps relative, and adding max(eta, 0) >= 0
+    rounds once more, so each softplus is within 8.5 eps relative of the
+    exact value and the two within 17 eps (35 ulp) of each other, far below
+    the solver's 1e-10 relative stopping rule. Every step is elementwise
+    and einsum sums each row on its own (a BLAS matrix-vector product over
+    the stack would make a row's last bits depend on the batch size), so a
+    row gives the same bits in any batch.
     """
     loss = np.abs(eta)
     np.negative(loss, out=loss)
@@ -299,51 +300,48 @@ def _newton_logistic_many(
         new_obj = objective(new_eta, new_beta)
         return new_eta, new_obj, active & ((new_obj > obj + 1e-12) | ~np.isfinite(new_obj))
 
+    eta = _eta_many(A, beta)
+    obj = objective(eta, beta)
     done = np.zeros(C, dtype=bool)
     failed = np.zeros(C, dtype=bool)
-    # an overflow is handled where it lands: exp(-eta) in the logistic where
-    # eta < -709 gives mu = 0, and a trial point's non-finite objective makes
-    # its row worse
-    with np.errstate(over="ignore"):
-        eta = _eta_many(A, beta)
-        obj = objective(eta, beta)
-        for _ in range(max_iter):
-            mu = _logistic(eta)
-            grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
-            if pen is not None:
-                grad -= pen * beta
-            done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
-            if bool(np.all(done | failed)):
-                break
-            hess = (At * (w * mu * (1.0 - mu))[:, None, :]) @ A + ridge
-            step, singular = _solve_rows(hess, grad, done | failed)
-            failed |= singular
-            active = ~(done | failed)
-            # the full step, then up to 30 halvings of the rows it overshoots
-            new_beta = beta + step
-            if not active.all():
-                new_beta = np.where(active[:, None], new_beta, beta)
-            new_eta, new_obj, worse = trial(new_beta, obj, active)
-            if worse.any():
-                t = np.ones(C)
-                for _ in range(30):
-                    t = np.where(worse, t * 0.5, t)
-                    new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
-                    new_eta, new_obj, worse = trial(new_beta, obj, active)
-                    if not worse.any():
-                        break
-            failed |= worse
-            delta = np.abs(obj - new_obj)
-            if worse.any():
-                accept = active & ~worse
-                beta = np.where(accept[:, None], new_beta, beta)
-                eta = np.where(accept[:, None], new_eta, eta)
-                obj = np.where(accept, new_obj, obj)
-            else:
-                # a row left out of the step kept its beta, so its new eta
-                # and objective are the old ones recomputed, bit for bit
-                beta, eta, obj = new_beta, new_eta, new_obj
-            done |= (~failed) & (delta < LOGISTIC_DEV_TOL * (1.0 + np.abs(obj)))
+
+    for _ in range(max_iter):
+        mu = expit(eta)
+        grad = (At @ (w * (yf - mu))[:, :, None])[:, :, 0]
+        if pen is not None:
+            grad -= pen * beta
+        done |= np.abs(grad).max(axis=1) < LOGISTIC_GRAD_TOL
+        if bool(np.all(done | failed)):
+            break
+        hess = (At * (w * mu * (1.0 - mu))[:, None, :]) @ A + ridge
+        step, singular = _solve_rows(hess, grad, done | failed)
+        failed |= singular
+        active = ~(done | failed)
+        # the full step, then up to 30 halvings of the rows it overshoots
+        new_beta = beta + step
+        if not active.all():
+            new_beta = np.where(active[:, None], new_beta, beta)
+        new_eta, new_obj, worse = trial(new_beta, obj, active)
+        if worse.any():
+            t = np.ones(C)
+            for _ in range(30):
+                t = np.where(worse, t * 0.5, t)
+                new_beta = np.where(active[:, None], beta + t[:, None] * step, beta)
+                new_eta, new_obj, worse = trial(new_beta, obj, active)
+                if not worse.any():
+                    break
+        failed |= worse
+        delta = np.abs(obj - new_obj)
+        if worse.any():
+            accept = active & ~worse
+            beta = np.where(accept[:, None], new_beta, beta)
+            eta = np.where(accept[:, None], new_eta, eta)
+            obj = np.where(accept, new_obj, obj)
+        else:
+            # a row left out of the step kept its beta, so its new eta
+            # and objective are the old ones recomputed, bit for bit
+            beta, eta, obj = new_beta, new_eta, new_obj
+        done |= (~failed) & (delta < LOGISTIC_DEV_TOL * (1.0 + np.abs(obj)))
 
     return beta, -obj, done & ~failed
 

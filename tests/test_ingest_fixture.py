@@ -219,9 +219,9 @@ def _outputs(case: str, work: Path) -> dict[str, str]:
         return filter_passenger_vehicles(build_vehicle_samples(parsed.rows, agg),
                                          agg.passenger_types)
 
-    # take consumes the samples it picks from, so the subset comes from a second build
+    # keep cuts the samples it is called on down, so the subset comes from a second build
     samples = vehicle_samples()
-    model = fit_preprocess(vehicle_samples().take(range(0, len(samples), 3)), agg)
+    model = fit_preprocess(vehicle_samples().keep(range(0, len(samples), 3)), agg)
     save_matrix(encode(samples, model), work / "subset.csfm")
     model.save(work / "subset_model.json")
     digests["subset_fit/matrix.csfm"] = _digest(work / "subset.csfm")

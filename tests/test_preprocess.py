@@ -618,9 +618,9 @@ def _mixed_samples(n: int, locations: int = 7) -> VehicleSamples:
 
 def _model_without_z(samples: VehicleSamples) -> PreprocessModel:
     """A model fitted on the samples whose Belted level is not "Z", so that
-    "Z" is outside its vocabulary."""
+    "Z" is outside its vocabulary; only those are left in ``samples``."""
     belted = samples.categorical["Belted"]
-    return fit_preprocess(samples.take([i for i, v in enumerate(belted) if v != "Z"]))
+    return fit_preprocess(samples.keep([i for i, v in enumerate(belted) if v != "Z"]))
 
 
 def _dense_reference(samples: VehicleSamples, model: PreprocessModel) -> np.ndarray:
@@ -707,14 +707,25 @@ class TestSampleInvariants:
         with pytest.raises(ValueError, match="one entry per target"):
             VehicleSamples(["C1"], ["V"], [SEVERE], {"Age": [30.0, 40.0]}, {})
 
-    def test_take_picks_every_column_in_index_order(self):
+    def test_keep_picks_every_column_in_index_order(self):
         records = [_sample(target=t, numeric={"NumberOfOccupants": float(i + 1)},
                            categorical={"F": f"f{i}"}, crash=f"C{i}", vin=f"V{i}")
                    for i, t in enumerate([SEVERE, NON_SEVERE, NON_SEVERE])]
-        assert _records(_samples(records).take([2, 0, 2])) == [records[2], records[0], records[2]]
-        assert len(_samples(records).take([])) == 0
+        samples = _samples(records)
+        assert samples.keep([2, 0, 2]) is samples
+        assert _records(samples) == [records[2], records[0], records[2]]
+        assert len(_samples(records).keep([])) == 0
 
-    def test_take_consumes_the_samples_one_column_at_a_time(self):
+    @pytest.mark.parametrize("indices", [[0, 3], [-4, 1]])
+    def test_keep_refuses_an_index_out_of_range_before_changing_a_column(self, indices):
+        records = [_sample(numeric={"NumberOfOccupants": float(i + 1)}, categorical={"F": f"f{i}"},
+                           crash=f"C{i}", vin=f"V{i}") for i in range(3)]
+        samples = _samples(records)
+        with pytest.raises(IndexError, match="out of range for 3 samples"):
+            samples.keep(indices)
+        assert _records(samples) == records
+
+    def test_keep_replaces_one_column_at_a_time(self):
         n = 20_000
         tracemalloc.start()  # before the columns are built, so that freeing them counts
         try:
@@ -726,15 +737,14 @@ class TestSampleInvariants:
             column_bytes = sys.getsizeof(samples.target)
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            kept = samples.take(range(n))
+            samples.keep(range(n))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert len(kept) == n and len(samples) == 0
-        assert not samples.numeric and not samples.categorical
+        assert len(samples) == n and len(samples.numeric) == len(samples.categorical) == 6
         # the new columns replace the 15 old ones and at most one is held
         # twice, its list growing by resizes that briefly hold two buffers:
-        # a take that kept its source would peak at 15 more columns
+        # building all new columns before dropping the old would peak at 15
         assert peak <= 3 * column_bytes
 
     def test_occupant_count_positive(self):

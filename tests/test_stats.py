@@ -240,9 +240,13 @@ class TestNullFitLayout:
 
 class TestNllMany:
     """The objective against softplus(eta) - y eta with softplus from
-    np.logaddexp(0, eta), the scalar libm loop. Each of the two rounds exp
-    and log1p within 1 ulp and adds max(eta, 0) with one more rounding, so
-    both lie within 2 ulp of the exact value and within 4 ulp of each other."""
+    np.logaddexp(0, eta), the scalar libm loop. Both compute max(eta, 0) +
+    log1p(exp(-|eta|)). With exp and log1p each within 4 ulp (numpy's stated
+    bound for its AVX-512 kernels, taken for libm too), log1p(exp(-|eta|))
+    is within 8 eps relative of its exact value and the sum with max(eta, 0)
+    adds half an ulp, so each softplus is within 8.5 eps relative of the
+    exact one and the two are within 17 eps relative of each other: below
+    35 ulp of logaddexp's value, and 16 ulp where that value is subnormal."""
 
     ETA = np.concatenate([
         np.linspace(-745.0, 745.0, 298_001),
@@ -256,14 +260,15 @@ class TestNllMany:
         # one element per row and unit weight: each row sum is the element
         return _nll_many(eta[:, None], np.array([float(y)]), np.ones(1))
 
-    def test_each_element_within_4_ulp_of_logaddexp(self):
+    def test_each_element_within_35_ulp_of_logaddexp(self):
         soft = np.logaddexp(0.0, self.ETA)
         got = self._per_element(self.ETA, 0)
-        assert np.all(np.abs(got - soft) <= 4 * np.spacing(soft))
-        # with y = 1 the subtraction of eta rounds once more, to the result
+        assert np.all(np.abs(got - soft) <= 35 * np.spacing(soft))
+        # with y = 1 each side subtracts eta with one more rounding, half an
+        # ulp of its own result, which is at most one ulp of the reference's
         want = soft - self.ETA
         got = self._per_element(self.ETA, 1)
-        assert np.all(np.abs(got - want) <= 4 * np.spacing(soft) + np.spacing(np.abs(want)))
+        assert np.all(np.abs(got - want) <= 35 * np.spacing(soft) + 2 * np.spacing(np.abs(want)))
 
     @pytest.mark.parametrize("y", [0, 1])
     def test_infinities_and_nan_as_logaddexp_gives_them(self, y):
@@ -274,8 +279,10 @@ class TestNllMany:
         np.testing.assert_array_equal(got, want)
 
     def test_row_sums_within_relative_bound(self):
-        # per element as above, plus the two sums' own roundings: at most
-        # n eps of the summed magnitudes each
+        # per element 17 eps of softplus as above, plus each side's
+        # subtraction of y eta (half an ulp each) and each side's weighted
+        # sum of n terms (at most n eps / 2 of the summed magnitudes), so
+        # at most (18 + n) eps of those magnitudes, and one eps to spare
         rng = np.random.default_rng(5)
         scales = np.array([0.1, 1.0, 10.0, 100.0, 700.0]).repeat(4)[:, None]
         for n in (1, 7, 1125, 4001):
@@ -285,7 +292,7 @@ class TestNllMany:
             soft = np.logaddexp(0.0, eta)
             want = np.einsum("cn,n->c", soft - y * eta, w)
             magnitude = np.einsum("cn,n->c", soft + np.abs(y * eta), w)
-            bound = (4 + 2 * n) * np.finfo(np.float64).eps * magnitude
+            bound = (19 + n) * np.finfo(np.float64).eps * magnitude
             assert np.all(np.abs(_nll_many(eta, y, w) - want) <= bound), n
 
     def test_a_row_gives_the_same_bits_alone_or_in_a_batch(self):
