@@ -931,7 +931,12 @@ def summarize_dataset(rows: list[PersonRow]) -> SummaryReport:
 
 
 def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None:
-    """Write curated rows back out in the input schema (re-curation is a no-op)."""
+    """Write curated rows back out in the input schema (re-curation is a no-op).
+
+    An age that ``verify_age`` flagged invalid is written blank: the file has
+    no column for the flag, and a blank age is what every reader of an
+    invalid age uses, none. Re-curating the row flags it again, from its
+    birth date after the crash date, and keeps the age blank."""
     extra_keys = sorted({k for r in rows for k in r.raw_attributes})
     header = [schema.columns[canon] for canon in DEFAULT_COLUMNS] + extra_keys
 
@@ -958,7 +963,7 @@ def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None
                 sev_names[row.severity],
                 row.unit_id,
                 row.date_of_birth.isoformat() if row.date_of_birth else "",
-                "" if row.reported_age is None else str(row.reported_age),
+                "" if row.reported_age is None or row.age_invalid else str(row.reported_age),
                 row.crash_date.isoformat() if row.crash_date else "",
                 row.crash_time or "",
                 row.unit_type,

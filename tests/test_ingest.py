@@ -46,6 +46,7 @@ from crashsev.ingest import (
     vin_check_digit,
     write_curated_csv,
 )
+from crashsev.preprocess import build_vehicle_samples
 
 VIN_ALPHABET = "0123456789ABCDEFGHJKLMNPRSTUVWXYZ"
 
@@ -452,19 +453,27 @@ _UNITS = st.lists(
               st.booleans()),
     min_size=1, max_size=4,
 )
-_PERSONS = st.lists(
-    st.tuples(
-        st.integers(0, 3),
-        st.sampled_from(["Driver", " driver", "Occupant", "Passenger", "Pedestrian"]),
-        st.sampled_from(["Front Left Side", "FrontLeftSide", "Right Front", "Rear", "", "  "]),
-        st.sampled_from(["No Apparent Injury", "Possible Injury", "Fatal", "Unknown", ""]),
-        st.one_of(st.none(), st.integers(5, 95)),
-        st.one_of(st.none(), st.dates(min_value=date(1925, 1, 1), max_value=date(2021, 12, 31))),
-        st.booleans(),
-        st.sampled_from(["", "Rain", "Clear, dry"]),
-    ),
-    min_size=1, max_size=12,
-)
+
+
+def _persons(first_birth: date):
+    return st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(["Driver", " driver", "Occupant", "Passenger", "Pedestrian"]),
+            st.sampled_from(["Front Left Side", "FrontLeftSide", "Right Front", "Rear", "", "  "]),
+            st.sampled_from(["No Apparent Injury", "Possible Injury", "Fatal", "Unknown", ""]),
+            st.one_of(st.none(), st.integers(5, 95)),
+            st.one_of(st.none(), st.dates(min_value=first_birth, max_value=date(2021, 12, 31))),
+            st.booleans(),
+            st.sampled_from(["", "Rain", "Clear, dry"]),
+        ),
+        min_size=1, max_size=12,
+    )
+
+
+_PERSONS = _persons(date(1925, 1, 1))
+# births from a year before the earlier crash date: about half fall after the crash
+_PERSONS_BORN_NEAR_THE_CRASH = _persons(date(2018, 1, 1))
 
 
 def _person_csv(units, persons) -> bytes:
@@ -502,6 +511,38 @@ class TestFixedPoint:
         audit = second.audit
         assert audit.rows_in == audit.rows_out == len(first.rows)
         assert audit.units_removed == audit.persons_removed == audit.persons_reassigned == 0
+
+
+class TestCuratedFileCarriesTheVerdicts:
+    @settings(max_examples=200, deadline=None)
+    @given(units=_UNITS, persons=_PERSONS_BORN_NEAR_THE_CRASH)
+    def test_samples_from_the_rows_equal_samples_from_the_file(self, schema, decoder, units,
+                                                                persons):
+        # preprocess reads the curated file, so it must carry every age
+        # verdict curate made: a flagged age is written blank
+        parsed = parse_person_rows(io.BytesIO(_person_csv(units, persons)), schema)
+        rows = curate(parsed.rows, decoder).rows
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "curated.csv"
+            write_curated_csv(rows, schema, path)
+            with open(path, "rb") as fh:
+                reread = parse_person_rows(fh, schema).rows
+        assert vars(build_vehicle_samples(reread)) == vars(build_vehicle_samples(rows))
+        assert not any(row.age_invalid and row.reported_age is not None for row in reread)
+
+    def test_fixture_samples_from_the_rows_equal_samples_from_the_file(self, outcome, schema,
+                                                                        tmp_path):
+        # C19's driver was born after the crash and reported age 30
+        _, result = outcome
+        flagged = [row for row in result.rows if row.age_invalid and row.reported_age is not None]
+        assert [(row.crash_id, row.reported_age) for row in flagged] == [("C19", 30)]
+        write_curated_csv(result.rows, schema, tmp_path / "curated.csv")
+        with open(tmp_path / "curated.csv", "rb") as fh:
+            reread = parse_person_rows(fh, schema).rows
+        assert [row.reported_age for row in reread if row.crash_id == "C19"] == [None]
+        from_file, from_rows = build_vehicle_samples(reread), build_vehicle_samples(result.rows)
+        assert vars(from_file) == vars(from_rows)
+        assert from_file.numeric["DriverAge"][from_file.crash_id.index("C19")] is None
 
 
 class TestRowOrder:
