@@ -8,7 +8,10 @@ writer, aggregation or encoding must reproduce them byte for byte. Record
 again (``python tests/test_ingest_fixture.py``) only for a change that means
 to alter an output, and say which entries moved: writing a blank seating
 position as an empty field, not as ``Unknown``, changed the curated CSV of
-the ``edge`` case, the one case with blank seats.
+the ``edge`` case, the one case with blank seats. Writing an age that
+``curate`` flagged invalid as a blank field changed the curated CSV of the
+``generated`` case, whose one such row (G043, born after the crash, age 0)
+is now blank, and the matrices and encoding model built from it.
 
 The inputs cover both date formats (``%Y-%m-%d`` and ``%m/%d/%Y``),
 whitespace-padded values, an unparseable date repeated on two lines, an
