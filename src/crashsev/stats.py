@@ -6,9 +6,11 @@ stratified fold assignment, and one bootstrap, which draws and summarises
 the replicates of both the bias correction of the winning configuration's
 score and the holdout AUC's interval.
 
-Every AUC comes from one kernel: a score vector is sorted into tie groups
-once, and each row of a (replicates, n) block of integer weights is scored
-from int64 prefix sums at the group ends. The class totals and twice the
+Every AUC comes from one kernel. A score vector's index holds its negatives
+in ascending score order and, for each positive, the number of negatives
+scoring below it and at or below it; each row of a (replicates, n) block of
+integer weights is then scored from one int64 prefix sum over the negatives'
+weights, read at those two counts. The class totals and twice the
 Mann-Whitney pair count are integers below 2^42 even at 2.3M rows, so they
 are exact in any order or blocking and the one float64 division rounds once:
 unit, bootstrap and 0/1 out-of-bag weights all give an exact pair count's bits.
@@ -162,21 +164,53 @@ def _sorted_tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, last
 
 
-def _weighted_aucs(groups: tuple[np.ndarray, np.ndarray], pos: np.ndarray, weights) -> np.ndarray:
-    """AUC of one score vector, grouped by ``_sorted_tie_groups``, under each
-    row of a (b, n) integer or boolean weight block with weight on both classes."""
-    perm, last = groups
-    w = np.take(weights, perm, axis=1).astype(np.int64, copy=False)
-    # positive and negative weight at or below each tie group's top score
-    cpos = np.cumsum(w * pos[perm].astype(np.int64), axis=1)[:, last]
-    cneg = np.cumsum(w, axis=1)[:, last]
-    cneg -= cpos
-    # twice (pairs ranked right + half the tied ones): the positives of
-    # group g beat cneg[g-1] negatives and tie with cneg[g] - cneg[g-1]
-    gpos = cpos.copy()
-    gpos[:, 1:] -= cpos[:, :-1]
-    twice = np.einsum("bg,bg->b", gpos, cneg) + np.einsum("bg,bg->b", gpos[:, 1:], cneg[:, :-1])
-    return twice / (2 * cpos[:, -1] * cneg[:, -1])
+@dataclass(frozen=True)
+class _AucIndex:
+    """One score vector ranked against fixed labels: ``neg`` and ``pos``
+    list the negatives and the positives in ascending score order, and
+    ``below`` and ``upto`` count, per positive, the negatives scoring below
+    it and at or below it. NaN ranks above every number and ties with NaN."""
+
+    pos: np.ndarray
+    neg: np.ndarray
+    below: np.ndarray
+    upto: np.ndarray
+
+
+def _auc_index(scores: np.ndarray, pos: np.ndarray) -> _AucIndex:
+    # the order within tied scores is free: only prefix sums at tie ends are read
+    neg = np.flatnonzero(~pos)
+    neg = neg[np.argsort(scores[neg])]
+    pos = np.flatnonzero(pos)
+    pos = pos[np.argsort(scores[pos])]  # sorted needles keep the searches cache-local
+    ranked, s = scores[neg], scores[pos]
+    return _AucIndex(pos=pos, neg=neg, below=np.searchsorted(ranked, s, side="left"),
+                     upto=np.searchsorted(ranked, s, side="right"))
+
+
+def _pair_counts(index: _AucIndex, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Twice the weighted Mann-Whitney pair count (pairs ranked right, plus
+    half the tied ones), the positives' weight and the negatives' weight, per
+    row of a (k, n) integer or boolean weight block."""
+    # weight of the first j negatives in score order, j = 0..N
+    prefix = np.empty((weights.shape[0], index.neg.size + 1), dtype=np.int64)
+    prefix[:, 0] = 0
+    np.cumsum(np.take(weights, index.neg, axis=1), axis=1, dtype=np.int64, out=prefix[:, 1:])
+    wpos = np.take(weights, index.pos, axis=1).astype(np.int64, copy=False)
+    # a positive beats the negatives below it and ties with those up to it
+    twice = np.einsum("kp,kp->k", wpos, prefix[:, index.below] + prefix[:, index.upto])
+    return twice, wpos.sum(axis=1), prefix[:, -1].copy()
+
+
+def _aucs(twice: np.ndarray, wpos: np.ndarray, wneg: np.ndarray) -> np.ndarray:
+    """AUCs from ``_pair_counts``; a row without weight on a class (whose
+    pair count is 0) reads 0.0."""
+    return twice / np.maximum(2 * wpos * wneg, 1)
+
+
+def _unit_auc(index: _AucIndex) -> float:
+    ones = np.ones((1, index.pos.size + index.neg.size), dtype=np.int64)
+    return float(_aucs(*_pair_counts(index, ones))[0])
 
 
 def auc_roc(scores, labels) -> float:
@@ -189,8 +223,7 @@ def auc_roc(scores, labels) -> float:
     pos, _, _ = _split_labels(labels)
     if s.size != pos.size:
         raise ValueError("scores and labels differ in length")
-    ones = np.ones((1, s.size), dtype=np.int64)
-    return float(_weighted_aucs(_sorted_tie_groups(s), pos, ones)[0])
+    return _unit_auc(_auc_index(s, pos))
 
 
 def roc_curve(scores, labels) -> RocCurve:
@@ -480,33 +513,40 @@ def stratified_folds(labels, k: int, seed) -> np.ndarray:
 # Bootstrap: bias correction and the holdout interval
 
 
-def _row_blocks(rows, n: int):
-    """Pack length-n integer vectors into (b, n) int64 blocks of at most
-    REPLICATE_BLOCK_ELEMENTS; each block's buffer is reused for the next."""
-    block = np.empty((max(1, REPLICATE_BLOCK_ELEMENTS // n), n), dtype=np.int64)
-    kept = 0
-    for row in rows:
-        block[kept] = row
-        kept += 1
-        if kept == block.shape[0]:
-            yield block
-            kept = 0
-    yield block[:kept]
+def _replicate_aucs(rng: np.random.Generator, n: int, n_boot: int, max_redraws: int,
+                    score) -> np.ndarray:
+    """AUCs of ``n_boot`` bootstrap replicates over ``n`` rows, less those skipped.
 
-
-def _draw_replicates(rng: np.random.Generator, y: np.ndarray, n_boot: int, max_redraws: int,
-                     score_oob: bool):
-    """Bootstrap multiplicity vectors, each redrawn up to ``max_redraws`` times
-    until the in-bag multiset and, if ``score_oob``, the out-of-bag remainder
-    hold both classes; a replicate none of whose draws does is skipped."""
-    n = y.size
-    for _ in range(n_boot):
-        for _ in range(max_redraws + 1):
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            scored = (counts > 0, counts == 0) if score_oob else (counts > 0,)
-            if all(rows.any() and y[rows].min() < y[rows].max() for rows in scored):
-                yield counts
-                break
+    ``score(counts)`` takes a (k, n) int64 block of multiplicity vectors and
+    returns each row's AUC and whether its scored rows hold both classes. A
+    replicate is redrawn up to ``max_redraws`` times until they do, and
+    skipped when none of its draws does. Draws come a block of at most
+    ``REPLICATE_BLOCK_ELEMENTS`` weights at a time, as one
+    ``rng.integers(0, n, size=(k, n))``, which takes the generator's stream
+    as k draws of size n do. k never exceeds the replicates not yet scored
+    or skipped, each of which takes at least one more draw, so the replicates,
+    the skips and the generator's final state are those of drawing one
+    vector at a time.
+    """
+    rows = max(1, REPLICATE_BLOCK_ELEMENTS // n)
+    aucs = [np.empty(0)]
+    resolved = tries = 0  # replicates scored or skipped; failed draws of the next one
+    while resolved < n_boot:
+        k = min(rows, n_boot - resolved)
+        draws = rng.integers(0, n, size=(k, n))
+        if k > 1:
+            draws += np.arange(0, k * n, n)[:, None]  # row r counts into bins r*n .. r*n + n - 1
+        counts = np.bincount(draws.ravel(), minlength=k * n).reshape(k, n)
+        del draws
+        block, ok = score(counts)
+        aucs.append(block[ok])
+        for good in ok.tolist():
+            if good or tries == max_redraws:
+                resolved += 1
+                tries = 0
+            else:
+                tries += 1
+    return np.concatenate(aucs)
 
 
 def _percentile_estimate(aucs: np.ndarray, naive_point: float, ci_level: float, n_boot: int,
@@ -558,20 +598,23 @@ def bbc_correct(
     C, n = S.shape
     y = np.asarray(labels)
     pos, _, _ = _split_labels(y)  # both classes required
-    groups = [_sorted_tie_groups(S[c]) for c in range(C)]
-    draws = _draw_replicates(np.random.default_rng(seed), y, n_boot, max_redraws, score_oob=True)
-    oob_auc = []
-    for counts in _row_blocks(draws, n):
-        inbag = np.column_stack([_weighted_aucs(g, pos, counts) for g in groups])
-        winners = np.argmax(inbag, axis=1)  # ties go to the lowest config index
+    indexes = [_auc_index(S[c], pos) for c in range(C)]
+
+    def score(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inbag = [_pair_counts(index, counts) for index in indexes]
+        _, wpos, wneg = inbag[0]
+        # ties go to the lowest config index
+        winners = np.argmax(np.column_stack([_aucs(*part) for part in inbag]), axis=1)
         oob = counts == 0
-        block_auc = np.empty(counts.shape[0])
+        parts = np.empty((3, counts.shape[0]), dtype=np.int64)
         for c in np.unique(winners):
             won = winners == c
-            block_auc[won] = _weighted_aucs(groups[c], pos, oob[won])
-        oob_auc.append(block_auc)
-    oob_auc = np.concatenate(oob_auc)
-    naive = max(auc_roc(S[c], y) for c in range(C))
+            parts[:, won] = _pair_counts(indexes[c], oob[won])
+        twice, opos, oneg = parts
+        return _aucs(twice, opos, oneg), (wpos > 0) & (wneg > 0) & (opos > 0) & (oneg > 0)
+
+    oob_auc = _replicate_aucs(np.random.default_rng(seed), n, n_boot, max_redraws, score)
+    naive = max(_unit_auc(index) for index in indexes)
     return _percentile_estimate(oob_auc, naive, ci_level, n_boot, "bbc_correct")
 
 
@@ -580,10 +623,15 @@ def bootstrap_auc_ci(scores, labels, n_boot: int, ci_level: float, seed,
     """AUC of one fixed model's scores on every row, with the percentile
     interval of its in-bag AUC over ``n_boot`` bootstrap replicates."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    point = auc_roc(s, y)
-    pos = y == 1
-    groups = _sorted_tie_groups(s)
-    draws = _draw_replicates(np.random.default_rng(seed), y, n_boot, max_redraws, score_oob=False)
-    aucs = np.concatenate([_weighted_aucs(groups, pos, w) for w in _row_blocks(draws, s.size)])
+    pos, _, _ = _split_labels(labels)
+    if s.size != pos.size:
+        raise ValueError("scores and labels differ in length")
+    index = _auc_index(s, pos)
+    point = _unit_auc(index)
+
+    def score(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        twice, wpos, wneg = _pair_counts(index, counts)
+        return _aucs(twice, wpos, wneg), (wpos > 0) & (wneg > 0)
+
+    aucs = _replicate_aucs(np.random.default_rng(seed), s.size, n_boot, max_redraws, score)
     return _percentile_estimate(aucs, point, ci_level, n_boot, "holdout CI", point=point)

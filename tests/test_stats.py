@@ -5,12 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from test_bootstrap_fixture import BBC_CASES, CI_CASES
+
+from crashsev import stats
 
 from crashsev.stats import (
     SingleClassError,
     auc_roc,
     bbc_correct,
     bh_select,
+    bootstrap_auc_ci,
     chi2_sf,
     expit,
     fit_null_logistic,
@@ -20,8 +25,11 @@ from crashsev.stats import (
     stratified_folds,
 )
 from crashsev.stats import (  # internal, checked against pair counting
+    _auc_index,
+    _aucs,
+    _pair_counts,
+    _replicate_aucs,
     _sorted_tie_groups,
-    _weighted_aucs,
 )
 from crashsev.stats import (  # internal, the batched Newton solve and its objective
     LOGISTIC_DEV_TOL,
@@ -581,7 +589,7 @@ class TestBBC:
             oob = [b for b in ok if len(set(y[counts[b] == 0])) == 2]
             weights = np.concatenate([counts[ok], (counts[oob] == 0).astype(int)])
             for c in range(3):
-                got = _weighted_aucs(_sorted_tie_groups(S[c]), y == 1, weights)
+                got = _aucs(*_pair_counts(_auc_index(S[c], y == 1), weights))
                 for b in range(weights.shape[0]):
                     want = brute_force_weighted_auc(S[c], y, weights[b])
                     assert got[b] == pytest.approx(want, abs=1e-12)
@@ -605,7 +613,7 @@ class TestBBC:
         wneg = weights[labels == 0].sum()
         if wpos == 0 or wneg == 0:
             return
-        got = _weighted_aucs(_sorted_tie_groups(scores), labels == 1, weights[None, :])[0]
+        got = _aucs(*_pair_counts(_auc_index(scores, labels == 1), weights[None, :]))[0]
         assert got == brute_force_weighted_auc(scores, labels, weights)
         assert got == auc_roc(np.repeat(scores, weights), np.repeat(labels, weights))
 
@@ -637,3 +645,153 @@ class TestBBC:
         est = bbc_correct(S, y, n_boot=200, seed=1)
         assert est.naive_point > 0.52
         assert est.point < est.naive_point
+
+
+def _reference_weighted_aucs(groups, pos, weights):
+    """The tie-group prefix-sum kernel that ``_pair_counts`` replaced: AUC of
+    one score vector under each row of a (b, n) weight block with weight on
+    both classes."""
+    perm, last = groups
+    w = np.take(weights, perm, axis=1).astype(np.int64, copy=False)
+    cpos = np.cumsum(w * pos[perm].astype(np.int64), axis=1)[:, last]
+    cneg = np.cumsum(w, axis=1)[:, last]
+    cneg -= cpos
+    gpos = cpos.copy()
+    gpos[:, 1:] -= cpos[:, :-1]
+    twice = np.einsum("bg,bg->b", gpos, cneg) + np.einsum("bg,bg->b", gpos[:, 1:], cneg[:, :-1])
+    return twice / (2 * cpos[:, -1] * cneg[:, -1])
+
+
+def _pair_count_totals(scores, labels, weights):
+    """(twice the weighted pair count, positive weight, negative weight) of
+    one weight row, in Python integers over every positive-negative pair."""
+    w = [int(v) for v in weights]
+    pos = [i for i, label in enumerate(labels) if label == 1]
+    neg = [j for j, label in enumerate(labels) if label != 1]
+    twice = sum(w[i] * w[j] * (2 * (scores[i] > scores[j]) + (scores[i] == scores[j]))
+                for i in pos for j in neg)
+    return twice, sum(w[i] for i in pos), sum(w[j] for j in neg)
+
+
+class TestAucKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                # tied grid values mixed with arbitrary floats
+                st.one_of(st.integers(0, 4).map(float), st.floats(-10, 10)),
+                st.integers(0, 1),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        data=st.data(),
+    )
+    def test_pair_counts_equal_pair_counting(self, rows, data):
+        scores, labels = (np.array(col) for col in zip(*rows))
+        shape = (data.draw(st.integers(1, 4)), scores.size)
+        if data.draw(st.booleans()):
+            weights = data.draw(arrays(np.bool_, shape))
+        else:
+            weights = data.draw(arrays(np.int64, shape, elements=st.integers(0, 1 << 20)))
+        twice, wpos, wneg = _pair_counts(_auc_index(scores, labels == 1), weights)
+        for b in range(shape[0]):
+            assert (twice[b], wpos[b], wneg[b]) == _pair_count_totals(scores, labels, weights[b])
+        both = (wpos > 0) & (wneg > 0)
+        if both.any():
+            want = _reference_weighted_aucs(_sorted_tie_groups(scores), labels == 1, weights[both])
+            assert _aucs(twice, wpos, wneg)[both].tobytes() == want.tobytes()
+
+    def test_a_row_without_a_class_reads_zero(self):
+        index = _auc_index(np.array([0.1, 0.5, 0.3]), np.array([True, False, False]))
+        weights = np.array([[0, 2, 1], [3, 0, 0], [1, 1, 0]])
+        assert _aucs(*_pair_counts(index, weights)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_nan_ranks_above_every_number_and_ties_with_nan(self):
+        # the positive NaN beats 1.0 and 5.0 and ties with the negative NaN
+        scores = [np.nan, 1.0, np.nan, 5.0, -np.inf]
+        assert auc_roc(scores, [1, 0, 0, 0, 1]) == 5 / 12
+
+
+def _reference_draw_replicates(rng, y, n_boot, max_redraws, score_oob):
+    """The one-vector-at-a-time draw loop that ``_replicate_aucs`` replaced:
+    bootstrap multiplicity vectors, each redrawn up to ``max_redraws`` times
+    until the in-bag multiset and, if ``score_oob``, the out-of-bag remainder
+    hold both classes; a replicate none of whose draws does is skipped."""
+    n = y.size
+    for _ in range(n_boot):
+        for _ in range(max_redraws + 1):
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            scored = (counts > 0, counts == 0) if score_oob else (counts > 0,)
+            if all(rows.any() and y[rows].min() < y[rows].max() for rows in scored):
+                yield counts
+                break
+
+
+def _recording_score(y, score_oob):
+    """A ``_replicate_aucs`` score that keeps every drawn vector and reads
+    each draw's position among them as its AUC, judging draws as the
+    reference loop does."""
+    seen = []
+
+    def score(counts):
+        ok = np.array([all(rows.any() and y[rows].min() < y[rows].max()
+                           for rows in ((c > 0, c == 0) if score_oob else (c > 0,)))
+                       for c in counts])
+        ids = np.arange(len(seen), len(seen) + len(counts), dtype=np.float64)
+        seen.extend(counts.copy())
+        return ids, ok
+
+    return seen, score
+
+
+# name -> (labels, n_boot, seed, max_redraws, score_oob): the bootstrap
+# fixture's cases whose redraws run out, and one where none do
+DRAW_CASES = {
+    "bbc_skipped_c1": (BBC_CASES["skipped_c1"][0]()[1], 150, 5, 1, True),
+    "bbc_skipped_c3": (BBC_CASES["skipped_c3"][0]()[1], 150, 6, 1, True),
+    "ci_skipped": (CI_CASES["skipped"][0]()[1], 400, 34, 1, False),
+    "bbc_rare_redraws": (BBC_CASES["skipped_c1"][0]()[1], 120, 7, 100, True),
+    "ci_imbalanced": (CI_CASES["imbalanced"][0]()[1], 50, 33, 99, False),
+}
+
+
+class TestReplicateDraws:
+    @pytest.mark.parametrize("case", sorted(DRAW_CASES))
+    @pytest.mark.parametrize("block_rows", [1, 2, "more than n_boot"])
+    def test_blocks_draw_the_sequential_replicates(self, monkeypatch, case, block_rows):
+        y, n_boot, seed, max_redraws, score_oob = DRAW_CASES[case]
+        rows = n_boot + 7 if block_rows == "more than n_boot" else block_rows
+        monkeypatch.setattr(stats, "REPLICATE_BLOCK_ELEMENTS", rows * y.size)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        # a caller's generator mid-stream, holding half of a 64-bit draw
+        for g in (rng, ref_rng):
+            g.integers(0, 60, size=3)
+        seen, score = _recording_score(y, score_oob)
+        got = [seen[i] for i in _replicate_aucs(rng, y.size, n_boot, max_redraws, score).astype(int)]
+        want = list(_reference_draw_replicates(ref_rng, y, n_boot, max_redraws, score_oob))
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_skipping_cases_skip_and_redraw(self):
+        for case in ("bbc_skipped_c1", "bbc_skipped_c3", "ci_skipped"):
+            y, n_boot, seed, max_redraws, score_oob = DRAW_CASES[case]
+            rng = np.random.default_rng(seed)
+            kept = sum(1 for _ in _reference_draw_replicates(rng, y, n_boot, max_redraws, score_oob))
+            assert 0 < kept < n_boot
+
+    def test_callers_generator_ends_where_the_sequential_loop_leaves_it(self):
+        S, y = BBC_CASES["skipped_c3"][0]()
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        est = bbc_correct(S, y, n_boot=150, seed=rng, max_redraws=1)
+        kept = sum(1 for _ in _reference_draw_replicates(ref_rng, y, 150, 1, True))
+        assert (est.n_boot, est.n_skipped) == (kept, 150 - kept)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+        scores, y = CI_CASES["skipped"][0]()
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        est = bootstrap_auc_ci(scores, y, 300, 0.95, rng, 1)
+        kept = sum(1 for _ in _reference_draw_replicates(ref_rng, y, 300, 1, False))
+        assert (est.n_boot, est.n_skipped) == (kept, 300 - kept)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
