@@ -932,11 +932,8 @@ def summarize_dataset(rows: list[PersonRow]) -> SummaryReport:
 
 def write_curated_csv(rows: list[PersonRow], schema: ColumnSchema, path) -> None:
     """Write curated rows back out in the input schema (re-curation is a no-op).
-
     An age that ``verify_age`` flagged invalid is written blank: the file has
-    no column for the flag, and a blank age is what every reader of an
-    invalid age uses, none. Re-curating the row flags it again, from its
-    birth date after the crash date, and keeps the age blank."""
+    no column for the flag, and re-curating the row flags it again."""
     extra_keys = sorted({k for r in rows for k in r.raw_attributes})
     header = [schema.columns[canon] for canon in DEFAULT_COLUMNS] + extra_keys
 

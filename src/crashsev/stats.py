@@ -598,6 +598,8 @@ def bbc_correct(
     C, n = S.shape
     y = np.asarray(labels)
     pos, _, _ = _split_labels(y)  # both classes required
+    if pos.size != n:
+        raise ValueError("oof_scores and labels differ in sample count")
     indexes = [_auc_index(S[c], pos) for c in range(C)]
 
     def score(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -632,6 +632,13 @@ class TestBBC:
         b = bbc_correct(S, y, n_boot=150, seed=77)
         assert a == b
 
+    def test_labels_must_match_the_samples(self, rng):
+        y = (rng.random(60) < 0.5).astype(int)
+        with pytest.raises(ValueError, match="sample count"):
+            bbc_correct(rng.standard_normal((2, 50)), y, n_boot=100)
+        with pytest.raises(ValueError, match="sample count"):
+            bbc_correct(rng.standard_normal((2, 70)), y, n_boot=100)
+
     def test_requires_minimum_replicates(self, rng):
         y = (rng.random(50) < 0.5).astype(int)
         with pytest.raises(ValueError):
