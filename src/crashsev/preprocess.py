@@ -535,11 +535,16 @@ class FeatureMatrix:
     def group_names(self) -> list[str]:
         return list(self.groups)
 
-    def group_columns(self, source: str) -> np.ndarray:
+    def group_columns(self, sources: str | Sequence[str]) -> np.ndarray:
+        """The column indices of one source feature (read-only), or those of
+        a sequence of them, concatenated in the order given."""
+        if not isinstance(sources, str):
+            return np.concatenate([np.empty(0, dtype=np.intp),
+                                   *(self.group_columns(s) for s in sources)])
         try:
-            return self.groups[source]
+            return self.groups[sources]
         except KeyError:
-            raise KeyError(f"no columns for source feature {source!r}") from None
+            raise KeyError(f"no columns for source feature {sources!r}") from None
 
     def take_rows(self, idx) -> "FeatureMatrix":
         idx = np.asarray(idx, dtype=np.intp)
@@ -548,8 +553,7 @@ class FeatureMatrix:
         return FeatureMatrix(self.X[idx], self.y[idx], self.columns)
 
     def take_groups(self, sources: Sequence[str]) -> "FeatureMatrix":
-        idx = [self.group_columns(s) for s in sources]
-        cols = np.concatenate(idx) if idx else np.empty(0, dtype=np.intp)
+        cols = self.group_columns(sources)
         return FeatureMatrix(self.X[:, cols], self.y, [self.columns[i] for i in cols])
 
 

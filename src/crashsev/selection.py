@@ -8,7 +8,8 @@ BH-corrected screen. A per-dataset cache shares LRT results across
 hyperparameter settings and takes its requests as lists of (candidate group,
 conditioning groups) pairs: each SES forward step asks every pair at once,
 the backward phase one subset size at a time, and the missing tests are
-fitted as batched likelihood-ratio tests.
+fitted as batched likelihood-ratio tests on (candidate columns, conditioning
+columns) index pairs that ``FeatureMatrix.group_columns`` gives.
 """
 
 from __future__ import annotations
@@ -72,41 +73,29 @@ class CITestCache:
         self._cache: dict[tuple[str, frozenset], PValue] = {}
         self._nulls: dict[frozenset, NullFit] = {}
 
-    def width(self, group: str) -> int:
-        return int(self.matrix.groups[group].size)
-
-    def _z_columns(self, z_groups: frozenset) -> Optional[np.ndarray]:
-        if not z_groups:
-            return None
-        cols = np.concatenate([self.matrix.groups[g] for g in sorted(z_groups)])
-        return self.matrix.X[:, cols]
-
     def pvalues(self, requests: Sequence[tuple[str, frozenset]]) -> list[PValue]:
         """p-values of the (candidate group, conditioning groups) pairs, in order.
 
-        Each missing null is fitted once; the missing tests are fitted in one
+        A request is tested as a (candidate columns, conditioning columns)
+        index pair, the conditioning groups in name order. Each missing null
+        is fitted once; the missing tests are fitted in one
         batch per (conditioning width, candidate width), split so that no
         batch's design array exceeds LRT_BATCH_ELEMENTS.
         """
         missing = [r for r in dict.fromkeys(requests) if r not in self._cache]
         X, y = self.matrix.X, self.matrix.y
-        batches: dict[tuple[int, int], list[tuple[str, frozenset]]] = {}
+        batches: dict[tuple[int, int], list] = {}
         for g, z in missing:
+            x_cols, z_cols = self.matrix.group_columns(g), self.matrix.group_columns(sorted(z))
             if z not in self._nulls:
-                self._nulls[z] = fit_null_logistic(y, self._z_columns(z))
-            z_width = sum(self.width(h) for h in z)
-            batches.setdefault((z_width, self.width(g)), []).append((g, z))
-        for (z_width, width), pairs in sorted(batches.items()):
+                self._nulls[z] = fit_null_logistic(y, X, z_cols)
+            batches.setdefault((z_cols.size, x_cols.size), []).append(((g, z), (x_cols, z_cols)))
+        for (z_width, width), batch in sorted(batches.items()):
             step = max(1, LRT_BATCH_ELEMENTS // (X.shape[0] * (1 + z_width + width)))
-            for start in range(0, len(pairs), step):
-                chunk = pairs[start:start + step]
-                zs = {z: self._z_columns(z) for _, z in chunk}
-                results = lrt_ci_test_many(
-                    [X[:, self.matrix.groups[g]] for g, _ in chunk], y,
-                    [zs[z] for _, z in chunk],
-                    null=[self._nulls[z] for _, z in chunk],
-                )
-                self._cache.update(zip(chunk, results))
+            for start in range(0, len(batch), step):
+                keys, tests = zip(*batch[start:start + step])
+                results = lrt_ci_test_many(X, y, tests, [self._nulls[z] for _, z in keys])
+                self._cache.update(zip(keys, results))
         return [self._cache[r] for r in requests]
 
 

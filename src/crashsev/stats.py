@@ -15,10 +15,11 @@ Mann-Whitney pair count are integers below 2^42 even at 2.3M rows, so they
 are exact in any order or blocking and the one float64 division rounds once:
 unit, bootstrap and 0/1 out-of-bag weights all give an exact pair count's bits.
 
-The likelihood-ratio tests run in batches of (candidate, conditioning-set)
-pairs: every pair brings its own conditioning columns and null fit, and the
-whole batch is one Newton solve on stacked design arrays with batched matmul.
-A pair's result does not depend on the batch it is fitted in.
+The likelihood-ratio tests run in batches of (candidate columns,
+conditioning columns) index pairs into one matrix X: every pair brings its
+own null fit, ``_designs`` copies each pair's columns from X into its row of
+a stacked design array, and the whole batch is one Newton solve with batched
+matmul. A pair's result does not depend on the batch it is fitted in.
 """
 
 from __future__ import annotations
@@ -386,8 +387,19 @@ def _as_columns(x) -> np.ndarray:
     return arr
 
 
-def _z_block(z, n: int) -> np.ndarray:
-    return np.empty((n, 0)) if z is None else _as_columns(z)
+def _designs(X: np.ndarray, tests) -> np.ndarray:
+    """The C-ordered (C, n, 1 + m) designs of ``tests``, (candidate columns,
+    conditioning columns) index pairs into X of equal widths, each column
+    copied from X: per test ones, the conditioning and the candidate columns."""
+    widths = (len(tests[0][0]), len(tests[0][1]))
+    A = np.empty((len(tests), X.shape[0], 1 + sum(widths)))
+    A[:, :, 0] = 1.0
+    for i, (x, z) in enumerate(tests):
+        if (len(x), len(z)) != widths:
+            raise ValueError("all tests in one batch must have equal widths")
+        for k, c in enumerate((*z, *x), start=1):
+            A[i, :, k] = X[:, c]
+    return A
 
 
 @dataclass(frozen=True)
@@ -399,73 +411,47 @@ class NullFit:
     converged: bool
 
 
-def fit_null_logistic(y, z=None) -> NullFit:
-    """Fit the reduced model y ~ Z once, for reuse as the LRT null. Its design
-    is C-ordered like a row of a batch, so it gives the same bits either way."""
-    yf = np.asarray(y, dtype=np.float64)
-    n = yf.size
-    zc = _z_block(z, n)
-    base = np.empty((1, n, 1 + zc.shape[1]))
-    base[0, :, 0] = 1.0
-    base[0, :, 1:] = zc
-    beta, ll, conv = _newton_logistic_many(base, yf, np.ones(n))
+def fit_null_logistic(y, X, z=None) -> NullFit:
+    """Fit the reduced model y ~ X[:, z] (z every column when omitted) once,
+    for reuse as the LRT null. Its design is C-ordered like a row of a batch,
+    so it gives the same bits either way."""
+    A = _designs(X, [((), range(X.shape[1]) if z is None else z)])
+    beta, ll, conv = _newton_logistic_many(A, y, np.ones(X.shape[0]))
     return NullFit(beta=beta[0], loglik=float(ll[0]), converged=bool(conv[0]))
 
 
-def lrt_ci_test_many(
-    xs,
-    y,
-    z=None,
-    *,
-    null: NullFit | list[NullFit] | None = None,
-) -> list[PValue]:
-    """Likelihood-ratio tests of y ~ Z vs y ~ Z + x for each candidate x.
-
-    ``z`` is either one conditioning block shared by every candidate or a
-    list with one block (or None) per candidate; ``null`` is likewise one
-    NullFit or a list of them, fitted here when omitted. All candidates must
-    add the same number of columns to conditioning blocks of equal width:
-    they are fitted as one batched Newton solve, each warm-started from its
-    own null fit. Non-convergence is conservative: p = 1.0, flagged.
+def lrt_ci_test_many(X, y, tests, nulls: list[NullFit]) -> list[PValue]:
+    """Likelihood-ratio tests of y ~ X[:, z] vs y ~ X[:, z] + X[:, x], one per
+    (x, z) column-index pair of ``tests``, each against its null
+    ``fit_null_logistic(y, X, z)`` in ``nulls``. The tests, of equal widths,
+    are one batched Newton solve, each warm-started from its null fit.
+    Non-convergence is conservative: p = 1.0, flagged.
     """
-    cols = [_as_columns(x) for x in xs]
-    if not cols:
+    if not tests:
         return []
-    C = len(cols)
-    yf = np.asarray(y, dtype=np.float64)
-    n = yf.size
-    per_row = isinstance(z, list)
-    zcs = [_z_block(zi, n) for zi in z] if per_row else [_z_block(z, n)] * C
-    if null is None:
-        null = [fit_null_logistic(y, zc) for zc in zcs] if per_row else fit_null_logistic(y, zcs[0])
-    nulls = null if isinstance(null, list) else [null] * C
-    if len(zcs) != C or len(nulls) != C:
-        raise ValueError("need one conditioning block and one null fit per candidate")
-
-    width = cols[0].shape[1]
-    kz = 1 + zcs[0].shape[1]
-    if any(c.shape[1] != width for c in cols) or any(zc.shape[1] != kz - 1 for zc in zcs):
-        raise ValueError("all candidates in one batch must have equal width")
-    A = np.empty((C, n, kz + width))
-    A[:, :, 0] = 1.0
-    beta0 = np.zeros((C, kz + width))
-    for i in range(C):
-        A[i, :, 1:kz] = zcs[i]
-        A[i, :, kz:] = cols[i]
-        beta0[i, :kz] = nulls[i].beta
-    _, ll_alt, conv_alt = _newton_logistic_many(A, yf, np.ones(n), beta0=beta0)
+    if len(nulls) != len(tests):
+        raise ValueError("need one null fit per test")
+    A = _designs(X, tests)
+    width = len(tests[0][0])
+    beta0 = np.pad(np.array([nf.beta for nf in nulls]), ((0, 0), (0, width)))
+    _, ll_alt, conv_alt = _newton_logistic_many(A, y, np.ones(A.shape[1]), beta0=beta0)
 
     ll_null = np.array([nf.loglik for nf in nulls])
     ok = conv_alt & np.array([nf.converged for nf in nulls])
     stat = np.maximum(2.0 * (ll_alt - ll_null), 0.0)
     p = np.where(ok, chi2_sf(width, stat), 1.0)
-    return [PValue(value=float(p[i]), statistic=float(stat[i]), dof=width, converged=bool(ok[i]))
-            for i in range(C)]
+    return [PValue(value=v, statistic=s, dof=width, converged=c)
+            for v, s, c in zip(p.tolist(), stat.tolist(), ok.tolist())]
 
 
 def lrt_ci_test(x, y, z=None) -> PValue:
-    """p-value of the nested-logistic LRT for x against y given columns Z."""
-    return lrt_ci_test_many([x], y, z)[0]
+    """p-value of the nested-logistic LRT for columns x against y given
+    columns Z: one test of ``lrt_ci_test_many``, on the block [Z, x]."""
+    xc = _as_columns(x)
+    X = xc if z is None else np.hstack([_as_columns(z), xc])
+    kz = X.shape[1] - xc.shape[1]
+    x_cols, z_cols = range(kz, X.shape[1]), range(kz)
+    return lrt_ci_test_many(X, y, [(x_cols, z_cols)], [fit_null_logistic(y, X, z_cols)])[0]
 
 
 # ---------------------------------------------------------------------------

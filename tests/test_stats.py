@@ -150,7 +150,9 @@ class TestLrt:
         y = rng.integers(0, 2, 200)
         z = rng.standard_normal(200)
         xs = [rng.standard_normal(200) for _ in range(5)]
-        batch = lrt_ci_test_many(xs, y, z)
+        X = np.column_stack([z, *xs])
+        null = fit_null_logistic(y, X, (0,))
+        batch = lrt_ci_test_many(X, y, [((i,), (0,)) for i in range(1, 6)], [null] * 5)
         singles = [lrt_ci_test(x, y, z) for x in xs]
         for b, s in zip(batch, singles):
             assert b.value == pytest.approx(s.value, rel=1e-6, abs=1e-12)
@@ -206,20 +208,20 @@ class TestLrtRecorded:
         X, y = planted_data()
         pairs = [(xc, zc) for xc, zc, _, _ in RECORDED_LRT if len(xc) == 1 and len(zc) == 1]
         pairs += [((4,), (3,)), ((0,), (5,))]
-        batch = lrt_ci_test_many([_block(X, xc) for xc, _ in pairs], y,
-                                 [_block(X, zc) for _, zc in pairs])
+        batch = lrt_ci_test_many(X, y, pairs, [fit_null_logistic(y, X, zc) for _, zc in pairs])
         for (xc, zc), got in zip(pairs, batch):
             want = lrt_ci_test(_block(X, xc), y, _block(X, zc))
             assert got.converged == want.converged
-            assert got.statistic == pytest.approx(want.statistic, rel=LRT_GATE, abs=LRT_GATE)
-            assert got.value == pytest.approx(want.value, abs=LRT_GATE)
+            assert got.statistic == want.statistic and got.value == want.value
 
     def test_singular_row_fails_alone(self):
         X, y = planted_data()
         # two identical large columns: the Hessian is exactly singular
         dup = np.column_stack([1e4 * X[:, 3], 1e4 * X[:, 3]])
         xs = [X[:, [3, 5]], dup, X[:, [1, 2]]]
-        batch = lrt_ci_test_many(xs, y)
+        block = np.hstack(xs)
+        batch = lrt_ci_test_many(block, y, [((0, 1), ()), ((2, 3), ()), ((4, 5), ())],
+                                 [fit_null_logistic(y, block, ())] * 3)
         assert not batch[1].converged and batch[1].value == 1.0
         for i in (0, 2):
             want = lrt_ci_test(xs[i], y)
