@@ -295,9 +295,9 @@ def cmd_run(args) -> int:
     matrix = load_matrix(cfg.matrix_path)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
-    # a fresh run starts the log over; a resumed run continues it
-    mode = "a" if args.resume else "w"
-    progress_fh = open(cfg.out_dir / "progress.jsonl", mode, encoding="utf-8")
+    # every run starts the log over: a resumed one rewrites the records of
+    # its checkpointed folds first, so no record of a fold cut short stays
+    progress_fh = open(cfg.out_dir / "progress.jsonl", "w", encoding="utf-8")
 
     def progress(record: dict) -> None:
         progress_fh.write(json.dumps(record, sort_keys=True) + "\n")

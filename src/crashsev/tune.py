@@ -7,6 +7,7 @@ pick the winner and bias-correct its estimate.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 import math
@@ -494,6 +495,8 @@ def run_rnk_cv(
     loop ends early when the best pooled AUC stops improving by stop_epsilon.
     A resumed run refuses a checkpoint written for another plan, config
     list, class weighting or matrix.
+    ``progress`` gets one record per config scored in a fold; a resumed run
+    first passes it the checkpointed folds' records again, from the checkpoint.
     """
     labels, n = matrix.y, matrix.n_rows
     state = CVResult(
@@ -512,17 +515,28 @@ def run_rnk_cv(
     )
     for cid in state.unsupported:
         log.info("config %s is unsupported and will be skipped", configs[cid].label())
-    stamp = ({} if checkpoint_path is None
-             else _checkpoint_stamp(matrix, configs, plan, class_weights))
-    if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
-        state.restore(checkpoint_path, stamp)
-        log.info("resuming CV from fold %d", state.folds_completed + 1)
-
     fold_sequence: list[tuple[int, int, np.ndarray]] = []
     for r in range(plan.repeats):
         assignment = stratified_folds(labels, plan.k, substream(plan.seed, "folds", r))
         for j in range(plan.folds_per_repeat):
             fold_sequence.append((r, j, assignment == j))
+
+    def report(f: int, config: ModelConfig) -> None:
+        """Pass ``progress`` the record of ``config`` scored in fold number ``f``."""
+        if progress is not None:
+            (r, j, _), cid = fold_sequence[f], config.config_id
+            progress({"repeat": r, "fold": j, "config_id": cid, "config": config.label(),
+                      "fold_auc": state.fold_aucs[cid][f], "n_selected": state.n_selected[cid][f]})
+
+    stamp = ({} if checkpoint_path is None
+             else _checkpoint_stamp(matrix, configs, plan, class_weights))
+    if resume and checkpoint_path is not None and Path(checkpoint_path).exists():
+        state.restore(checkpoint_path, stamp)
+        log.info("resuming CV from fold %d", state.folds_completed + 1)
+        # a config was scored in the first len(fold_aucs) folds, in config order
+        for f, config in itertools.product(range(state.folds_completed), state.configs):
+            if f < len(state.fold_aucs[config.config_id]):
+                report(f, config)
 
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         for r, j, test_mask in fold_sequence[state.folds_completed:]:
@@ -544,15 +558,11 @@ def run_rnk_cv(
             for config, scores in zip(surviving, pool.map(evaluate, surviving)):
                 cid = config.config_id
                 state.pooled[cid, test_idx] = scores
-                fauc = auc_roc(scores, labels[test_idx])
-                state.fold_aucs[cid].append(fauc)
-                n_sel = len(signatures[config.selector].selected)
-                state.n_selected[cid].append(n_sel)
+                state.fold_aucs[cid].append(auc_roc(scores, labels[test_idx]))
+                state.n_selected[cid].append(len(signatures[config.selector].selected))
                 if config.trainable:
                     state.fitted_models += 1
-                if progress is not None:
-                    progress({"repeat": r, "fold": j, "config_id": cid, "config": config.label(),
-                              "fold_auc": fauc, "n_selected": n_sel})
+                report(state.folds_completed, config)
 
             state.evaluated_mask |= test_mask
             state.folds_completed += 1

@@ -418,6 +418,42 @@ class TestRunCommand:
         assert main(["--config", str(cfg), "--resume", "run"]) == 0
         assert log.read_text().splitlines()[:len(first)] == first
 
+    # the run is killed just after its kill_at-th record is written. The
+    # uninterrupted run writes 27 records, 3 per fold: subsets 0-2 stop early
+    # after 2 folds and subset 3 after 3, so record 4 opens subset 0's second
+    # fold, 5 is within it, 17 is within subset 2's second fold and 25 opens
+    # subset 3's last fold
+    @pytest.mark.parametrize("kill_at", [4, 5, 17, 25])
+    def test_resume_after_a_kill_writes_the_uninterrupted_log(self, synth_matrix_file, tmp_path,
+                                                              monkeypatch, kill_at):
+        whole, out_dir = tmp_path / "whole", tmp_path / "out"
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        assert main(["--config", str(cfg), "run", "--out-dir", str(whole)]) == 0
+        expected = (whole / "progress.jsonl").read_text().splitlines()
+        assert len(expected) == 27
+
+        passed = []
+
+        def killed_at_record(progress):
+            def record(rec):
+                progress(rec)
+                passed.append(rec)
+                if len(passed) == kill_at:
+                    raise KeyboardInterrupt("simulated kill")
+            return record
+
+        real_run = orchestrate.run_rnk_cv
+        monkeypatch.setattr(orchestrate, "run_rnk_cv", lambda *a, **kw: real_run(
+            *a, **{**kw, "progress": killed_at_record(kw["progress"])}))
+        with pytest.raises(KeyboardInterrupt):
+            main(["--config", str(cfg), "run"])
+        monkeypatch.setattr(orchestrate, "run_rnk_cv", real_run)
+        assert (out_dir / "progress.jsonl").read_text().splitlines() == expected[:kill_at]
+
+        assert main(["--config", str(cfg), "--resume", "run"]) == 0
+        assert (out_dir / "progress.jsonl").read_text().splitlines() == expected
+        assert (out_dir / "report.json").read_bytes() == (whole / "report.json").read_bytes()
+
     def test_report_does_not_depend_on_checkout_directory(self, synth_matrix_file, tmp_path):
         reports = []
         for name in ("a", "b"):
