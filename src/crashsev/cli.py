@@ -370,6 +370,10 @@ def cmd_explain(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
 
+    # a linear model's SHAP values read no labels; permutation AUC drops do
+    if not isinstance(model, LinearModel) and not (matrix.y.any() and not matrix.y.all()):
+        raise InputFileError(f"the labels of {args.matrix} hold one class; the permutation "
+                             "importance of a non-linear model needs both")
     args.out_dir.mkdir(parents=True, exist_ok=True)
     table = _explain(model, matrix.X[:, idx], matrix.y, columns, features, args.out_dir,
                      svg=args.svg, seed=args.seed or 0)

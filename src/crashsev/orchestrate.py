@@ -86,11 +86,14 @@ def draw_subsets(labels, plan: SubsetPlan) -> tuple[list[np.ndarray], np.ndarray
     """Stratified subset index lists plus the remaining holdout indices.
 
     Each subset preserves the global class ratio within one sample per class;
-    subsets are pairwise disjoint when the plan says so. A plan that leaves
-    the holdout without a class raises ProtocolError.
+    subsets are pairwise disjoint when the plan says so. Labels of one class,
+    or a plan that leaves the holdout without a class, raise ProtocolError.
     """
     y = np.asarray(labels)
     n = y.size
+    if np.unique(y).size < 2:
+        raise ProtocolError(f"the labels hold only the classes {np.unique(y).tolist()}; "
+                            "the protocol needs both classes")
     alloc = _per_class_allocation(y, plan.subset_size)
     rng = substream(plan.seed, "subsets")
 

@@ -18,8 +18,8 @@ from crashsev import cli, orchestrate
 from crashsev.cli import main
 from crashsev.config import ConfigError, RunConfig
 from crashsev.ingest import PersonRow
-from crashsev.learners import fit_decision_tree, fit_ridge_logistic, save_model
-from crashsev.preprocess import load_matrix, save_matrix
+from crashsev.learners import fit_decision_tree, fit_random_forest, fit_ridge_logistic, save_model
+from crashsev.preprocess import FeatureMatrix, load_matrix, save_matrix
 from crashsev.synth import planted_generator
 from crashsev.tune import enumerate_search_space
 
@@ -841,6 +841,44 @@ class TestRefusalMessages:
         err = _assert_one_line_error(capsys)
         assert err.startswith("error: unknown feature(s) 'NoSuchFeature'; available: f00,")
         assert not out_dir.exists()
+
+
+    @pytest.fixture()
+    def one_class_matrix(self, synth_matrix_file, tmp_path):
+        matrix = load_matrix(synth_matrix_file)
+        path = tmp_path / "one_class.csfm"
+        save_matrix(FeatureMatrix(matrix.X, np.zeros_like(matrix.y), matrix.columns), path)
+        return path
+
+    def test_run_on_labels_of_one_class(self, one_class_matrix, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        cfg = run_config_ini(tmp_path, one_class_matrix, out_dir)
+        assert main(["--config", str(cfg), "run"]) == 2
+        assert "only the classes [0]" in _assert_one_line_error(capsys)
+        assert (out_dir / "progress.jsonl").read_text() == ""
+        assert not (out_dir / "subsets").exists()
+
+    @pytest.mark.parametrize("fit, code", [
+        (lambda X, y, names: fit_ridge_logistic(X, y, lam=1.0, column_names=names), 0),
+        (lambda X, y, names: fit_decision_tree(X, y, min_leaf=20, alpha_prune=0.0,
+                                               column_names=names), 2),
+        (lambda X, y, names: fit_random_forest(X, y, n_trees=3, min_leaf=20, seed=1,
+                                               column_names=names), 2),
+    ], ids=["linear", "tree", "forest"])
+    def test_explain_on_labels_of_one_class(self, synth_matrix_file, one_class_matrix, tmp_path,
+                                            capsys, fit, code):
+        # a linear model's SHAP values read no labels; permutation AUC drops do
+        matrix = load_matrix(synth_matrix_file)
+        save_model(fit(matrix.X, matrix.y, [c.name for c in matrix.columns]),
+                   tmp_path / "model.json")
+        out_dir = tmp_path / "exp"
+        assert main(["explain", "--model", str(tmp_path / "model.json"),
+                     "--matrix", str(one_class_matrix), "--out-dir", str(out_dir)]) == code
+        if code:
+            assert "hold one class" in _assert_one_line_error(capsys)
+            assert not out_dir.exists()
+        else:
+            assert (out_dir / "importance.csv").exists()
 
 
 class TestMalformedSideInput:

@@ -115,6 +115,13 @@ class TestDrawSubsets:
         assert union.size < sum(s.size for s in subsets)  # they overlap
         assert np.array_equal(holdout, np.setdiff1d(np.arange(3000), union))
 
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_labels_of_one_class_raise(self, label):
+        # a plan the rows could fill: without the check the draw would succeed
+        plan = SubsetPlan(n_subsets=2, subset_size=10, seed=0)
+        with pytest.raises(ProtocolError, match=rf"only the classes \[{label}\]"):
+            draw_subsets(np.full(100, label, dtype=np.int8), plan)
+
     @pytest.mark.parametrize("n_negative, missing", [(392, "0"), (500, "1")])
     def test_plan_leaving_holdout_without_a_class_raises(self, n_negative, missing):
         # 8 positives, 4 x 100 disjoint subsets: with 392 negatives the
