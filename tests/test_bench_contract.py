@@ -12,6 +12,7 @@ import crashsev.selection
 import crashsev.tune
 from crashsev.learners import fit_decision_tree, fit_random_forest
 from crashsev.preprocess import FeatureMatrix
+from crashsev.synth import planted_generator
 from crashsev.tune import (
     CVPlan,
     LassoSelector,
@@ -115,6 +116,46 @@ def test_every_cv_lasso_fit_goes_through_the_traced_name(monkeypatch):
     run_rnk_cv(FeatureMatrix.from_arrays(X, y), configs, plan)
     assert sorted(spans) == [0.5] * 3 + [1.0] * 3  # one per penalty and fold
     assert fits == [1] * len(spans)
+
+
+def test_lrt_counts_read_a_real_cache(monkeypatch):
+    # stats.null_fits counts the spans of selection.fit_null_logistic and
+    # stats.lrt_tests the PValues that selection.lrt_ci_test_many returns: a
+    # cache fits one null per distinct conditioning set and one test per
+    # request it does not hold, and a request it holds fits nothing
+    tracer_module = _load_tracer()
+    tracer = tracer_module.Tracer()
+    for name in ("stats.null_fit", "stats.lrt"):
+        [(target, count)] = [(t, c) for t, n, c in tracer_module._counts_table() if n == name]
+        module, attr = target.split(".")
+        assert module == "selection"
+        monkeypatch.setattr(crashsev.selection, attr,
+                            tracer.wrap(name, getattr(crashsev.selection, attr), count))
+    asked, real_pvalues = [], crashsev.selection.CITestCache.pvalues
+
+    def pvalues(self, requests):
+        asked.append(list(requests))
+        return real_pvalues(self, requests)
+
+    monkeypatch.setattr(crashsev.selection.CITestCache, "pvalues", pvalues)
+    gen = planted_generator(n_features=8, n_informative=4, effect=1.0, prevalence=0.3)
+    matrix = gen.matrix(400, seed=1)
+    cache = crashsev.selection.CITestCache(matrix)
+    crashsev.selection.ses_select(matrix, kmax=2, alpha=0.05, cache=cache)
+    held, missing = set(), 0
+    for requests in asked:
+        missing += len(set(requests) - held)
+        held |= set(requests)
+    conditioning = {z for _, z in held}
+    assert max(map(len, conditioning)) == 2  # SES conditioned on pairs
+    metrics = tracer_module.layer_metrics(tracer_module.span_table(tracer.spans))
+    assert metrics["stats.null_fits"] == len(conditioning)
+    assert metrics["stats.lrt_tests"] == missing == len(held)
+
+    spans = len(tracer.spans)
+    for requests in list(asked):
+        cache.pvalues(requests)
+    assert len(tracer.spans) == spans
 
 
 def test_a_wrapper_set_on_cli_before_main_is_the_one_run_calls(tmp_path, monkeypatch):
