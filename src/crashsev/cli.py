@@ -296,8 +296,9 @@ def cmd_run(args) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
     # every run starts the log over: a resumed one rewrites the records of
-    # its checkpointed folds first, so no record of a fold cut short stays
-    progress_fh = open(cfg.out_dir / "progress.jsonl", "w", encoding="utf-8")
+    # its checkpointed folds first, so no record of a fold cut short stays.
+    # Line buffering puts each record on disk as it is passed, for monitoring.
+    progress_fh = open(cfg.out_dir / "progress.jsonl", "w", buffering=1, encoding="utf-8")
 
     def progress(record: dict) -> None:
         progress_fh.write(json.dumps(record, sort_keys=True) + "\n")

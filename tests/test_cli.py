@@ -416,7 +416,7 @@ class TestRunCommand:
         assert main(["--config", str(cfg), "run"]) == 0
         assert log.read_text().splitlines() == first
         assert main(["--config", str(cfg), "--resume", "run"]) == 0
-        assert log.read_text().splitlines()[:len(first)] == first
+        assert log.read_text().splitlines() == first
 
     # the run is killed just after its kill_at-th record is written. The
     # uninterrupted run writes 27 records, 3 per fold: subsets 0-2 stop early
@@ -438,6 +438,8 @@ class TestRunCommand:
             def record(rec):
                 progress(rec)
                 passed.append(rec)
+                # each record is on disk as soon as it is passed
+                assert len((out_dir / "progress.jsonl").read_text().splitlines()) == len(passed)
                 if len(passed) == kill_at:
                     raise KeyboardInterrupt("simulated kill")
             return record
