@@ -26,12 +26,14 @@ from .ingest import (
     CrashOrderError,
     DisabledDecoder,
     InputFileError,
+    InvariantViolation,
     ParseError,
     SchemaError,
     StubDecoder,
     curate,
     iter_person_rows,
     parse_person_rows,
+    read_json_file,
     summarize_dataset,
     write_curated_csv,
 )
@@ -48,7 +50,7 @@ _LAZY_NAMES = {
     "explain": ("check_features", "export_summary_plot", "linear_shap",
                 "permutation_importance", "variable_importance", "write_importance_csv"),
     "learners": ("LinearModel", "load_model", "save_model"),
-    "orchestrate": ("HoldoutViolation", "ProtocolError", "run_protocol"),
+    "orchestrate": ("ProtocolError", "run_protocol"),
     "selection": ("StabilityTable",),
     "tune": ("enumerate_search_space",),
 }
@@ -192,8 +194,7 @@ def cmd_curate(args) -> int:
 
     result = curate(parsed.rows, decoder)
     if not result.audit.conservation_holds():
-        print("invariant violation: curation audit conservation identity violated", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise InvariantViolation("curation audit conservation identity violated")
 
     write_curated_csv(result.rows, schema, args.out_dir / "curated.csv")
     _write_json(args.out_dir / "audit.json", result.audit.to_dict())
@@ -221,17 +222,15 @@ def cmd_preprocess(args) -> int:
             collections.deque(rows, maxlen=0)
             disorder = exc
     if errors:
-        print(f"error: {len(errors)} malformed lines in curated input, the first "
-              f"at line {errors[0].line_number}: {errors[0].message}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFileError(f"{len(errors)} malformed lines in curated input, the first "
+                             f"at line {errors[0].line_number}: {errors[0].message}")
     if disorder is not None:
         raise disorder
 
     if not args.no_vehicle_filter:
         samples = filter_passenger_vehicles(samples, agg.passenger_types)
     if not samples:
-        print("error: no vehicle samples after aggregation/filtering", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFileError("no vehicle samples after aggregation/filtering")
 
     model = fit_preprocess(samples, agg)
     matrix = encode(samples, model)
@@ -290,8 +289,7 @@ def cmd_run(args) -> int:
         return EXIT_OK
 
     if not cfg.matrix_path or not Path(cfg.matrix_path).exists():
-        print(f"error: feature matrix not found: {cfg.matrix_path}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFileError(f"feature matrix not found: {cfg.matrix_path}")
     matrix = load_matrix(cfg.matrix_path)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -355,8 +353,7 @@ def cmd_explain(args) -> int:
     model_names = getattr(model, "column_names", [c.name for c in matrix.columns])
     missing = [n for n in model_names if n not in name_to_idx]
     if missing:
-        print(f"error: matrix lacks model columns: {', '.join(missing[:5])}", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputFileError(f"matrix lacks model columns: {', '.join(missing[:5])}")
     idx = [name_to_idx[n] for n in model_names]
     columns = [matrix.columns[i] for i in idx]
 
@@ -368,8 +365,7 @@ def cmd_explain(args) -> int:
     try:
         check_features(columns, features)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(exc.args[0]) from exc
 
     # a linear model's SHAP values read no labels; permutation AUC drops do
     if not isinstance(model, LinearModel) and not (matrix.y.any() and not matrix.y.all()):
@@ -387,19 +383,8 @@ def cmd_explain(args) -> int:
 def cmd_report(args) -> int:
     report_path = args.run_dir / "report.json"
     if not report_path.exists():
-        print(f"error: no report.json under {args.run_dir}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        with open(report_path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise InputFileError(f"unreadable run report {report_path}: {exc}") from exc
-
-    try:
-        lines = _report_lines(report)
-    except (KeyError, TypeError) as exc:
-        raise InputFileError(f"incomplete run report {report_path}: {exc!r}") from exc
-    print("\n".join(lines))
+        raise InputFileError(f"no report.json under {args.run_dir}")
+    print("\n".join(read_json_file(report_path, "run report", _report_lines)))
     return EXIT_OK
 
 
@@ -435,16 +420,8 @@ def _report_lines(report: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s",
-    )
+    """Run one command. Each command returns EXIT_OK or raises; only here is a
+    refusal printed, as one line, and its exit code chosen."""
     handlers = {
         "curate": cmd_curate,
         "preprocess": cmd_preprocess,
@@ -452,22 +429,25 @@ def main(argv=None) -> int:
         "explain": cmd_explain,
         "report": cmd_report,
     }
-    _bind(*_COMMAND_MODULES.get(args.command, _LAZY_NAMES))
     try:
+        args = _build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.INFO,
+            format="%(asctime)s %(name)s %(levelname)s %(message)s",
+        )
+        _bind(*_COMMAND_MODULES.get(args.command, _LAZY_NAMES))
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (SchemaError, *_loaded("ConfigError"), FileNotFoundError, IsADirectoryError,
-            InputFileError) as exc:
+    # an OSError is a path a command cannot read or write: missing, a
+    # directory, a file where a directory is meant, or no permission
+    except (OSError, SchemaError, InputFileError, *_loaded("ConfigError", "ProtocolError")) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _loaded("HoldoutViolation") as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except _loaded("ProtocolError") as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

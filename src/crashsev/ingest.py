@@ -37,6 +37,7 @@ __all__ = [
     "ColumnSchema",
     "SchemaError",
     "InputFileError",
+    "InvariantViolation",
     "CrashOrderError",
     "ParseError",
     "ParseResult",
@@ -53,6 +54,7 @@ __all__ = [
     "group_units",
     "summarize_dataset",
     "write_curated_csv",
+    "read_json_file",
 ]
 
 
@@ -235,19 +237,18 @@ class StubDecoder:
         are equal in upper case raise InputFileError."""
         readers = {"make": json_str, "model": json_str,
                    "model_year": lambda year: None if year is None else json_int(year)}
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = load_json(fh)
+        unknown = DecodedVehicle(make="unknown", model="unknown", model_year=None)
+
+        def build(raw) -> "StubDecoder":
             first: dict[str, str] = {}
             for prefix in raw:
                 other = first.setdefault(prefix.upper(), prefix)
                 if other != prefix:
                     raise ValueError(f"prefixes {other!r} and {prefix!r} are equal in upper case")
-            unknown = DecodedVehicle(make="unknown", model="unknown", model_year=None)
             return cls({prefix.upper(): replace(unknown, **read_fields(entry, readers))
                         for prefix, entry in raw.items()})
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise InputFileError(f"unreadable decoder table {path}: {exc!r}") from exc
+
+        return read_json_file(path, "decoder table", build)
 
     def decode(self, vin: str) -> DecodedVehicle:
         # one probe per distinct prefix length, longest first; a VIN shorter
@@ -312,6 +313,10 @@ class InputFileError(ValueError):
     """An input file exists but is corrupt, truncated or of the wrong format."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant of the pipeline does not hold."""
+
+
 class CrashOrderError(InputFileError):
     """Person rows out of curate's output order: a crash's rows apart, or
     crashes not in increasing crash id order."""
@@ -331,6 +336,21 @@ def load_json(fh):
     raises ValueError naming it, where ``json.load`` would keep the last
     value without a word; malformed JSON raises JSONDecodeError, a ValueError."""
     return json.load(fh, object_pairs_hook=_refuse_repeated_keys)
+
+
+def read_json_file(path, what: str, build: Callable):
+    """``build`` of the JSON document in UTF-8 file ``path``, read by
+    ``load_json``. A byte that is not UTF-8, or a ValueError, TypeError,
+    KeyError or AttributeError from parsing or from ``build``, raises one
+    short InputFileError naming ``what`` and ``path``; an OSError passes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return build(load_json(fh))
+    except UnicodeDecodeError as exc:
+        # json.load decodes the whole file at once, so the offset is the file's
+        raise InputFileError(f"unreadable {what} {path}: byte {exc.start} is not UTF-8") from exc
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise InputFileError(f"unreadable {what} {path}: {exc!r}") from exc
 
 
 def read_fields(raw, readers: Mapping[str, Callable]) -> dict:
@@ -453,12 +473,12 @@ class ColumnSchema:
                 k.casefold(): SeverityClass(v) for k, v in values.items()
             },
         }
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                fields = read_fields(load_json(fh), readers)
+
+        def build(raw) -> "ColumnSchema":
+            fields = read_fields(raw, readers)
             return cls(columns={**DEFAULT_COLUMNS, **fields.pop("columns", {})}, **fields)
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise InputFileError(f"unreadable schema file {path}: {exc!r}") from exc
+
+        return read_json_file(path, "schema file", build)
 
     def severity_of(self, value: str) -> SeverityClass:
         return self.severity_values.get(value.strip().casefold(), SeverityClass.UNKNOWN)
@@ -820,7 +840,8 @@ def curate(rows: list[PersonRow], decoder: DecoderClient) -> CurationResult:
     """Run the full curation workflow over parsed person rows.
 
     Order: non-motorist exclusion, then one crash at a time in crash id
-    order: per-unit VIN validation, duplicate-VIN resolution, age
+    order: per-unit VIN validation (a unit whose persons carry different
+    VINs is removed as ``mixed_vin``), duplicate-VIN resolution, age
     verification and per-unit person-type reconciliation. Output order is
     deterministic (crash id, unit key, line), whatever the order of ``rows``.
     """
@@ -840,6 +861,10 @@ def curate(rows: list[PersonRow], decoder: DecoderClient) -> CurationResult:
         valid: dict[tuple[str, str], VinVerdict] = {}
         for key in keys:
             persons = units[key]
+            # no one VIN to judge, and which person comes first must not decide
+            if len({p.unit_vin.strip().upper() for p in persons}) > 1:
+                removed_units[key] = "mixed_vin"
+                continue
             crash_year = next((p.crash_date.year for p in persons if p.crash_date), None)
             verdict = validate_vin(persons[0].unit_vin, crash_year, decoder)
             if verdict.valid:

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .ingest import InputFileError
+from .ingest import read_json_file
 from .rng import substream
 from .stats import LOGISTIC_MAX_ITER, _newton_logistic_many
 
@@ -540,17 +540,12 @@ def save_model(model, path) -> None:
 def load_model(path):
     """The model ``save_model`` wrote to ``path``; a file that is not one, or
     of another format version, raises ``InputFileError``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)  # a JSONDecodeError is a ValueError
-        if raw["version"] != MODEL_FORMAT_VERSION:
-            raise ValueError(f"format version {raw['version']!r}, not {MODEL_FORMAT_VERSION}")
-        return _model_from_dict(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputFileError(f"unreadable model file {path}: {exc!r}") from exc
+    return read_json_file(path, "model file", _model_from_dict)
 
 
 def _model_from_dict(raw: dict):
+    if raw["version"] != MODEL_FORMAT_VERSION:
+        raise ValueError(f"format version {raw['version']!r}, not {MODEL_FORMAT_VERSION}")
     kind = raw["kind"]
     cw = tuple(raw["class_weights"]) if raw.get("class_weights") else None
     if kind == "linear":

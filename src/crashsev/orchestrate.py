@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import learners as L
+from .ingest import InvariantViolation
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import Signature, StabilityTable, stability_select
@@ -50,7 +51,7 @@ class ProtocolError(RuntimeError):
     """The protocol cannot proceed as configured."""
 
 
-class HoldoutViolation(RuntimeError):
+class HoldoutViolation(InvariantViolation):
     """A training-phase operation read holdout rows."""
 
 

@@ -30,9 +30,9 @@ from .ingest import (
     SeverityClass,
     json_int,
     json_strings,
-    load_json,
     max_severity,
     read_fields,
+    read_json_file,
 )
 
 log = logging.getLogger(__name__)
@@ -175,12 +175,8 @@ class AggregationConfig:
             "postcrash_denylist": lambda names: tuple(json_strings(names)),
             "n_interacting_slots": json_int,
         }
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = load_json(fh)
-            return cls(**read_fields(raw, readers))
-        except (ValueError, TypeError, AttributeError) as exc:
-            raise InputFileError(f"invalid aggregation config {path}: {exc!r}") from exc
+        return read_json_file(path, "aggregation config",
+                              lambda raw: cls(**read_fields(raw, readers)))
 
 
 def _json_number(value) -> float:
@@ -424,11 +420,15 @@ class PreprocessModel:
 
     @classmethod
     def load(cls, path) -> "PreprocessModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if raw.get("version") != PREPROCESS_FORMAT_VERSION:
-            raise ValueError(f"unsupported preprocess model version {raw.get('version')!r}")
-        return cls(**raw)
+        """The model ``save`` wrote to ``path``; a file that is not one, or of
+        another format version, raises InputFileError."""
+
+        def build(raw) -> "PreprocessModel":
+            if raw.get("version") != PREPROCESS_FORMAT_VERSION:
+                raise ValueError(f"unsupported preprocess model version {raw.get('version')!r}")
+            return cls(**raw)
+
+        return read_json_file(path, "preprocess model", build)
 
 
 def _level(raw: str) -> str:
@@ -722,13 +722,9 @@ def load_matrix(path) -> FeatureMatrix:
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise InputFileError(f"feature-matrix file {path} holds a label other than 0 or 1")
     y = labels.astype(np.int8)
-    try:
-        with open(path + ".desc.json", "r", encoding="utf-8") as fh:
-            desc = json.load(fh)
-        columns = [
-            ColumnInfo(name=c["name"], kind=c["kind"], source=c["source"], level=c.get("level", ""))
-            for c in desc["columns"]
-        ]
-        return FeatureMatrix(X, y, columns)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise InputFileError(f"unreadable matrix descriptor {path}.desc.json: {exc!r}") from exc
+
+    def build(desc) -> FeatureMatrix:
+        return FeatureMatrix(X, y, [ColumnInfo(name=c["name"], kind=c["kind"], source=c["source"],
+                                               level=c.get("level", "")) for c in desc["columns"]])
+
+    return read_json_file(path + ".desc.json", "matrix descriptor", build)

@@ -503,6 +503,26 @@ def _assert_one_line_error(capsys):
     return err
 
 
+# the first 300 bytes of a feature-matrix file: its magic, its shape and
+# doubles, which are not UTF-8
+NOT_UTF8 = (b"CSFM1" + struct.pack("<QQ", 3, 100)
+            + np.arange(0.5, 40.5).astype("<f8").tobytes())[:300]
+
+
+def _write(path, text) -> None:
+    """``text`` into ``path``: a str as UTF-8, bytes as they are."""
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+
+
+def _assert_names_the_first_bad_byte(err: str, text) -> None:
+    """A refusal of NOT_UTF8 is short and names the offset of its first byte
+    that is not UTF-8, where the file used to be quoted whole."""
+    if text == NOT_UTF8:
+        with pytest.raises(UnicodeDecodeError) as bad:
+            NOT_UTF8.decode("utf-8")
+        assert len(err) < 200 and f": byte {bad.value.start} is not UTF-8" in err, err
+
+
 class TestInvalidPlan:
     @pytest.mark.parametrize("old, new", [
         ("folds = 4", "folds = 3\nn_complete = 5"),
@@ -600,6 +620,27 @@ class TestUnreadableInput:
         assert main(["--config", str(cfg), "run"]) == 2
         _assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda desc: NOT_UTF8,
+        lambda desc: desc[:40],
+        # a repeated key: the last value used to win without a word
+        lambda desc: desc.replace(b'"version": 1', b'"version": 1, "version": 1'),
+    ], ids=["not-utf8", "truncated", "repeated-key"])
+    def test_unreadable_matrix_descriptor_exits_2(self, synth_matrix_file, tmp_path, capsys,
+                                                  corrupt):
+        matrix = tmp_path / "m.csfm"
+        shutil.copyfile(synth_matrix_file, matrix)
+        desc = (synth_matrix_file.parent / (synth_matrix_file.name + ".desc.json")).read_bytes()
+        text = corrupt(desc)
+        assert text != desc
+        (tmp_path / "m.csfm.desc.json").write_bytes(text)
+        out_dir = tmp_path / "out"
+        assert main(["--config", str(run_config_ini(tmp_path, matrix, out_dir)), "run"]) == 2
+        err = _assert_one_line_error(capsys)
+        assert "unreadable matrix descriptor" in err
+        _assert_names_the_first_bad_byte(err, text)
+        assert not out_dir.exists()
+
     def test_truncated_matrix_exits_2(self, synth_matrix_file, tmp_path, capsys):
         cut = tmp_path / "cut.csfm"
         cut.write_bytes(synth_matrix_file.read_bytes()[:4096])
@@ -684,11 +725,12 @@ class TestUnreadableInput:
         assert main(["--config", str(cfg), "--seed", "7", "--resume", "run"]) == 2
         assert "written for another plan" in _assert_one_line_error(capsys)
 
-    def test_corrupt_report_exits_2(self, tmp_path, capsys):
-        (tmp_path / "report.json").write_text('{"search_space": {"total_enu')
+    @pytest.mark.parametrize("text", ['{"search_space": {"total_enu', NOT_UTF8],
+                             ids=["truncated", "not-utf8"])
+    def test_corrupt_report_exits_2(self, tmp_path, capsys, text):
+        _write(tmp_path / "report.json", text)
         assert main(["report", "--run-dir", str(tmp_path)]) == 2
-        _assert_one_line_error(capsys)
-
+        _assert_names_the_first_bad_byte(_assert_one_line_error(capsys), text)
 
     def test_report_lacking_keys_exits_2(self, tmp_path, capsys):
         (tmp_path / "report.json").write_text("{}")
@@ -711,12 +753,16 @@ class TestUnreadableInput:
                     "nodes": {"column": [0, -1, -1], "threshold": [0.0, 0.0, 0.0],
                               "left": [0, -1, -1], "right": [2, -1, -1],
                               "prob": [0.5, 0.0, 1.0], "n_samples": [4, 2, 2]}}),
+        # a repeated key: the last value used to win without a word
+        pytest.param('{"version": 2, "kind": "naive", "prevalence": 0.1, "prevalence": 0.9}',
+                     id="repeated-key"),
+        pytest.param(NOT_UTF8, id="not-utf8"),
     ])
     def test_unreadable_model_exits_2(self, synth_matrix_file, tmp_path, capsys, text):
-        (tmp_path / "model.json").write_text(text)
+        _write(tmp_path / "model.json", text)
         assert main(["explain", "--model", str(tmp_path / "model.json"),
                      "--matrix", str(synth_matrix_file), "--out-dir", str(tmp_path / "exp")]) == 2
-        _assert_one_line_error(capsys)
+        _assert_names_the_first_bad_byte(_assert_one_line_error(capsys), text)
 
     @pytest.mark.parametrize("command", ["curate", "preprocess"])
     @pytest.mark.parametrize("bad_line", [
@@ -745,6 +791,35 @@ class TestUnreadableInput:
         assert main([arg.format(**paths) for arg in argv]) == 2
         _assert_one_line_error(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["curate", "preprocess", "run", "explain"])
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_dir_that_is_not_a_directory_exits_2(self, raw_csv, synth_matrix_file, tmp_path,
+                                                     capsys, command, under):
+        # making the directory used to end in a FileExistsError or a
+        # NotADirectoryError traceback, with exit code 1
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out_dir = blocker / "o" if under else blocker
+        if command == "curate":
+            argv = ["curate", "--input", str(raw_csv)]
+        elif command == "preprocess":
+            assert main(["curate", "--input", str(raw_csv), "--out-dir", str(tmp_path / "c")]) == 0
+            argv = ["preprocess", "--input", str(tmp_path / "c" / "curated.csv")]
+        elif command == "run":
+            argv = ["--config", str(run_config_ini(tmp_path, synth_matrix_file, tmp_path / "x")),
+                    "run"]
+        else:
+            matrix = load_matrix(synth_matrix_file)
+            save_model(fit_ridge_logistic(matrix.X, matrix.y, 1.0,
+                                          column_names=[c.name for c in matrix.columns]),
+                       tmp_path / "model.json")
+            argv = ["explain", "--model", str(tmp_path / "model.json"),
+                    "--matrix", str(synth_matrix_file)]
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(out_dir)]) == 2
+        _assert_one_line_error(capsys)
+        assert blocker.read_text() == "not a directory\n"
 
     @pytest.mark.parametrize("command", ["curate", "preprocess"])
     def test_missing_input_exits_2_leaving_no_output_directory(self, tmp_path, capsys, command):
@@ -912,14 +987,18 @@ class TestMalformedSideInput:
         ("preprocess", "--agg-config", "junk"),
         ("preprocess", "--agg-config", '{"cyclical_periods": {"hour": "day"}}'),
         ("preprocess", "--schema", '{"severity_values": {"fatal": "Nope"}}'),
+        # bytes that are not UTF-8 used to be quoted whole in the message
+        pytest.param("curate", "--schema", NOT_UTF8, id="curate-schema-not-utf8"),
+        pytest.param("curate", "--decoder-table", NOT_UTF8, id="curate-decoder-table-not-utf8"),
+        pytest.param("preprocess", "--agg-config", NOT_UTF8, id="preprocess-agg-config-not-utf8"),
     ])
     def test_exits_2(self, raw_csv, tmp_path, capsys, command, flag, text):
         side = tmp_path / "side.json"
-        side.write_text(text)
+        _write(side, text)
         out_dir = tmp_path / "o"
         assert main([command, "--input", str(raw_csv), flag, str(side),
                      "--out-dir", str(out_dir)]) == 2
-        _assert_one_line_error(capsys)
+        _assert_names_the_first_bad_byte(_assert_one_line_error(capsys), text)
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("text, named", [

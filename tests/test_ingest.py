@@ -444,15 +444,17 @@ class TestCurationWorkflow:
 
 
 # generated person rows: units draw a crash, a VIN and whether they carry a
-# unit id; each person belongs to one unit, so a unit's persons share its VIN
-# and its crash's date
+# unit id; each person belongs to one unit and shares its crash's date, and
+# one person in four carries a VIN of its own, which under a unit id makes a
+# unit of mixed VINs (or of one VIN in other case or spacing)
 _CRASH_DATES = {"C1": "2020-06-15", "C2": "03/02/2019"}
+_VINS = [V_HONDA, V_TOYOTA, V_TESLA, V_NODECODE, V_BADCHECK, ""]
 _UNITS = st.lists(
-    st.tuples(st.sampled_from(sorted(_CRASH_DATES)),
-              st.sampled_from([V_HONDA, V_TOYOTA, V_TESLA, V_NODECODE, V_BADCHECK, ""]),
-              st.booleans()),
+    st.tuples(st.sampled_from(sorted(_CRASH_DATES)), st.sampled_from(_VINS), st.booleans()),
     min_size=1, max_size=4,
 )
+_OWN_VIN = st.one_of(st.none(), st.none(), st.none(),
+                     st.sampled_from([*_VINS, V_HONDA.lower(), f" {V_TOYOTA} "]))
 
 
 def _persons(first_birth: date):
@@ -466,6 +468,7 @@ def _persons(first_birth: date):
             st.one_of(st.none(), st.dates(min_value=first_birth, max_value=date(2021, 12, 31))),
             st.booleans(),
             st.sampled_from(["", "Rain", "Clear, dry"]),
+            _OWN_VIN,
         ),
         min_size=1, max_size=12,
     )
@@ -481,12 +484,12 @@ def _person_csv(units, persons) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(["CrashID", "UnitID", "VIN", "PersonType", "SeatingPosition", "Severity",
                      "DateOfBirth", "Age", "CrashDate", "Weather"])
-    for unit, ptype, seat, severity, age, born, us_format, weather in persons:
+    for unit, ptype, seat, severity, age, born, us_format, weather, own_vin in persons:
         crash, vin, has_id = units[unit % len(units)]
         dob = "" if born is None else born.strftime("%m/%d/%Y" if us_format else "%Y-%m-%d")
-        writer.writerow([crash, f"U{unit % len(units)}" if has_id else "", vin, ptype, seat,
-                         severity, dob, "" if age is None else str(age), _CRASH_DATES[crash],
-                         weather])
+        writer.writerow([crash, f"U{unit % len(units)}" if has_id else "",
+                         vin if own_vin is None else own_vin, ptype, seat, severity, dob,
+                         "" if age is None else str(age), _CRASH_DATES[crash], weather])
     return buf.getvalue().encode()
 
 
@@ -511,6 +514,27 @@ class TestFixedPoint:
         audit = second.audit
         assert audit.rows_in == audit.rows_out == len(first.rows)
         assert audit.units_removed == audit.persons_removed == audit.persons_reassigned == 0
+
+    @pytest.mark.parametrize("driver_vin, kept", [("", 0), (f" {V_HONDA.lower()}", 1)],
+                             ids=["mixed", "one-vin-in-other-case"])
+    def test_a_unit_whose_persons_carry_different_vins_is_removed_whole(
+            self, schema, decoder, tmp_path, driver_vin, kept):
+        # the verdict used to come from the first person: the occupant's valid
+        # VIN kept the unit, the occupant went as a seat conflict, and a second
+        # pass removed the rear driver's unit for its blank VIN
+        text = ("CrashID,UnitID,VIN,PersonType,SeatingPosition,Severity,CrashDate\n"
+                f"C1,U1,{V_HONDA},Occupant,Front Left Side,Fatal,2020-06-15\n"
+                f"C1,U1,{driver_vin},Driver,Rear,Fatal,2020-06-15\n")
+        first = curate(parse_person_rows(io.BytesIO(text.encode()), schema).rows, decoder)
+        assert len(first.rows) == kept
+        assert first.removed_units == ({} if kept else {("C1", "U1"): "mixed_vin"})
+        once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+        write_curated_csv(first.rows, schema, once)
+        with open(once, "rb") as fh:
+            second = curate(parse_person_rows(fh, schema).rows, decoder)
+        write_curated_csv(second.rows, schema, twice)
+        assert twice.read_bytes() == once.read_bytes()
+        assert second.audit.units_removed == 0
 
 
 class TestCuratedFileCarriesTheVerdicts:
