@@ -9,7 +9,14 @@ hyperparameter settings and takes its requests as lists of (candidate group,
 conditioning groups) pairs: each SES forward step asks every pair at once,
 the backward phase one subset size at a time, and the missing tests are
 fitted as batched likelihood-ratio tests on (candidate columns, conditioning
-columns) index pairs that ``FeatureMatrix.group_columns`` gives.
+columns) index pairs that ``FeatureMatrix.group_columns`` gives. Every null
+SES asks for is a model an earlier test fitted as its alternative: in a
+forward step, the null of (g | combo + {best}) is the alternative of
+(best | combo), asked when combo's last member was selected, or in the
+univariate screen when combo is empty, and the backward phase's nulls are
+sets of selected groups fitted the same way. The cache keeps each converged
+alternative and serves it as that null, so on numeric groups SES fits one
+null from zero per cache, the empty set's.
 """
 
 from __future__ import annotations
@@ -65,37 +72,80 @@ class CITestCache:
 
     Keys are (candidate group, frozenset of conditioning groups); SES runs at
     different alpha or kmax on the same training rows share every test.
+
+    A test's null model, y on the intercept and the conditioning groups, is
+    taken from an earlier test whenever one fitted that model as its
+    alternative: the converged alternative of (g | Z) is kept under the group
+    set Z | {g}, its coefficients permuted into the null's column order
+    (intercept, then the groups in name order), and it serves as the null
+    (log-likelihood and warm start) of every later test that conditions on
+    that set. Only a set no earlier call fitted is fitted from zero, by
+    ``fit_null_logistic``; SES on numeric groups fits one, the empty set.
+    Both fits minimise the same strictly convex objective to the solver's
+    1e-10 relative stopping rule, so a test's statistic may depend, by about
+    1e-13 of the log-likelihood's magnitude, on which earlier test fitted its
+    null. It is still a function of the requests made to the cache in order,
+    so for a given grid and matrix it is deterministic and independent of the
+    worker count.
+
+    A test whose design holds a one-hot column always takes the null fitted
+    from zero: one-hot blocks plus the intercept make its design rank
+    deficient, and there a warm start can change whether a fit converges.
     """
 
     def __init__(self, matrix: FeatureMatrix):
         self.matrix = matrix
         self.groups = matrix.group_names()
         self._cache: dict[tuple[str, frozenset], PValue] = {}
-        self._nulls: dict[frozenset, NullFit] = {}
+        self._nulls: dict[frozenset, NullFit] = {}  # fitted from zero
+        self._alternatives: dict[frozenset, NullFit] = {}  # in the null's column order
+        self._onehot = {g for g, cols in matrix.groups.items()
+                        if any(matrix.columns[i].kind == "onehot" for i in cols)}
+
+    def _null(self, g: str, z: frozenset, z_cols: np.ndarray) -> NullFit:
+        if not (z | {g}) & self._onehot and z in self._alternatives:
+            return self._alternatives[z]
+        if z not in self._nulls:
+            self._nulls[z] = fit_null_logistic(self.matrix.y, self.matrix.X, z_cols)
+        return self._nulls[z]
+
+    def _keep_alternative(self, g: str, z: frozenset, fit: NullFit) -> None:
+        """Keep the converged alternative of (g | z) as the null of z | {g}."""
+        key = z | {g}
+        if not fit.converged or key in self._alternatives or key & self._onehot:
+            return
+        # the alternative's coefficients: intercept, z's groups in name order, then g
+        alternative = self.matrix.group_columns([*sorted(z), g]).tolist()
+        where = {c: i for i, c in enumerate(alternative, start=1)}
+        order = [0, *(where[c] for c in self.matrix.group_columns(sorted(key)).tolist())]
+        self._alternatives[key] = NullFit(beta=fit.beta[order], loglik=fit.loglik, converged=True)
 
     def pvalues(self, requests: Sequence[tuple[str, frozenset]]) -> list[PValue]:
         """p-values of the (candidate group, conditioning groups) pairs, in order.
 
         A request is tested as a (candidate columns, conditioning columns)
-        index pair, the conditioning groups in name order. Each missing null
-        is fitted once; the missing tests are fitted in one
-        batch per (conditioning width, candidate width), split so that no
-        batch's design array exceeds LRT_BATCH_ELEMENTS.
+        index pair, the conditioning groups in name order. Each test's null
+        is resolved before any test of the call is fitted, so an alternative
+        serves as a null from the next call on. The missing tests are fitted
+        in one batch per (conditioning width, candidate width), split so that
+        no batch's design array exceeds LRT_BATCH_ELEMENTS.
         """
         missing = [r for r in dict.fromkeys(requests) if r not in self._cache]
         X, y = self.matrix.X, self.matrix.y
         batches: dict[tuple[int, int], list] = {}
         for g, z in missing:
             x_cols, z_cols = self.matrix.group_columns(g), self.matrix.group_columns(sorted(z))
-            if z not in self._nulls:
-                self._nulls[z] = fit_null_logistic(y, X, z_cols)
-            batches.setdefault((z_cols.size, x_cols.size), []).append(((g, z), (x_cols, z_cols)))
+            batches.setdefault((z_cols.size, x_cols.size), []).append(
+                ((g, z), (x_cols, z_cols), self._null(g, z, z_cols)))
         for (z_width, width), batch in sorted(batches.items()):
             step = max(1, LRT_BATCH_ELEMENTS // (X.shape[0] * (1 + z_width + width)))
             for start in range(0, len(batch), step):
-                keys, tests = zip(*batch[start:start + step])
-                results = lrt_ci_test_many(X, y, tests, [self._nulls[z] for _, z in keys])
+                keys, tests, nulls = zip(*batch[start:start + step])
+                fits: list[NullFit] = []
+                results = lrt_ci_test_many(X, y, tests, nulls, fits)
                 self._cache.update(zip(keys, results))
+                for (g, z), fit in zip(keys, fits):
+                    self._keep_alternative(g, z, fit)
         return [self._cache[r] for r in requests]
 
 

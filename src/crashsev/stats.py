@@ -19,7 +19,11 @@ The likelihood-ratio tests run in batches of (candidate columns,
 conditioning columns) index pairs into one matrix X: every pair brings its
 own null fit, ``_designs`` copies each pair's columns from X into its row of
 a stacked design array, and the whole batch is one Newton solve with batched
-matmul. A pair's result does not depend on the batch it is fitted in.
+matmul. A pair's result does not depend on the batch it is fitted in. A null
+fit is ``fit_null_logistic``'s, or any converged fit of the same model with
+its coefficients in the null's column order, and ``lrt_ci_test_many`` can
+pass out each test's fitted alternative as a ``NullFit``, so that a caller
+can serve it as a later test's null.
 """
 
 from __future__ import annotations
@@ -420,12 +424,19 @@ def fit_null_logistic(y, X, z=None) -> NullFit:
     return NullFit(beta=beta[0], loglik=float(ll[0]), converged=bool(conv[0]))
 
 
-def lrt_ci_test_many(X, y, tests, nulls: list[NullFit]) -> list[PValue]:
+def lrt_ci_test_many(X, y, tests, nulls: list[NullFit],
+                     alternatives: list[NullFit] | None = None) -> list[PValue]:
     """Likelihood-ratio tests of y ~ X[:, z] vs y ~ X[:, z] + X[:, x], one per
-    (x, z) column-index pair of ``tests``, each against its null
-    ``fit_null_logistic(y, X, z)`` in ``nulls``. The tests, of equal widths,
-    are one batched Newton solve, each warm-started from its null fit.
-    Non-convergence is conservative: p = 1.0, flagged.
+    (x, z) column-index pair of ``tests``, each against its null fit of
+    y ~ X[:, z] in ``nulls``: ``fit_null_logistic(y, X, z)``, or a converged
+    fit of the same model taken from elsewhere, its coefficients in z's
+    order. The tests, of equal widths, are one batched Newton solve, each
+    warm-started from its null fit. Non-convergence is conservative:
+    p = 1.0, flagged.
+
+    When ``alternatives`` is a list, each test's fitted alternative is
+    appended to it in test order, as a NullFit of the model on the
+    intercept, X[:, z] and X[:, x], in that column order.
     """
     if not tests:
         return []
@@ -434,7 +445,10 @@ def lrt_ci_test_many(X, y, tests, nulls: list[NullFit]) -> list[PValue]:
     A = _designs(X, tests)
     width = len(tests[0][0])
     beta0 = np.pad(np.array([nf.beta for nf in nulls]), ((0, 0), (0, width)))
-    _, ll_alt, conv_alt = _newton_logistic_many(A, y, np.ones(A.shape[1]), beta0=beta0)
+    beta, ll_alt, conv_alt = _newton_logistic_many(A, y, np.ones(A.shape[1]), beta0=beta0)
+    if alternatives is not None:
+        alternatives.extend(NullFit(beta=b, loglik=ll, converged=c)
+                            for b, ll, c in zip(beta, ll_alt.tolist(), conv_alt.tolist()))
 
     ll_null = np.array([nf.loglik for nf in nulls])
     ok = conv_alt & np.array([nf.converged for nf in nulls])

@@ -7,6 +7,7 @@ pick the winner and bias-correct its estimate.
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import logging
@@ -22,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from . import learners as L
-from .ingest import InputFileError
+from .ingest import InputFileError, load_json
 from .preprocess import FeatureMatrix
 from .rng import spawn_seed, substream
 from .selection import (
@@ -433,9 +434,12 @@ class CVResult:
         try:
             # np.load(path) leaves its own handle open when the zip is unreadable
             with open(path, "rb") as fh, np.load(fh) as data:
-                meta = json.loads(bytes(data["meta"].tobytes()).decode("utf-8"))
+                meta = load_json(io.StringIO(data["meta"].tobytes().decode("utf-8")))
                 state = {name: data[name].copy() if name in data.files else meta[name]
                          for name in _CHECKPOINT_STATE}
+        except UnicodeDecodeError as exc:
+            raise InputFileError(f"unreadable CV checkpoint {path}: byte {exc.start} is not "
+                                 "UTF-8 in its meta") from exc
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as exc:
             raise InputFileError(f"unreadable CV checkpoint {path}: {exc!r}") from exc
         for key, expected in stamp.items():

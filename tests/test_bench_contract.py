@@ -121,8 +121,9 @@ def test_every_cv_lasso_fit_goes_through_the_traced_name(monkeypatch):
 def test_lrt_counts_read_a_real_cache(monkeypatch):
     # stats.null_fits counts the spans of selection.fit_null_logistic and
     # stats.lrt_tests the PValues that selection.lrt_ci_test_many returns: a
-    # cache fits one null per distinct conditioning set and one test per
-    # request it does not hold, and a request it holds fits nothing
+    # cache fits one null per conditioning set that no earlier call fitted as
+    # a converged alternative, and one test per request it does not hold,
+    # and a request it holds fits nothing
     tracer_module = _load_tracer()
     tracer = tracer_module.Tracer()
     for name in ("stats.null_fit", "stats.lrt"):
@@ -142,14 +143,16 @@ def test_lrt_counts_read_a_real_cache(monkeypatch):
     matrix = gen.matrix(400, seed=1)
     cache = crashsev.selection.CITestCache(matrix)
     crashsev.selection.ses_select(matrix, kmax=2, alpha=0.05, cache=cache)
-    held, missing = set(), 0
+    held, missing, fitted, cold = set(), 0, set(), set()
     for requests in asked:
-        missing += len(set(requests) - held)
-        held |= set(requests)
-    conditioning = {z for _, z in held}
-    assert max(map(len, conditioning)) == 2  # SES conditioned on pairs
+        new = set(requests) - held
+        missing += len(new)
+        cold |= {z for _, z in new} - fitted
+        held |= new
+        fitted |= {z | {g} for g, z in new if cache._cache[(g, z)].converged}
+    assert max(len(z) for _, z in held) == 2  # SES conditioned on pairs
     metrics = tracer_module.layer_metrics(tracer_module.span_table(tracer.spans))
-    assert metrics["stats.null_fits"] == len(conditioning)
+    assert metrics["stats.null_fits"] == len(cold) == 1  # the empty set
     assert metrics["stats.lrt_tests"] == missing == len(held)
 
     spans = len(tracer.spans)

@@ -699,6 +699,38 @@ class TestUnreadableInput:
         assert main(["--config", str(cfg), "--resume", "run"]) == 2
         _assert_one_line_error(capsys)
 
+    def test_cv_checkpoint_meta_not_utf8_exits_2(self, synth_matrix_file, tmp_path, capsys):
+        # a 5,000-byte meta with one byte that is not UTF-8 is refused in one
+        # short line naming that byte's offset, not quoted whole
+        out_dir = tmp_path / "out"
+        (out_dir / "subsets").mkdir(parents=True)
+        meta = b'{"note": "' + b"x" * 4985 + b'\xff"}'
+        np.savez(out_dir / "subsets" / "subset_00.cv.npz", pooled=np.zeros((3, 350)),
+                 evaluated_mask=np.zeros(350, dtype=bool),
+                 meta=np.frombuffer(meta, dtype=np.uint8))
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        assert main(["--config", str(cfg), "--resume", "run"]) == 2
+        err = _assert_one_line_error(capsys)
+        assert len(err) < 200 and f": byte {meta.index(0xFF)} is not UTF-8" in err, err
+
+    def test_cv_checkpoint_meta_repeating_a_key_exits_2(self, synth_matrix_file, tmp_path,
+                                                         capsys):
+        # the checkpoint of a finished run, its meta given a second
+        # folds_completed before the real one: json.loads would keep the last
+        out_dir = tmp_path / "out"
+        cfg = run_config_ini(tmp_path, synth_matrix_file, out_dir)
+        assert main(["--config", str(cfg), "run"]) == 0
+        path = out_dir / "subsets" / "subset_00.cv.npz"
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+        meta = members["meta"].tobytes()
+        assert meta.startswith(b"{") and b'"folds_completed": ' in meta
+        members["meta"] = np.frombuffer(b'{"folds_completed": 0, ' + meta[1:], dtype=np.uint8)
+        np.savez(path, **members)
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "--resume", "run"]) == 2
+        assert "repeated key 'folds_completed'" in _assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("finished", [False, True], ids=["killed", "finished"])
     def test_cv_checkpoint_of_another_seed_exits_2(self, synth_matrix_file, tmp_path, capsys,
                                                     monkeypatch, finished):

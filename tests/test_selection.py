@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from lasso_reference import first_sweep_nums, reference_lasso_cd
 from scipy.special import expit
 
 from crashsev import selection
-from crashsev.preprocess import FeatureMatrix
+from crashsev.preprocess import ColumnInfo, FeatureMatrix
 from crashsev.selection import (
     CITestCache,
     Signature,
@@ -16,6 +18,7 @@ from crashsev.selection import (
     stability_select,
     univariate_select,
 )
+from crashsev.stats import lrt_ci_test
 
 
 def planted_matrix(seed, n=3000, p=60, k=6, effect=0.7, intercept=-2.0):
@@ -101,6 +104,118 @@ class TestSes:
         sig = ses_select(noise_matrix(999, n=200, p=8), kmax=2, alpha=0.0001)
         assert sig.selected == []
         assert sig.method == "SES"
+
+
+def reference_pvalue(matrix, g, z):
+    """The one-test reference, ``stats.lrt_ci_test``, on the columns the
+    cache tests for candidate group ``g`` given groups ``z``."""
+    z_cols = matrix.group_columns(sorted(z))
+    return lrt_ci_test(matrix.X[:, matrix.group_columns(g)], matrix.y,
+                       matrix.X[:, z_cols] if z_cols.size else None)
+
+
+class ReferenceCache:
+    """A cache stand-in for ``ses_select`` that answers every request with
+    ``reference_pvalue``, each null fitted from zero."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.groups = matrix.group_names()
+
+    def pvalues(self, requests):
+        return [reference_pvalue(self.matrix, g, z) for g, z in requests]
+
+
+def onehot_matrix(seed, n=800):
+    """Three numeric groups and two one-hot groups of three levels each,
+    with y planted on n0, n1 and one level of c0."""
+    rng = np.random.default_rng(seed)
+    numeric = rng.standard_normal((n, 3))
+    levels = rng.integers(0, 3, (n, 2))
+    X = np.hstack([numeric, *(np.eye(3)[levels[:, j]] for j in range(2))])
+    columns = ([ColumnInfo(f"n{i}", "numeric", f"n{i}") for i in range(3)]
+               + [ColumnInfo(f"c{j}={v}", "onehot", f"c{j}", str(v))
+                  for j in range(2) for v in range(3)])
+    logit = numeric[:, 0] - 0.8 * numeric[:, 1] + 1.2 * (levels[:, 0] == 1) - 1.0
+    y = (rng.random(n) < expit(logit)).astype(int)
+    return FeatureMatrix(X, y, columns)
+
+
+class TestNullReuse:
+    """A test's null is the converged alternative of an earlier test that
+    fitted the same group set, unless its design holds a one-hot column."""
+
+    @staticmethod
+    def _count_cold_nulls(monkeypatch):
+        sets, real = [], selection.fit_null_logistic
+
+        def fit_null_logistic(y, X, z):
+            sets.append(list(z))
+            return real(y, X, z)
+
+        monkeypatch.setattr(selection, "fit_null_logistic", fit_null_logistic)
+        return sets
+
+    def test_planted_tests_match_the_reference_and_signatures_hold(self, monkeypatch):
+        # Both nulls minimise the same strictly convex objective to the
+        # solver's 1e-10 relative stopping rule; Newton's last step leaves
+        # them far closer (about 1e-13 relative seen), so the LRT fixture's
+        # 1e-10 on p and 1e-9 relative on the statistic leave a wide margin.
+        m, _ = planted_matrix(seed=21, n=1200, p=10, k=5)
+        cold = self._count_cold_nulls(monkeypatch)
+        cache, reference = CITestCache(m), ReferenceCache(m)
+        for kmax in (2, 3):
+            for alpha in (0.01, 0.05):
+                assert (ses_select(m, kmax, alpha, cache=cache)
+                        == ses_select(m, kmax, alpha, cache=reference))
+        assert cold == [[]]  # every other null was an earlier alternative
+        assert max(len(z) for _, z in cache._cache) == 3
+        for (g, z), got in cache._cache.items():
+            want = reference_pvalue(m, g, z)
+            assert got.converged and want.converged
+            assert got.dof == want.dof
+            assert abs(got.value - want.value) <= 1e-10, (g, z)
+            assert abs(got.statistic - want.statistic) <= 1e-9 * max(1.0, want.statistic), (g, z)
+
+    def test_tests_touching_a_one_hot_column_keep_the_cold_null_bits(self):
+        m = onehot_matrix(seed=4)
+        cache = CITestCache(m)
+        for kmax in (2, 3):
+            for alpha in (0.01, 0.05):
+                ses_select(m, kmax, alpha, cache=cache)
+        onehot = {"c0", "c1"}
+        touched = [(g, z) for g, z in cache._cache if ({g} | z) & onehot]
+        assert any(z & onehot for _, z in touched) and any(not z & onehot for _, z in touched)
+        for g, z in touched:
+            assert cache._cache[(g, z)] == reference_pvalue(m, g, z), (g, z)
+        # a numeric-only test still takes its null from an alternative
+        numeric = [(g, z) for g, z in cache._cache if z and not ({g} | z) & onehot]
+        differ = [cache._cache[r] != reference_pvalue(m, *r) for r in numeric]
+        assert any(differ), numeric
+
+    def test_a_nonconverged_alternative_is_not_reused(self, monkeypatch):
+        m, _ = planted_matrix(seed=5, n=600, p=6, k=3)
+        g = m.group_names()
+        cold = self._count_cold_nulls(monkeypatch)
+        real = selection.lrt_ci_test_many
+        g0_cols = m.group_columns(g[0]).tolist()
+
+        def lrt_ci_test_many(X, y, tests, nulls, alternatives):
+            results = real(X, y, tests, nulls, alternatives)
+            for i, (x, _) in enumerate(tests):
+                if list(x) == g0_cols:  # as if (g0 | {}) had not converged
+                    alternatives[i] = replace(alternatives[i], converged=False)
+            return results
+
+        monkeypatch.setattr(selection, "lrt_ci_test_many", lrt_ci_test_many)
+        cache = CITestCache(m)
+        cache.pvalues([(h, frozenset()) for h in g])
+        assert cold == [[]]
+        got = cache.pvalues([(g[1], frozenset({g[0]})), (g[1], frozenset({g[2]}))])
+        assert cold == [[], g0_cols]  # {g2}'s null was (g2 | {})'s alternative
+        assert got[0] == reference_pvalue(m, g[1], {g[0]})
+        assert got[1] != reference_pvalue(m, g[1], {g[2]})
+        assert abs(got[1].value - reference_pvalue(m, g[1], {g[2]}).value) <= 1e-10
 
 
 class TestLasso:
